@@ -10,7 +10,6 @@ graphs with exactly m edges. Ranges are inclusive `a-b` or a single value.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -158,7 +157,6 @@ def run_bench(
     engines: tuple[str, ...] = ENGINES,
     reps: int = 1,
     config: HarnessConfig | None = None,
-    workers: int | None = None,
 ) -> list[dict]:
     """One row per (instance, engine, rep); aborts on cross-engine disagreement."""
     if isinstance(spec, str):
@@ -167,18 +165,7 @@ def run_bench(
         if engine not in ENGINES:
             raise InputError(f"unknown engine {engine!r}")
     config = config or HarnessConfig.from_env()
-    workers = workers or config.workers
-    tasks = list(iterate_instances(spec))
     rows: list[dict] = []
-    if workers <= 1:
-        for name, inst in tasks:
-            rows.extend(_run_one(name, inst, tuple(engines), reps, config))
-        return rows
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_run_one, name, inst, tuple(engines), reps, config)
-            for name, inst in tasks
-        ]
-        for fut in futures:
-            rows.extend(fut.result())
+    for name, inst in iterate_instances(spec):
+        rows.extend(_run_one(name, inst, tuple(engines), reps, config))
     return rows

@@ -60,11 +60,17 @@ def _read_text(path: str) -> str:
 
 def _load_config(args) -> HarnessConfig:
     config = HarnessConfig.from_env()
-    if getattr(args, "cap", None):
+    if getattr(args, "cap", None) is not None:
         config = dataclasses.replace(
             config, oracle_cap=args.cap, materialize_cap=args.cap
         )
     return config
+
+
+def _positive(text: str) -> int:
+    if int(text) <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return int(text)
 
 
 def _parse_source(spec: str, rng: random.Random) -> Graph:
@@ -222,8 +228,7 @@ def cmd_generate(args) -> int:
             sizes = GadgetSizes(*vals)
         else:
             sizes = GadgetSizes.reference(g.n, args.ell)
-        cap = args.cap or _load_config(args).materialize_cap
-        out, layout = build_mcc_instance(src, sizes, cap=cap)
+        out, layout = build_mcc_instance(src, sizes, cap=_load_config(args).materialize_cap)
         inst = CncInstance(out.graph, out.k, x=out.x)
         sidecar.update({
             "source": args.source[0], "ell": args.ell, "colors": list(colors),
@@ -286,8 +291,7 @@ def cmd_bench(args) -> int:
     engines = tuple(args.engines.split(",")) if args.engines else ENGINES
     config = _load_config(args)
     try:
-        rows = run_bench(args.family, engines, reps=args.reps, config=config,
-                         workers=args.workers)
+        rows = run_bench(args.family, engines, reps=args.reps, config=config)
     except BenchDiscrepancy as exc:
         dump = Path(f"discrepancy-{exc.name}.cnc")
         dump.write_text(exc.instance_text, encoding="utf-8")
@@ -348,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance", help="instance file, or - for stdin")
     p.add_argument("--algo", choices=("auto",) + ENGINES, default="auto")
     p.add_argument("--td", help="tree decomposition file for dp-wx")
-    p.add_argument("--cap", type=int, help="oracle/materialization cap override")
+    p.add_argument("--cap", type=_positive, help="oracle/materialization cap override")
     p.add_argument("--json", action="store_true")
     p.add_argument("--cert", help="write the cut, one 1-based id per line")
     p.set_defaults(func=cmd_solve)
@@ -374,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int, help="clique size")
     p.add_argument("--colors", help="comma-separated vertex colors (mcc)")
     p.add_argument("--sizes", help="A,B,Cv,L3,X,Y,Z gadget sizes (mcc)")
-    p.add_argument("--cap", type=int, help="materialization cap override")
+    p.add_argument("--cap", type=_positive, help="materialization cap override")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("decompose", help="emit a tree decomposition")
@@ -389,8 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="e.g. all:n=6:k=0-3:x=0-8 or random:n=10:m=15:count=20:seed=1:k=2:x=0-6")
     p.add_argument("--engines", help="comma-separated subset of " + ",".join(ENGINES))
     p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--cap", type=int)
+    p.add_argument("--cap", type=_positive)
     p.add_argument("-o", "--out", help="CSV path (default stdout)")
     p.set_defaults(func=cmd_bench)
 

@@ -11,8 +11,6 @@ import random
 from functools import lru_cache
 from itertools import combinations, permutations
 
-import numpy as np
-
 from .graph import Graph, InputError
 
 # Number of isomorphism classes of simple graphs on n vertices.
@@ -26,22 +24,19 @@ def _pair_order(t: int) -> list[tuple[int, int]]:
     return list(combinations(range(t), 2))
 
 
-def _decode(code: int, t: int) -> np.ndarray:
-    adj = np.zeros((t, t), dtype=bool)
-    for i, (a, b) in enumerate(_pair_order(t)):
-        if code >> i & 1:
-            adj[a, b] = adj[b, a] = True
-    return adj
-
-
 def _augment(codes: list[int], t: int) -> list[int]:
     """Canonical codes of all classes on t+1 vertices from those on t."""
+    import numpy as np  # only here, so importing the package skips numpy
+
     tn = t + 1
     count = len(codes) * (1 << t)
     mats = np.zeros((count, tn, tn), dtype=bool)
     idx = 0
     for code in codes:
-        base = _decode(code, t)
+        base = np.zeros((t, t), dtype=bool)
+        for i, (a, b) in enumerate(_pair_order(t)):
+            if code >> i & 1:
+                base[a, b] = base[b, a] = True
         for mask in range(1 << t):
             mats[idx, :t, :t] = base
             for i in range(t):

@@ -6,17 +6,16 @@ import dataclasses
 import os
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 from .branching import solve_branch_kx
 from .component_dp import solve_y
-from .decomposition import NiceTreeDecomposition, heuristic_decomposition
-from .graph import Graph, InputError, Refusal, connected_pairs, verify_solution
+from .decomposition import NiceTreeDecomposition, heuristic_decomposition, make_nice
+from .graph import Cut, Graph, InputError, Refusal, connected_pairs, verify_solution
 from .instance_io import CncInstance
 from .oracle import DEFAULT_CAP, oracle_min_pairs
 from .reductions import DEFAULT_MATERIALIZE_CAP
 from .treewidth_dp import solve_wx
-
-ENGINES = ("oracle", "branch-kx", "dp-y", "dp-wx")
 
 
 class EngineRefusal(Refusal):
@@ -31,7 +30,6 @@ class HarnessConfig:
     dp_wx_max: int = 18
     oracle_cap: int = DEFAULT_CAP
     materialize_cap: int = DEFAULT_MATERIALIZE_CAP
-    workers: int = 1
 
     @staticmethod
     def from_env(environ=None) -> HarnessConfig:
@@ -80,6 +78,47 @@ class RunReport:
         return d
 
 
+class _Plan:
+    """Shared inputs of one instance; each is built once, the decompositions on first use."""
+
+    def __init__(self, g: Graph, k: int, x: int | None, y: int | None, ntd=None):
+        self.g, self.k, self.y, self._given_ntd = g, k, y, ntd
+        self.total = connected_pairs(g)
+        self.x_eff = x if x is not None else self.total - y
+
+    @cached_property
+    def td(self):
+        return heuristic_decomposition(self.g)
+
+    @cached_property
+    def ntd(self):
+        return self._given_ntd if self._given_ntd is not None else make_nice(self.td)
+
+
+def _check_engine(algo: str) -> None:
+    if algo != "auto" and algo not in _SOLVERS:
+        raise InputError(f"unknown engine {algo!r}")
+
+
+def _auto(plan: _Plan, config: HarnessConfig) -> str:
+    if plan.g.n <= config.oracle_max_n:
+        return "oracle"
+    if plan.y is not None and plan.y <= config.dp_y_max:
+        return "dp-y"
+    x_eff = max(plan.x_eff, 0)
+    width = plan.td.width
+    if width + x_eff <= config.dp_wx_max:
+        return "dp-wx"
+    if x_eff + plan.k <= config.branch_kx_max:
+        return "branch-kx"
+    reasons = [f"n={plan.g.n} > {config.oracle_max_n}"]
+    if plan.y is not None:
+        reasons.append(f"y={plan.y} > {config.dp_y_max}")
+    reasons.append(f"w+x={width}+{x_eff} > {config.dp_wx_max}")
+    reasons.append(f"x+k={x_eff}+{plan.k} > {config.branch_kx_max}")
+    raise EngineRefusal("instance outside every engine envelope: " + "; ".join(reasons))
+
+
 def select_algorithm(
     g: Graph,
     k: int,
@@ -95,27 +134,31 @@ def select_algorithm(
     then branch-kx on x+k. Structure is consulted before branching so that
     near-tree graphs with moderate x go to the width engine.
     """
+    _check_engine(user_choice)
     if user_choice != "auto":
-        if user_choice not in ENGINES:
-            raise InputError(f"unknown engine {user_choice!r}")
         return user_choice
-    config = config or HarnessConfig()
-    if g.n <= config.oracle_max_n:
-        return "oracle"
-    if y is not None and y <= config.dp_y_max:
-        return "dp-y"
-    x_eff = x if x is not None else max(connected_pairs(g) - y, 0)
-    width = heuristic_decomposition(g).width
-    if width + x_eff <= config.dp_wx_max:
-        return "dp-wx"
-    if x_eff + k <= config.branch_kx_max:
-        return "branch-kx"
-    reasons = [f"n={g.n} > {config.oracle_max_n}"]
-    if y is not None:
-        reasons.append(f"y={y} > {config.dp_y_max}")
-    reasons.append(f"w+x={width}+{x_eff} > {config.dp_wx_max}")
-    reasons.append(f"x+k={x_eff}+{k} > {config.branch_kx_max}")
-    raise EngineRefusal("instance outside every engine envelope: " + "; ".join(reasons))
+    return _auto(_Plan(g, k, x, y), config or HarnessConfig())
+
+
+def _solve_oracle(plan: _Plan, config: HarnessConfig):
+    res = oracle_min_pairs(plan.g, plan.k, cap=config.oracle_cap)
+    stats = {"explored": res.explored, "min_residual_pairs": res.min_residual_pairs}
+    return res.min_residual_pairs <= plan.x_eff, res.best_cut, stats
+
+
+def _decided(d):
+    return d.answer, d.cut, dataclasses.asdict(d.stats)
+
+
+# Engine name -> solve(plan, config) returning (answer, cut, stats). Engine
+# functions are looked up at call time, so patching this module reaches them.
+_SOLVERS = {
+    "oracle": _solve_oracle,
+    "branch-kx": lambda p, c: _decided(solve_branch_kx(p.g, p.k, p.x_eff)),
+    "dp-y": lambda p, c: _decided(solve_y(p.g, p.k, p.total - p.x_eff, cap=c.oracle_cap)),
+    "dp-wx": lambda p, c: _decided(solve_wx(p.g, p.k, p.x_eff, ntd=p.ntd)),
+}
+ENGINES = tuple(_SOLVERS)
 
 
 def run_instance(
@@ -128,70 +171,38 @@ def run_instance(
 
     Raises Refusal subclasses when the instance is outside the engine
     envelopes or a cap is hit; those are reports for the caller, not bugs.
+    wall_ms covers the whole call, the re-verification included.
     """
-    config = config or HarnessConfig.from_env()
-    g, k = inst.graph, inst.k
-    total = connected_pairs(g)
-    x_eff = inst.x_equivalent()
     start = time.perf_counter()
-
-    def finish(answer, cut_vertices, residual, algorithm, stats) -> RunReport:
-        wall = (time.perf_counter() - start) * 1e3
-        removed = None
-        cut_out = None
-        if answer == "YES":
-            cut_out = tuple(sorted(cut_vertices))
-            report = verify_solution(g, cut_out, k, x_eff)
-            if not report:
-                raise AssertionError(
-                    f"engine {algorithm} produced a cut that fails verification"
-                )
-            residual = report.residual_pairs
-            removed = total - residual
-        return RunReport(
-            answer=answer,
-            cut=cut_out,
-            residual_pairs=residual,
-            pairs_removed=removed,
-            algorithm=algorithm,
-            stats=stats,
-            wall_ms=wall,
-            config=dataclasses.asdict(config),
-        )
+    _check_engine(algo)
+    config = config or HarnessConfig.from_env()
+    plan = _Plan(inst.graph, inst.k, inst.x, inst.y, ntd)
 
     # Degenerate targets never reach an engine.
-    if x_eff < 0:
-        return finish("NO", None, None, "trivial", {"reason": "x-equivalent below zero"})
-    if x_eff >= total:
-        return finish("YES", (), total, "trivial", {"reason": "bound already met"})
+    engine = "trivial"
+    if plan.x_eff < 0:
+        answer, cut, stats = False, None, {"reason": "x-equivalent below zero"}
+    elif plan.x_eff >= plan.total:
+        answer, cut, stats = True, Cut(frozenset(), plan.total), {"reason": "bound already met"}
+    else:
+        engine = algo if algo != "auto" else _auto(plan, config)
+        answer, cut, stats = _SOLVERS[engine](plan, config)
 
-    engine = select_algorithm(g, k, inst.x, inst.y, algo, config)
-
-    if engine == "oracle":
-        res = oracle_min_pairs(g, k, cap=config.oracle_cap)
-        stats = {"explored": res.explored, "min_residual_pairs": res.min_residual_pairs}
-        if res.min_residual_pairs <= x_eff:
-            return finish("YES", res.best_cut.vertices, res.best_cut.residual_pairs,
-                          engine, stats)
-        return finish("NO", None, None, engine, stats)
-
-    if engine == "branch-kx":
-        d = solve_branch_kx(g, k, x_eff)
-        stats = dataclasses.asdict(d.stats)
-        if d.answer:
-            return finish("YES", d.cut.vertices, d.cut.residual_pairs, engine, stats)
-        return finish("NO", None, None, engine, stats)
-
-    if engine == "dp-y":
-        y_eff = inst.y if inst.y is not None else total - x_eff
-        d = solve_y(g, k, y_eff, cap=config.oracle_cap)
-        stats = dataclasses.asdict(d.stats)
-        if d.answer:
-            return finish("YES", d.cut.vertices, d.cut.residual_pairs, engine, stats)
-        return finish("NO", None, None, engine, stats)
-
-    d = solve_wx(g, k, x_eff, ntd=ntd)
-    stats = dataclasses.asdict(d.stats)
-    if d.answer:
-        return finish("YES", d.cut.vertices, d.cut.residual_pairs, engine, stats)
-    return finish("NO", None, None, engine, stats)
+    cut_out = residual = removed = None
+    if answer:
+        cut_out = tuple(sorted(cut.vertices))
+        report = verify_solution(plan.g, cut_out, plan.k, plan.x_eff)
+        if not report:
+            raise AssertionError(f"engine {engine} produced a cut that fails verification")
+        residual = report.residual_pairs
+        removed = plan.total - residual
+    return RunReport(
+        answer="YES" if answer else "NO",
+        cut=cut_out,
+        residual_pairs=residual,
+        pairs_removed=removed,
+        algorithm=engine,
+        stats=stats,
+        wall_ms=(time.perf_counter() - start) * 1e3,
+        config=dataclasses.asdict(config),
+    )

@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cncut
 from cncut.bench import BenchDiscrepancy
 from cncut.cli import main
 from cncut.decomposition import parse_td, validate_decomposition
@@ -45,6 +50,20 @@ def test_solve_refusal_exit_code(tmp_path, capsys):
     path = write(tmp_path, "a.cnc", "p cnc 5 2\ne 1 2\ne 3 4\nk 2\nx 0\n")
     assert main(["solve", path, "--algo", "oracle", "--cap", "1"]) == 3
     assert "refused:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_nonpositive_cap_is_a_usage_error(tmp_path, capsys, cap):
+    path = write(tmp_path, "a.cnc", K3)
+    for argv in (
+        ["solve", path],
+        ["generate", "random", "-o", str(tmp_path / "g.cnc")],
+        ["bench", "--family", "all:n=3:k=0:x=0"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--cap", cap])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_solve_json_output(tmp_path, capsys):
@@ -220,6 +239,13 @@ def test_bench_discrepancy_exit_code(tmp_path, capsys, monkeypatch):
     assert main(["bench", "--family", "all:n=3:k=0:x=0"]) == 4
     assert "bench aborted" in capsys.readouterr().err
     assert (tmp_path / "discrepancy-t.cnc").read_text() == "p cnc 1 0\nk 0\nx 0\n"
+
+
+def test_cli_import_skips_numpy():
+    code = "import sys, cncut.cli; sys.exit('numpy' in sys.modules)"
+    src = str(Path(cncut.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_usage_error_exits_two():

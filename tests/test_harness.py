@@ -51,6 +51,11 @@ def test_select_user_choice_wins():
         select_algorithm(complete_graph(3), 1, 2, None, "foo")
 
 
+def test_unknown_engine_rejected_on_trivial_instance():
+    with pytest.raises(InputError):
+        run_instance(CncInstance(complete_graph(3), 0, x=6), algo="no-such-engine")
+
+
 def test_select_respects_config_thresholds():
     g = complete_graph(3)
     tight = HarnessConfig(oracle_max_n=2)
@@ -66,23 +71,24 @@ def test_select_respects_config_thresholds():
 def test_config_defaults_without_env():
     cfg = HarnessConfig.from_env(environ={})
     assert (cfg.oracle_max_n, cfg.dp_y_max, cfg.branch_kx_max, cfg.dp_wx_max) == (14, 22, 24, 18)
-    assert cfg.workers == 1
+    assert len(dataclasses.fields(cfg)) == 6
 
 
 def test_config_file_overrides(tmp_path):
     path = tmp_path / "cnc.conf"
-    path.write_text("# tuned down\noracle_max_n = 5\n\nworkers=3\n", encoding="utf-8")
+    path.write_text("# tuned down\noracle_max_n = 5\n\ndp_y_max=3\n", encoding="utf-8")
     cfg = HarnessConfig.from_env(environ={"CNC_CONFIG": str(path)})
-    assert cfg.oracle_max_n == 5 and cfg.workers == 3
-    assert cfg.dp_y_max == 22
+    assert cfg.oracle_max_n == 5 and cfg.dp_y_max == 3
+    assert cfg.branch_kx_max == 24
 
 
 @pytest.mark.parametrize(
     "body,fragment",
     [
         ("bogus_key=1\n", "unknown config key"),
-        ("workers=three\n", "not an integer"),
-        ("workers\n", "expected key=value"),
+        ("workers=2\n", "unknown config key"),
+        ("dp_y_max=three\n", "not an integer"),
+        ("dp_y_max\n", "expected key=value"),
     ],
 )
 def test_config_file_errors(tmp_path, body, fragment):
@@ -115,6 +121,20 @@ def test_run_report_to_dict_uses_one_based_ids():
     assert d["cut"] == [3]
     assert d["algorithm"] == "oracle"
     assert d["config"]["oracle_max_n"] == 14
+
+
+def test_wall_ms_covers_verification(monkeypatch):
+    import time
+
+    import cncut.harness as harness_mod
+
+    def slow_verify(*args):
+        time.sleep(0.02)
+        return verify_solution(*args)
+
+    monkeypatch.setattr(harness_mod, "verify_solution", slow_verify)
+    report = run_instance(CncInstance(path_graph(5), 1, x=4), algo="oracle")
+    assert report.answer == "YES" and report.wall_ms >= 20
 
 
 def test_run_instance_accepts_supplied_decomposition():
@@ -228,14 +248,6 @@ def test_run_bench_records_refusals():
     refused = [r for r in rows if r["answer"] == "REFUSED"]
     assert refused and all(r["stats"].startswith("reason=") for r in refused)
     assert rows[0]["answer"] == "YES"  # the edgeless class is answered trivially
-
-
-def test_run_bench_workers_match_serial():
-    spec = "all:n=4:k=0-1:x=0-2"
-    serial = run_bench(spec, engines=("oracle",), workers=1)
-    threaded = run_bench(spec, engines=("oracle",), workers=3)
-    key = lambda r: (r["instance"], r["engine"], r["rep"], r["answer"])
-    assert [key(r) for r in serial] == [key(r) for r in threaded]
 
 
 def test_run_bench_rejects_unknown_engine():
