@@ -10,6 +10,7 @@ graphs with exactly m edges. Ranges are inclusive `a-b` or a single value.
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -123,6 +124,7 @@ def _run_one(
     answers: dict[str, str] = {}
     for engine in engines:
         for rep in range(reps):
+            start = time.perf_counter()
             try:
                 report = run_instance(inst, algo=engine, config=config)
                 answer = report.answer
@@ -130,7 +132,7 @@ def _run_one(
                 stats = ";".join(f"{k}={v}" for k, v in sorted(report.stats.items()))
             except Refusal as exc:
                 answer = "REFUSED"
-                wall = 0.0
+                wall = round((time.perf_counter() - start) * 1e3, 3)
                 stats = f"reason={exc}"
             rows.append({
                 "instance": name,

@@ -196,6 +196,16 @@ def test_branch_search_tree_envelope():
         violations,
         f"{len(_branch_runs)} recorded runs across this file",
     )
+    # Ordered pairs: a solution leaves at most x // 2 edges, and the search
+    # only spends that much edge budget.
+    tight = [
+        (nodes, k, x) for nodes, k, x in _branch_runs if nodes > 3 ** (k + x // 2)
+    ]
+    _verdict(
+        "branching visits at most 3^(k + x//2) nodes",
+        tight,
+        f"{len(_branch_runs)} recorded runs across this file",
+    )
 
 
 def test_clique_reduction_fidelity():

@@ -1,8 +1,10 @@
 from itertools import combinations
+from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from cncut.families import random_graph
 from cncut.graph import (
     InputError,
     complete_graph,
@@ -91,6 +93,26 @@ def test_solve_path_five_tight():
     assert not no.answer and no.cut is None
 
 
+def test_solve_odd_x_at_the_boundary():
+    # A triangle has 6 ordered pairs; x // 2 rounds the edge budget down.
+    assert solve_branch_kx(complete_graph(3), 0, 6).answer
+    assert not solve_branch_kx(complete_graph(3), 0, 5).answer
+    # Two edges fit the budget 5 // 2, but their 6 pairs fail the extension.
+    assert not solve_branch_kx(path_graph(3), 0, 5).answer
+
+
+def test_solve_baseline_graph_node_count():
+    dec = solve_branch_kx(random_graph(40, 60, Random(0)), 6, 8)
+    assert not dec.answer
+    assert dec.stats.nodes_visited <= 30_591
+
+
+def test_solve_stops_at_first_yes():
+    # The triangle has three minimal covers; the first one extended settles it.
+    dec = solve_branch_kx(complete_graph(3), 1, 2)
+    assert dec.answer and dec.stats.minimal_solutions_found == 1
+
+
 def test_solve_trivial_graph():
     dec = solve_branch_kx(empty_graph(0), 0, 0)
     assert dec.answer
@@ -124,6 +146,11 @@ def test_each_cover_is_minimal(g, k, x):
 def test_node_envelope(g, k, x):
     _, stats = enumerate_minimal_covers(g, k, x)
     assert stats.nodes_visited <= 3 ** (x + k)
+
+
+@given(graphs(max_n=7), st.integers(0, 3), st.integers(0, 8))
+def test_solve_node_envelope(g, k, x):
+    assert solve_branch_kx(g, k, x).stats.nodes_visited <= 3 ** (k + x // 2)
 
 
 @given(graphs(max_n=6), st.integers(0, 3), st.integers(0, 8))

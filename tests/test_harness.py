@@ -250,6 +250,21 @@ def test_run_bench_records_refusals():
     assert rows[0]["answer"] == "YES"  # the edgeless class is answered trivially
 
 
+def test_run_bench_refused_rows_report_wall_time(monkeypatch):
+    import time
+
+    import cncut.bench as bench_mod
+    from cncut.graph import Refusal
+
+    def slow_refusal(inst, algo="auto", config=None, ntd=None):
+        time.sleep(0.005)
+        raise Refusal("too big")
+
+    monkeypatch.setattr(bench_mod, "run_instance", slow_refusal)
+    rows = run_bench("all:n=2:k=0:x=0", engines=("oracle",))
+    assert rows and all(r["answer"] == "REFUSED" and r["wall_ms"] >= 5 for r in rows)
+
+
 def test_run_bench_rejects_unknown_engine():
     with pytest.raises(InputError):
         run_bench("all:n=3:k=0:x=0", engines=("oracle", "foo"))
