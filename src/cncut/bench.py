@@ -78,13 +78,21 @@ def parse_family(spec: str) -> FamilySpec:
             raise InputError(f"family spec is missing {key}")
         return fields.pop(key)
 
-    n = int(need("n"))
+    def integer(key: str, text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            raise InputError(f"bad integer for {key}: {text!r}") from None
+
+    n = integer("n", need("n"))
     m = count = None
     seed = 0
     if kind == "random":
-        m = int(need("m"))
-        count = int(need("count"))
-        seed = int(fields.pop("seed", "0"))
+        m = integer("m", need("m"))
+        count = integer("count", need("count"))
+        if count < 0:
+            raise InputError(f"count must be nonnegative, got {count}")
+        seed = integer("seed", fields.pop("seed", "0"))
     k_range = _parse_range(need("k"), "k")
     if ("x" in fields) == ("y" in fields):
         raise InputError("family spec needs exactly one of x and y")

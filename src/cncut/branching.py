@@ -25,11 +25,11 @@ list of ints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from math import comb
 from typing import Iterator
 
 from .graph import Cut, Graph, InputError, verify_solution
-from .oracle import _pairs_of_alive
+from .oracle import _scan
 
 
 @dataclass
@@ -149,19 +149,14 @@ def extend_minimal_cover(
         alive &= ~(1 << v)
     live = [v for v in range(g.n) if alive >> v & 1 and masks[v] & alive]
 
-    if k2 > len(live):
-        extensions = [tuple(live)]
-    else:
-        extensions = (e for size in range(k2 + 1) for e in combinations(live, size))
-    for extra in extensions:
-        rest = alive
-        for v in extra:
-            rest &= ~(1 << v)
-        pairs = _pairs_of_alive(masks, rest, x)
+    # With budget to spare, deleting every live vertex leaves 0 pairs: one set to try.
+    sizes = (len(live),) if k2 > len(live) else range(k2 + 1)
+    for extra, pairs, evaluated in _scan(masks, alive, live, sizes, x):
         if stats is not None:
-            stats.extensions_tested += 1
-        if pairs <= x:
-            return Cut(cover.union(extra), pairs)
+            stats.extensions_tested += evaluated
+        return Cut(cover.union(extra), pairs)
+    if stats is not None:  # without a hit the scan tried every subset
+        stats.extensions_tested += sum(comb(len(live), size) for size in sizes)
     return None
 
 

@@ -392,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True,
                    help="e.g. all:n=6:k=0-3:x=0-8 or random:n=10:m=15:count=20:seed=1:k=2:x=0-6")
     p.add_argument("--engines", help="comma-separated subset of " + ",".join(ENGINES))
-    p.add_argument("--reps", type=int, default=1)
+    p.add_argument("--reps", type=_positive, default=1)
     p.add_argument("--cap", type=_positive)
     p.add_argument("-o", "--out", help="CSV path (default stdout)")
     p.set_defaults(func=cmd_bench)

@@ -62,9 +62,8 @@ def shortcut_checks(g: Graph, k: int, y: int) -> YDecision | None:
         stats = SolveYStats(shortcut="trivial")
         return YDecision(True, Cut(frozenset(), connected_pairs(g)), stats)
 
-    sizes = connected_components(g).sizes
-    if k >= 1 and any(s > y for s in sizes):
-        labeling = connected_components(g)
+    labeling = connected_components(g)
+    if k >= 1 and any(s > y for s in labeling.sizes):
         big = min(
             v for v in range(g.n) if labeling.sizes[labeling.labels[v]] > y
         )

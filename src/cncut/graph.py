@@ -275,8 +275,8 @@ def disjoint_union(graphs: Iterable[Graph]) -> tuple[Graph, tuple[tuple[int, ...
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """Induced subgraph on the given vertices; returns (graph, new->old table)."""
-    vs = sorted(g._check_vertex_set(vertices))
-    others = [v for v in range(g.n) if v not in set(vs)]
+    keep = g._check_vertex_set(vertices)
+    others = [v for v in range(g.n) if v not in keep]
     return remove_vertices(g, others)
 
 

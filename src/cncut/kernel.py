@@ -56,7 +56,7 @@ def kernelize_kx(g: Graph, k: int, x: int) -> KernelTrace:
             break
         if k_cur == 0:
             # Budget exhausted while a vertex still exceeds the threshold.
-            residual = _residual_graph(g, forced)
+            residual = remove_vertices(g, forced)
             return KernelTrace(
                 forced_vertices=tuple(forced),
                 discarded_isolated=(),
@@ -71,7 +71,7 @@ def kernelize_kx(g: Graph, k: int, x: int) -> KernelTrace:
         forced.append(v)
         k_cur -= 1
 
-    survivors, remap = _residual_graph(g, forced)
+    survivors, remap = remove_vertices(g, forced)
     kernel, isolated_new, remap2 = remove_isolated(survivors)
     discarded = tuple(sorted(remap[i] for i in isolated_new))
     kernel_to_original = tuple(remap[i] for i in remap2)
@@ -82,10 +82,6 @@ def kernelize_kx(g: Graph, k: int, x: int) -> KernelTrace:
         kernel_graph=kernel,
         kernel_to_original=kernel_to_original,
     )
-
-
-def _residual_graph(g: Graph, removed: list[int]) -> tuple[Graph, tuple[int, ...]]:
-    return remove_vertices(g, removed)
 
 
 def kernel_bound_holds(n_kernel: int, k_out: int, x: int) -> bool:

@@ -1,7 +1,16 @@
 """Brute-force subset enumeration, the ground truth every solver is checked against.
 
-Subsets are visited by increasing cardinality, lexicographically within a
-cardinality, so the first optimum found is the canonical witness.
+Every form runs one generator, `_scan(masks, alive, candidates, sizes, bound)`.
+It deletes subsets of `candidates` from the vertex mask `alive`, by increasing
+size over `sizes` and lexicographically within a size. It yields `(subset,
+pairs, evaluated)` for each subset leaving at most `bound` pairs (`None`
+accepts the first subset), then lowers `bound` to `pairs - 1`: each yield
+strictly improves on the last, so the first optimum found is the canonical
+witness. `evaluated` counts the subsets tried so far, the yielded one included.
+`oracle_min_pairs` keeps the last yield and stops at 0 pairs; `oracle_decides`
+stops at the first yield under bound x; `oracle_max_removed_exact` keeps the
+last yield over the one size k; `branching.extend_minimal_cover` stops at the
+first yield under bound x, over the vertices that still have an edge.
 """
 
 from __future__ import annotations
@@ -9,10 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from typing import Iterator, Sequence
 
 from .graph import Cut, Graph, InputError, Refusal
 
 DEFAULT_CAP = 20_000_000
+
+_Scan = Iterator[tuple[tuple[int, ...], int, int]]
 
 
 class CapExceeded(Refusal):
@@ -73,98 +85,65 @@ def _pairs_of_alive(masks: tuple[int, ...], alive: int, bound: int | None = None
     return total
 
 
-def _candidate_count(n: int, k_max: int) -> int:
-    return sum(comb(n, i) for i in range(k_max + 1))
+def _scan(
+    masks: tuple[int, ...], alive: int, candidates: Sequence[int], sizes: Sequence[int],
+    bound: int | None,
+) -> _Scan:
+    """Yield each strict improvement as (subset, pairs, evaluated); see the module docstring."""
+    evaluated = 0
+    for size in sizes:
+        for subset in combinations(candidates, size):
+            evaluated += 1
+            rest = alive
+            for v in subset:
+                rest &= ~(1 << v)
+            pairs = _pairs_of_alive(masks, rest, bound)
+            if bound is None or pairs <= bound:
+                yield subset, pairs, evaluated
+                bound = pairs - 1
+
+
+def _graph_scan(
+    g: Graph, k: int, sizes: Sequence[int], cap: int, bound: int | None
+) -> tuple[int, _Scan]:
+    """The candidate-set count and the scan over all of g, refused above cap."""
+    count = sum(comb(g.n, size) for size in sizes)
+    if count > cap:
+        raise CapExceeded(count, cap, g.n, k)
+    return count, _scan(g.adjacency_masks, (1 << g.n) - 1, range(g.n), sizes, bound)
 
 
 def oracle_min_pairs(g: Graph, k: int, cap: int = DEFAULT_CAP) -> OracleResult:
     """Minimum connected pairs left after deleting at most k vertices."""
     if k < 0:
         raise InputError(f"budget must be nonnegative, got {k}")
-    kk = min(k, g.n)
-    candidates = _candidate_count(g.n, kk)
-    if candidates > cap:
-        raise CapExceeded(candidates, cap, g.n, k)
-
-    masks = g.adjacency_masks
-    full = (1 << g.n) - 1
-    best = _pairs_of_alive(masks, full)
-    best_set: tuple[int, ...] = ()
-    explored = 1
-    for size in range(1, kk + 1):
+    explored, scan = _graph_scan(g, k, range(min(k, g.n) + 1), cap, None)
+    # With no bound the empty set always yields, so the loop binds subset and best.
+    for subset, best, evaluated in scan:
         if best == 0:
+            explored = evaluated
             break
-        for subset in combinations(range(g.n), size):
-            explored += 1
-            removed = 0
-            for v in subset:
-                removed |= 1 << v
-            # Only strict improvements matter, so anything >= best may be cut short.
-            pairs = _pairs_of_alive(masks, full & ~removed, best - 1)
-            if pairs < best:
-                best = pairs
-                best_set = subset
-                if best == 0:
-                    break
-    return OracleResult(best, Cut(frozenset(best_set), best), explored)
+    return OracleResult(best, Cut(frozenset(subset), best), explored)
 
 
 def oracle_decides(g: Graph, k: int, x: int, cap: int = DEFAULT_CAP) -> bool:
-    """Decision form: can deleting at most k vertices leave at most x pairs?
-
-    Same enumeration order as oracle_min_pairs but stops at the first witness.
-    """
+    """Decision form: can deleting at most k vertices leave at most x pairs?"""
     if k < 0:
         raise InputError(f"budget must be nonnegative, got {k}")
     if x < 0:
         return False
-    kk = min(k, g.n)
-    candidates = _candidate_count(g.n, kk)
-    if candidates > cap:
-        raise CapExceeded(candidates, cap, g.n, k)
-
-    masks = g.adjacency_masks
-    full = (1 << g.n) - 1
-    if _pairs_of_alive(masks, full, x) <= x:
-        return True
-    for size in range(1, kk + 1):
-        for subset in combinations(range(g.n), size):
-            removed = 0
-            for v in subset:
-                removed |= 1 << v
-            if _pairs_of_alive(masks, full & ~removed, x) <= x:
-                return True
-    return False
+    _, scan = _graph_scan(g, k, range(min(k, g.n) + 1), cap, x)
+    return next(scan, None) is not None
 
 
 def oracle_max_removed_exact(g: Graph, k: int, cap: int = DEFAULT_CAP) -> MaxRemovedResult:
     """Maximum pairs removable by deleting exactly k vertices."""
     if not (0 <= k <= g.n):
         raise InputError(f"exact budget {k} out of range for n={g.n}")
-    candidates = comb(g.n, k)
-    if candidates > cap:
-        raise CapExceeded(candidates, cap, g.n, k)
-
-    masks = g.adjacency_masks
-    full = (1 << g.n) - 1
-    base = _pairs_of_alive(masks, full)
-    best_set: tuple[int, ...] = ()
-    best_residual: int | None = None
-    explored = 0
-    for subset in combinations(range(g.n), k):
-        explored += 1
-        removed = 0
-        for v in subset:
-            removed |= 1 << v
-        if best_residual is None:
-            best_residual = _pairs_of_alive(masks, full & ~removed)
-            best_set = subset
-            continue
-        # Maximizing the gain is minimizing the residual; ties keep the first witness.
-        residual = _pairs_of_alive(masks, full & ~removed, best_residual - 1)
-        if residual < best_residual:
-            best_residual = residual
-            best_set = subset
-    if best_residual is None:
-        best_residual = base
-    return MaxRemovedResult(base - best_residual, Cut(frozenset(best_set), best_residual), explored)
+    explored, scan = _graph_scan(g, k, (k,), cap, None)
+    # Maximizing the gain is minimizing the residual; ties keep the first witness.
+    # With no bound the first subset always yields, so the loop binds subset and best.
+    for subset, best, _ in scan:
+        pass
+    base = _pairs_of_alive(g.adjacency_masks, (1 << g.n) - 1)
+    return MaxRemovedResult(base - best, Cut(frozenset(subset), best), explored)

@@ -8,19 +8,22 @@ from cncut.families import random_graph
 from cncut.graph import (
     InputError,
     complete_graph,
+    connected_pairs,
     empty_graph,
     path_graph,
+    remove_vertices,
     star_graph,
     verify_solution,
 )
 from cncut.branching import (
+    BranchStats,
     enumerate_minimal_covers,
     extend_minimal_cover,
     solve_branch_kx,
 )
 from cncut.oracle import oracle_decides
 
-from .strategies import graphs
+from .strategies import graphs, graphs_with_subset
 
 
 def edges_left(g, cut):
@@ -77,6 +80,32 @@ def test_extend_surplus_budget_takes_all_live_vertices():
     assert cut is not None
     assert cut.vertices == {0, 1}
     assert cut.residual_pairs == 0
+
+
+@given(graphs_with_subset(max_n=7), st.integers(0, 4), st.integers(0, 12))
+def test_extend_matches_naive_scan(g_cover, extra, x):
+    g, cover = g_cover
+    k = len(cover) + extra
+    stats = BranchStats()
+    cut = extend_minimal_cover(g, cover, k, x, stats)
+
+    live = [
+        v for v in range(g.n)
+        if v not in cover and any(w not in cover for w in g.adjacency[v])
+    ]
+    sizes = [len(live)] if extra > len(live) else range(extra + 1)
+    tried, expected = 0, None
+    for size in sizes:
+        for subset in combinations(live, size):
+            tried += 1
+            pairs = connected_pairs(remove_vertices(g, cover.union(subset))[0])
+            if pairs <= x:
+                expected = (cover.union(subset), pairs)
+                break
+        if expected is not None:
+            break
+    assert (None if cut is None else (cut.vertices, cut.residual_pairs)) == expected
+    assert stats.extensions_tested == tried
 
 
 def test_solve_star():

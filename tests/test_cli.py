@@ -66,6 +66,20 @@ def test_nonpositive_cap_is_a_usage_error(tmp_path, capsys, cap):
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("reps", ["0", "-1"])
+def test_nonpositive_reps_is_a_usage_error(capsys, reps):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--family", "all:n=3:k=0:x=0", "--reps", reps])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", ["all:n=abc:k=0:x=0", "random:n=5:m=4:count=-1:k=0:x=0"])
+def test_bad_family_spec_is_an_input_error(capsys, family):
+    assert main(["bench", "--family", family]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_solve_json_output(tmp_path, capsys):
     assert main(["solve", write(tmp_path, "a.cnc", P5), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -252,3 +266,63 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["solve"])
     assert exc.value.code == 2
+
+
+def test_public_names_are_stable():
+    # Exported names change only with a stated reason.
+    assert cncut.__all__ == [
+        "BranchDecision",
+        "BranchStats",
+        "CapExceeded",
+        "CliqueInstance",
+        "CncInstance",
+        "Cut",
+        "GadgetSizes",
+        "Graph",
+        "HarnessConfig",
+        "InputError",
+        "KernelTrace",
+        "MccLayout",
+        "NiceTreeDecomposition",
+        "OracleResult",
+        "ParseError",
+        "ReductionOutput",
+        "Refusal",
+        "RemovalTable",
+        "RunReport",
+        "TreeDecomposition",
+        "VerifyReport",
+        "WxDecision",
+        "YDecision",
+        "build_mcc_instance",
+        "connected_components",
+        "connected_pairs",
+        "cross_compose",
+        "forward_solution_cut",
+        "heuristic_decomposition",
+        "kernel_bound_holds",
+        "kernelize_kx",
+        "make_nice",
+        "mcc_parameters",
+        "oracle_decides",
+        "oracle_max_removed_exact",
+        "oracle_min_pairs",
+        "pairs_removed",
+        "parse_instance",
+        "parse_td",
+        "reduce_clique_bipartite",
+        "reduce_clique_split",
+        "reduce_clique_to_cnc",
+        "remove_isolated",
+        "remove_vertices",
+        "run_instance",
+        "select_algorithm",
+        "serialize_instance",
+        "serialize_td",
+        "solve_branch_kx",
+        "solve_wx",
+        "solve_y",
+        "validate_decomposition",
+        "validate_nice",
+        "verify_solution",
+    ]

@@ -195,6 +195,11 @@ def test_parse_family_random():
         ("all:n=4:k=3-1:x=0", "empty range"),
         ("all:n=4:k=a:x=0", "bad range"),
         ("all:n=4:k", "expected key=value"),
+        ("all:n=abc:k=0:x=0", "bad integer for n"),
+        ("random:n=5:m=?:count=1:k=0:x=0", "bad integer for m"),
+        ("random:n=5:m=4:count=1.5:k=0:x=0", "bad integer for count"),
+        ("random:n=5:m=4:count=1:seed=s:k=0:x=0", "bad integer for seed"),
+        ("random:n=5:m=4:count=-1:k=0:x=0", "count must be nonnegative"),
     ],
 )
 def test_parse_family_errors(text, fragment):
