@@ -20,7 +20,8 @@ from .harness import ENGINES, HarnessConfig, run_instance
 from .instance_io import CncInstance, serialize_instance
 
 CSV_COLUMNS = (
-    "instance", "engine", "rep", "n", "m", "k", "x", "y", "answer", "wall_ms", "stats",
+    "instance", "engine", "algorithm", "rep", "n", "m", "k", "x", "y", "answer",
+    "wall_ms", "stats",
 )
 
 
@@ -136,15 +137,18 @@ def _run_one(
             try:
                 report = run_instance(inst, algo=engine, config=config)
                 answer = report.answer
+                algorithm = report.algorithm
                 wall = round(report.wall_ms, 3)
                 stats = ";".join(f"{k}={v}" for k, v in sorted(report.stats.items()))
             except Refusal as exc:
                 answer = "REFUSED"
+                algorithm = ""
                 wall = round((time.perf_counter() - start) * 1e3, 3)
                 stats = f"reason={exc}"
             rows.append({
                 "instance": name,
                 "engine": engine,
+                "algorithm": algorithm,
                 "rep": rep,
                 "n": inst.graph.n,
                 "m": inst.graph.m,

@@ -9,6 +9,7 @@ Decompositions serialize to the PACE-style .td text format.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 
@@ -70,7 +71,8 @@ def heuristic_decomposition(g) -> TreeDecomposition:
     """Min-fill elimination; ties by min degree, then smallest id.
 
     Disconnected graphs get one subtree per component stitched under a
-    synthetic empty root bag.
+    synthetic empty root bag. Each vertex's (fill, degree, id) key sits in a
+    heap and is recounted only when an elimination can change it.
     """
     n = g.n
     if n == 0:
@@ -80,33 +82,36 @@ def heuristic_decomposition(g) -> TreeDecomposition:
     bags: list[frozenset[int]] = []
     position: dict[int, int] = {}
     elim_neighbors: list[set[int]] = []
+    key = {v: (_fill_in(adj, adj[v]), len(adj[v]), v) for v in adj}
+    heap = list(key.values())
+    heapq.heapify(heap)
 
     for step in range(n):
-        best_v = -1
-        best_key: tuple[int, int, int] | None = None
-        for v, nbrs in adj.items():
-            nb = sorted(nbrs)
-            fill = 0
-            for i, a in enumerate(nb):
-                for b in nb[i + 1:]:
-                    if b not in adj[a]:
-                        fill += 1
-            key = (fill, len(nb), v)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_v = v
-        v = best_v
-        nbrs = set(adj[v])
+        while True:
+            best = heapq.heappop(heap)
+            v = best[2]
+            if key.get(v) == best:
+                break
+        nbrs = adj.pop(v)
+        del key[v]
         bags.append(frozenset({v} | nbrs))
         position[v] = step
         elim_neighbors.append(nbrs)
+        fill_edges = []
         for a in nbrs:
-            for b in nbrs:
-                if a < b and b not in adj[a]:
-                    adj[a].add(b)
-                    adj[b].add(a)
+            new = nbrs - adj[a]
+            new.discard(a)
+            fill_edges.extend((a, b) for b in new if a < b)
+            adj[a] |= new
             adj[a].discard(v)
-        del adj[v]
+        # A key can change only for a vertex whose neighbourhood changed (v's
+        # neighbours) or that sees both ends of a fill-in edge.
+        touched = set(nbrs)
+        for a, b in fill_edges:
+            touched |= adj[a] & adj[b]
+        for u in touched:
+            key[u] = (_fill_in(adj, adj[u]), len(adj[u]), u)
+            heapq.heappush(heap, key[u])
 
     edges: list[tuple[int, int]] = []
     roots: list[int] = []
@@ -125,6 +130,11 @@ def heuristic_decomposition(g) -> TreeDecomposition:
     return TreeDecomposition(tuple(bag_list), tuple(edges))
 
 
+def _fill_in(adj: dict[int, set[int]], nbrs: set[int]) -> int:
+    """Non-adjacent pairs among nbrs: each a in nbrs misses nbrs - adj[a] - {a}."""
+    return sum(len(nbrs - adj[a]) - 1 for a in nbrs) // 2
+
+
 def validate_decomposition(g, td: TreeDecomposition) -> ValidationReport:
     """Conditions 1-3 plus tree shape, for raw decompositions."""
     if g.n == 0:
@@ -136,20 +146,7 @@ def validate_decomposition(g, td: TreeDecomposition) -> ValidationReport:
     shape = _check_tree_shape(len(td.bags), td.tree_edges)
     if shape is not None:
         return ValidationReport(False, "shape", None, shape)
-    covered: set[int] = set()
-    for b in td.bags:
-        covered |= b
-    if covered != set(range(g.n)):
-        return ValidationReport(False, "1", None, "bags do not cover the vertex set")
-    for u, v in g.edges:
-        if not any(u in b and v in b for b in td.bags):
-            return ValidationReport(False, "2", None, f"edge ({u},{v}) in no bag")
-    msg = _check_running_intersection(
-        g.n, [set(b) for b in td.bags], td.tree_edges
-    )
-    if msg is not None:
-        return ValidationReport(False, "3", None, msg)
-    return ValidationReport(True)
+    return _check_bags(g, td.bags, td.tree_edges)
 
 
 def _check_tree_shape(count: int, edges: tuple[tuple[int, int], ...]) -> str | None:
@@ -175,29 +172,71 @@ def _check_tree_shape(count: int, edges: tuple[tuple[int, int], ...]) -> str | N
     return None
 
 
+def _check_bags(g, bags, tree_edges) -> ValidationReport:
+    """Conditions 1-3 for bags joined by tree edges that already form a tree.
+
+    Each vertex's holding set (the indices of the bags that hold it) is built
+    once; an edge lies in some bag exactly when its ends' holding sets meet.
+    """
+    holding: dict[int, set[int]] = {}
+    for i, bag in enumerate(bags):
+        for v in bag:
+            held = holding.get(v)
+            if held is None:
+                holding[v] = {i}
+            else:
+                held.add(i)
+    if holding.keys() != set(range(g.n)):
+        return ValidationReport(False, "1", None, "bags do not cover the vertex set")
+    for u, v in g.edges:
+        if holding[u].isdisjoint(holding[v]):
+            return ValidationReport(False, "2", None, f"edge ({u},{v}) in no bag")
+    msg = _check_running_intersection(g.n, bags, tree_edges)
+    if msg is not None:
+        return ValidationReport(False, "3", None, msg)
+    return ValidationReport(True)
+
+
 def _check_running_intersection(
-    n: int, bags: list[set[int]], edges: tuple[tuple[int, int], ...]
+    n: int, bags, edges: tuple[tuple[int, int], ...]
 ) -> str | None:
-    for v in range(n):
-        holding = [i for i, b in enumerate(bags) if v in b]
-        if not holding:
-            continue
-        idx = {i: j for j, i in enumerate(holding)}
-        parent = list(range(len(holding)))
+    """First vertex below n whose holding bags are not connected in the tree.
 
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for a, b in edges:
-            if a in idx and b in idx:
-                ra, rb = find(idx[a]), find(idx[b])
-                if ra != rb:
-                    parent[ra] = rb
-        roots = {find(i) for i in range(len(holding))}
-        if len(roots) != 1:
+    `edges` must form a tree over the bags. Root it at bag 0 and call a bag a
+    top for v when it holds v and its parent does not (the root has no
+    parent, so it is a top for each of its vertices). Each connected piece of
+    the bags holding v has exactly one top, its bag closest to the root: the
+    parent of any other bag of the piece holds v and lies in the same piece,
+    and the parent of the top does not hold v. So the bags holding v are
+    connected exactly when v has one top, and one walk over the tree that
+    lists every bag's tops checks all vertices in O(sum of bag sizes).
+    """
+    if not bags:
+        return None
+    adjacency: list[list[int]] = [[] for _ in bags]
+    for a, b in edges:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    tops: list[int] = list(bags[0])
+    seen = [False] * len(bags)
+    seen[0] = True
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        bag = bags[i]
+        for c in adjacency[i]:
+            if not seen[c]:
+                seen[c] = True
+                tops.extend(bags[c] - bag)
+                stack.append(c)
+    if len(tops) == len(set(tops)):
+        return None
+    once: set[int] = set()
+    twice: set[int] = set()
+    for v in tops:
+        (twice if v in once else once).add(v)
+    for v in sorted(twice):
+        if v < n:
             return f"bags holding vertex {v} are not connected in the tree"
     return None
 
@@ -336,23 +375,8 @@ def validate_nice(g, ntd: NiceTreeDecomposition) -> ValidationReport:
         else:
             return ValidationReport(False, "4", i, f"unknown kind {nd.kind!r}")
 
-    covered: set[int] = set()
-    for nd in nodes:
-        covered |= nd.bag
-    if covered != set(range(g.n)):
-        return ValidationReport(False, "1", None, "bags do not cover the vertex set")
-    for u, v in g.edges:
-        if not any(u in nd.bag and v in nd.bag for nd in nodes):
-            return ValidationReport(False, "2", None, f"edge ({u},{v}) in no bag")
-    tree_edges = tuple(
-        (i, c) for i, nd in enumerate(nodes) for c in nd.children
-    )
-    msg = _check_running_intersection(
-        g.n, [set(nd.bag) for nd in nodes], tree_edges
-    )
-    if msg is not None:
-        return ValidationReport(False, "3", None, msg)
-    return ValidationReport(True)
+    tree_edges = tuple((i, c) for i, nd in enumerate(nodes) for c in nd.children)
+    return _check_bags(g, [nd.bag for nd in nodes], tree_edges)
 
 
 def serialize_td(td: TreeDecomposition, n_graph: int) -> str:

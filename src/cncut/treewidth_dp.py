@@ -6,11 +6,31 @@ and the components meeting the bag trace the given blocks with the given true
 sizes. Feasibility is monotone in x' under every rule (introduce adds a fixed
 pair increment, forget preserves, join adds), so tables store one minimal x'
 per structural key and expand the full feasible key set only on demand.
+
+Every rule walks its child tables in insertion order. `offer` keeps the
+least x' per key, so each table's key set and each key's x' are the same in
+any order; only the back-pointer kept among entries of equal x' (and so the
+certificate among equally good cuts) follows that order.
+
+Join. Both sides have the same bag and the same deleted subset D, and each
+side's blocks partition bag - D, so every bag vertex lies in exactly one
+left block and one right block. Two blocks that share a vertex lie in one
+component of the joined graph, and blocks that share none are not joined
+through the bag, so the joined components are the classes of "shares a
+vertex". Each class's true size is the sum of both sides' sizes less the
+class's bag vertices, which both sides counted.
+- When the two sides have the same blocks, every class is one block, so the
+  blocks stay and a block B of sizes a and b gets size a + b - |B|.
+- Otherwise each right block is fused, in turn, with every current group it
+  meets; a group starts as a left block, and the right blocks partition
+  bag - D, so the groups end as the classes, each with size the sum of its
+  left sizes plus, for each right block B it took in, size(B) - |B|.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator
 
 from .graph import Cut, Graph, InputError, connected_pairs, verify_solution
@@ -63,10 +83,16 @@ def _struct_sort_key(struct: Struct):
 
 
 class DpTable:
-    """Sparse feasible set for one node, stored as min-x' per structural key."""
+    """Sparse feasible set for one node, stored as min-x' per structural key.
 
-    def __init__(self, x_cap: int):
+    x_cap and k_cap are the bounds the table was built for: it holds every
+    entry with k_used <= k_cap and x' <= x_cap, so it answers exactly the
+    questions within both. k_cap is None for a table built by hand.
+    """
+
+    def __init__(self, x_cap: int, k_cap: int | None = None):
         self.x_cap = x_cap
+        self.k_cap = k_cap
         self.entries: dict[Struct, tuple[int, BackPointer]] = {}
 
     def offer(self, struct: Struct, x_val: int, bp: BackPointer) -> None:
@@ -76,17 +102,18 @@ class DpTable:
         if held is None or x_val < held[0]:
             self.entries[struct] = (x_val, bp)
 
-    def sorted_items(self) -> list[tuple[Struct, tuple[int, BackPointer]]]:
-        return sorted(self.entries.items(), key=lambda kv: _struct_sort_key(kv[0]))
-
     def expanded_keys(self) -> Iterator[DpKey]:
-        """Every feasible DpKey with x' up to the run bound."""
-        for (k_used, deleted, blocks, sizes), (min_x, _) in self.sorted_items():
+        """Every feasible DpKey with x' up to the run bound, in key order."""
+        for struct in sorted(self.entries, key=_struct_sort_key):
+            k_used, deleted, blocks, sizes = struct
+            min_x = self.entries[struct][0]
             for x_bound in range(min_x, self.x_cap + 1):
                 yield DpKey(k_used, x_bound, deleted, blocks, sizes)
 
     def expanded_count(self) -> int:
-        return sum(self.x_cap - min_x + 1 for (min_x, _) in self.entries.values())
+        """Sum of x_cap - min_x + 1 over the entries."""
+        held = self.entries.values()
+        return len(held) * (self.x_cap + 1) - sum(map(itemgetter(0), held))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -94,7 +121,7 @@ class DpTable:
 
 def leaf_table(v: int, k: int, x: int) -> DpTable:
     """Two families: v kept as a singleton block, or v deleted when k allows."""
-    table = DpTable(x)
+    table = DpTable(x, k)
     table.offer((0, frozenset(), (frozenset([v]),), (1,)), 0, ("leaf", v, False))
     if k >= 1:
         table.offer((1, frozenset([v]), (), ()), 0, ("leaf", v, True))
@@ -108,65 +135,82 @@ def introduce_table(
 
     bag_neighbors are v's graph neighbors inside the child bag; by the
     decomposition's running-intersection property these are all the neighbors
-    v has in the subtree graph.
+    v has in the subtree graph. Keeping v apart is the merge of no blocks.
     """
-    table = DpTable(x)
-    for struct, (min_x, _) in child.sorted_items():
+    table = DpTable(x, k)
+    vset = frozenset([v])
+    layouts: dict[tuple, tuple] = {}
+    for struct, (min_x, _) in child.entries.items():
         k_used, deleted, blocks, sizes = struct
-        if k_used + 1 <= k:
+        if k_used < k:
             table.offer(
-                (k_used + 1, deleted | {v}, blocks, sizes),
+                (k_used + 1, deleted | vset, blocks, sizes),
                 min_x,
                 ("intro-del", struct, v),
             )
-        hits = [i for i, b in enumerate(blocks) if b & bag_neighbors]
-        if not hits:
-            nb, ns = _canon_blocks(
-                list(blocks) + [frozenset([v])], list(sizes) + [1]
-            )
-            table.offer((k_used, deleted, nb, ns), min_x, ("intro-keep", struct))
-        else:
-            m_sum = sum(sizes[i] for i in hits)
-            sq_sum = sum(sizes[i] * sizes[i] for i in hits)
-            increment = 2 * m_sum + (m_sum * m_sum - sq_sum)
-            x_new = min_x + increment
-            if x_new <= x:
-                merged = frozenset([v]).union(*(blocks[i] for i in hits))
-                rest = [
-                    (blocks[i], sizes[i])
-                    for i in range(len(blocks))
-                    if i not in hits
-                ]
-                nb, ns = _canon_blocks(
-                    [b for b, _ in rest] + [merged],
-                    [s for _, s in rest] + [1 + m_sum],
-                )
-                table.offer((k_used, deleted, nb, ns), x_new, ("intro-keep", struct))
+        layout = layouts.get(blocks)
+        if layout is None:
+            layout = layouts[blocks] = _introduce_layout(blocks, vset, bag_neighbors)
+        hits, rest, pos, nb = layout
+        m_sum = x_new = 0
+        if hits:
+            # v joins blocks of sizes s_i into one of 1 + m_sum vertices:
+            # 2 * m_sum pairs with v, and s_i * s_j for each pair of blocks.
+            hit_sizes = [sizes[i] for i in hits]
+            m_sum = sum(hit_sizes)
+            x_new = 2 * m_sum + m_sum * m_sum - sum(s * s for s in hit_sizes)
+        x_new += min_x
+        if x_new <= x:
+            ns = [sizes[i] for i in rest]
+            ns.insert(pos, 1 + m_sum)
+            table.offer((k_used, deleted, nb, tuple(ns)), x_new, ("intro-keep", struct))
     return table
+
+
+def _introduce_layout(
+    blocks: tuple, vset: frozenset[int], bag_neighbors: frozenset[int]
+) -> tuple[tuple, tuple, int, tuple]:
+    """How keeping v reshapes `blocks`, whatever the sizes.
+
+    Returns the indices of the blocks v merges with, the indices of the other
+    blocks by smallest member, the position of the merged block among them,
+    and the resulting canonical blocks.
+    """
+    hits = tuple(i for i, b in enumerate(blocks) if not b.isdisjoint(bag_neighbors))
+    rest = sorted(
+        (i for i in range(len(blocks)) if i not in hits), key=lambda i: min(blocks[i])
+    )
+    merged = vset.union(*(blocks[i] for i in hits))
+    low = min(merged)
+    pos = sum(1 for i in rest if min(blocks[i]) < low)
+    nb = [blocks[i] for i in rest]
+    nb.insert(pos, merged)
+    return hits, tuple(rest), pos, tuple(nb)
 
 
 def forget_table(child: DpTable, v: int) -> DpTable:
     """Drop v from the bag; a block emptied by this is a finalized component."""
-    table = DpTable(child.x_cap)
-    for struct, (min_x, _) in child.sorted_items():
+    table = DpTable(child.x_cap, child.k_cap)
+    vset = frozenset([v])
+    layouts: dict[tuple, tuple] = {}
+    for struct, (min_x, _) in child.entries.items():
         k_used, deleted, blocks, sizes = struct
         if v in deleted:
-            new_struct: Struct = (k_used, deleted - {v}, blocks, sizes)
+            new_struct: Struct = (k_used, deleted - vset, blocks, sizes)
         else:
-            kept: list[frozenset[int]] = []
-            kept_sizes: list[int] = []
-            for b, s in zip(blocks, sizes):
-                if v in b:
-                    shrunk = b - {v}
-                    if shrunk:
-                        kept.append(shrunk)
-                        kept_sizes.append(s)
-                    # emptied block: its pairs are already inside x'
-                else:
-                    kept.append(b)
-                    kept_sizes.append(s)
-            nb, ns = _canon_blocks(kept, kept_sizes)
-            new_struct = (k_used, deleted, nb, ns)
+            layout = layouts.get(blocks)
+            if layout is None:
+                # An emptied block is dropped: its pairs are already inside x'.
+                kept = sorted(
+                    ((b - vset, i) for i, b in enumerate(blocks) if b != vset),
+                    key=lambda bi: min(bi[0]),
+                )
+                layout = layouts[blocks] = (
+                    tuple(b for b, _ in kept),
+                    tuple(i for _, i in kept),
+                )
+            nb, order = layout
+            new_struct = (k_used, deleted, nb, tuple([sizes[i] for i in order]))
         table.offer(new_struct, min_x, ("forget", struct))
     return table
 
@@ -174,19 +218,25 @@ def forget_table(child: DpTable, v: int) -> DpTable:
 def join_table(left: DpTable, right: DpTable, k: int, x: int) -> DpTable:
     """Combine sibling subtrees whose bags are identical.
 
-    Only pairs with matching deleted bag subsets compose. Blocks merge by
-    transitive closure over shared bag vertices; each merged component's size
-    is the two sides' sizes minus the bag vertices counted twice.
+    Only pairs with matching deleted bag subsets compose, and only while the
+    shared deletions, counted on both sides, leave k_used <= k. Blocks merge
+    into the classes of "shares a bag vertex" (see the module docstring); each
+    merged component's size is the two sides' sizes minus the bag vertices
+    counted twice.
     """
-    table = DpTable(x)
+    table = DpTable(x, k)
     by_deleted_left: dict[frozenset[int], list] = {}
-    for struct, held in left.sorted_items():
-        by_deleted_left.setdefault(struct[1], []).append((struct, held))
-    for r_struct, (r_min, _) in right.sorted_items():
-        matches = by_deleted_left.get(r_struct[1])
+    for struct, (l_min, _) in left.entries.items():
+        by_deleted_left.setdefault(struct[1], []).append((struct, l_min))
+    for r_struct, (r_min, _) in right.entries.items():
+        rk, deleted = r_struct[0], r_struct[1]
+        matches = by_deleted_left.get(deleted)
         if not matches:
             continue
-        for l_struct, (l_min, _) in matches:
+        k_room = k - rk + len(deleted)  # the largest left k_used that fits
+        for l_struct, l_min in matches:
+            if l_struct[0] > k_room:
+                continue
             merged = _join_pair(l_struct, l_min, r_struct, r_min, k, x)
             if merged is not None:
                 struct, x_new = merged
@@ -202,46 +252,30 @@ def _join_pair(
     k_new = lk + rk - len(deleted)
     if k_new > k:
         return None
-
-    parent: dict[int, int] = {}
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for blocks in (lblocks, rblocks):
-        for b in blocks:
-            it = iter(b)
-            first = next(it)
-            parent.setdefault(first, first)
-            for w in it:
-                parent.setdefault(w, w)
-                ra, rb = find(first), find(w)
-                if ra != rb:
-                    parent[ra] = rb
-
-    classes: dict[int, set[int]] = {}
-    for v in parent:
-        classes.setdefault(find(v), set()).add(v)
-
-    size_of: dict[int, int] = {}
-    for root, members in classes.items():
-        size_of[root] = -len(members)
-    for blocks, sizes in ((lblocks, lsizes), (rblocks, rsizes)):
-        for b, s in zip(blocks, sizes):
-            size_of[find(next(iter(b)))] += s
-
-    new_pairs = sum(s * (s - 1) for s in size_of.values())
     old_pairs = sum(s * (s - 1) for s in lsizes) + sum(s * (s - 1) for s in rsizes)
-    x_new = l_min + r_min + new_pairs - old_pairs
+    if lblocks == rblocks:
+        sizes = tuple(a + b - len(blk) for a, b, blk in zip(lsizes, rsizes, lblocks))
+        x_new = l_min + r_min + sum(s * (s - 1) for s in sizes) - old_pairs
+        if x_new > x:
+            return None
+        return (k_new, deleted, lblocks, sizes), x_new
+
+    groups = list(zip(lblocks, lsizes))
+    for rb, rs in zip(rblocks, rsizes):
+        members, size = rb, rs - len(rb)
+        rest = []
+        for group in groups:
+            if group[0].isdisjoint(rb):
+                rest.append(group)
+            else:
+                members = members | group[0]
+                size += group[1]
+        rest.append((members, size))
+        groups = rest
+    x_new = l_min + r_min + sum(s * (s - 1) for _, s in groups) - old_pairs
     if x_new > x:
         return None
-
-    blocks_list = [frozenset(members) for members in classes.values()]
-    sizes_list = [size_of[find(next(iter(b)))] for b in blocks_list]
-    nb, ns = _canon_blocks(blocks_list, sizes_list)
+    nb, ns = _canon_blocks([b for b, _ in groups], [s for _, s in groups])
     return (k_new, deleted, nb, ns), x_new
 
 
@@ -365,7 +399,16 @@ def solve_wx(
             f"invalid nice decomposition (condition {report.condition}): {report.message}"
         )
 
-    tables = precomputed if precomputed is not None else compute_tables(g, ntd, k, x)
+    if precomputed is None:
+        tables = compute_tables(g, ntd, k, x)
+    else:
+        tables = precomputed
+        root = tables[ntd.root]
+        if root.k_cap is None or k > root.k_cap or x > root.x_cap:
+            raise InputError(
+                f"precomputed tables were built for k <= {root.k_cap}, "
+                f"x <= {root.x_cap}; asked k={k}, x={x}"
+            )
     stats = WxStats(
         node_count=len(ntd.nodes),
         width=ntd.width,

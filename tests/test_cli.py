@@ -238,7 +238,8 @@ def test_bench_writes_csv(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 16
     assert tuple(rows[0]) == (
-        "instance", "engine", "rep", "n", "m", "k", "x", "y", "answer", "wall_ms", "stats",
+        "instance", "engine", "algorithm", "rep", "n", "m", "k", "x", "y", "answer",
+        "wall_ms", "stats",
     )
 
 

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 from cncut.graph import (
     complete_graph,
@@ -14,6 +14,7 @@ from cncut.decomposition import (
     NiceTreeDecomposition,
     StructuralError,
     TreeDecomposition,
+    _check_running_intersection,
     heuristic_decomposition,
     make_nice,
     nice_annotations,
@@ -231,8 +232,114 @@ def test_heuristic_always_validates(g):
         assert len(ntd.nodes) <= 6 * (td.width + 2) * (len(td.bags) + 2)
 
 
+def _min_fill_bags_reference(g):
+    """Elimination bags with every vertex's fill-in recounted at every step."""
+    adj = {v: set(g.adjacency[v]) for v in range(g.n)}
+    bags = []
+    while adj:
+        def key(v):
+            nb = sorted(adj[v])
+            fill = sum(1 for i, a in enumerate(nb) for b in nb[i + 1:] if b not in adj[a])
+            return fill, len(nb), v
+        v = min(adj, key=key)
+        nbrs = adj.pop(v)
+        bags.append(frozenset(nbrs | {v}))
+        for a in nbrs:
+            adj[a] |= nbrs - {a}
+            adj[a].discard(v)
+    return bags
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_n=12, max_m=30))
+def test_heuristic_matches_full_recount(g):
+    td = heuristic_decomposition(g)
+    assert list(td.bags[:g.n]) == _min_fill_bags_reference(g)
+
+
 @given(graphs(max_n=8))
 def test_round_trip_any_heuristic(g):
     td = heuristic_decomposition(g)
     parsed, declared = parse_td(serialize_td(td, g.n))
     assert parsed == td and declared == g.n
+
+
+def _running_intersection_reference(n, bags, edges):
+    """The quadratic check: a union-find over the tree edges for each vertex."""
+    for v in range(n):
+        holding = [i for i, b in enumerate(bags) if v in b]
+        if not holding:
+            continue
+        idx = {i: j for j, i in enumerate(holding)}
+        parent = list(range(len(holding)))
+
+        def find(a):
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            return a
+
+        for a, b in edges:
+            if a in idx and b in idx:
+                ra, rb = find(idx[a]), find(idx[b])
+                if ra != rb:
+                    parent[ra] = rb
+        if len({find(i) for i in range(len(holding))}) != 1:
+            return f"bags holding vertex {v} are not connected in the tree"
+    return None
+
+
+def _conditions_reference(g, bags, edges):
+    """Conditions 1-3 with every bag scanned for each edge; (condition, message)."""
+    if set().union(*bags) != set(range(g.n)):
+        return "1", "bags do not cover the vertex set"
+    for u, v in g.edges:
+        if not any(u in b and v in b for b in bags):
+            return "2", f"edge ({u},{v}) in no bag"
+    msg = _running_intersection_reference(g.n, [set(b) for b in bags], edges)
+    return ("3", msg) if msg is not None else (None, "")
+
+
+@st.composite
+def bag_trees(draw, max_n=6, max_bags=8):
+    """A random tree of random bags over 0..n (n itself lies outside the graph)."""
+    n = draw(st.integers(1, max_n))
+    count = draw(st.integers(1, max_bags))
+    labels = draw(st.permutations(range(count)))
+    edges = []
+    for i in range(1, count):
+        a, b = labels[draw(st.integers(0, i - 1))], labels[i]
+        edges.append((a, b) if draw(st.booleans()) else (b, a))
+    bags = tuple(
+        frozenset(draw(st.sets(st.integers(0, n), max_size=n))) for _ in range(count)
+    )
+    return n, TreeDecomposition(bags, tuple(edges))
+
+
+@given(bag_trees(), st.data())
+def test_linear_checks_match_quadratic_reference(tree, data):
+    n, td = tree
+    expected = _running_intersection_reference(n, [set(b) for b in td.bags], td.tree_edges)
+    assert _check_running_intersection(n, td.bags, td.tree_edges) == expected
+    g = data.draw(graphs(min_n=n, max_n=n))
+    report = validate_decomposition(g, td)
+    assert (report.condition, report.message) == _conditions_reference(
+        g, td.bags, td.tree_edges
+    )
+    assert report.ok == (report.condition is None)
+
+
+@given(graphs(max_n=8))
+def test_nice_bag_trees_match_quadratic_reference(g):
+    ntd = make_nice(heuristic_decomposition(g))
+    bags = [nd.bag for nd in ntd.nodes]
+    edges = tuple((i, c) for i, nd in enumerate(ntd.nodes) for c in nd.children)
+    assert _check_running_intersection(g.n, bags, edges) is None
+    # Dropping one vertex from one bag can break condition 1, 2 or 3.
+    for i, bag in enumerate(bags):
+        for v in sorted(bag):
+            cut = bags[:i] + [bag - {v}] + bags[i + 1:]
+            expected = _running_intersection_reference(g.n, [set(b) for b in cut], edges)
+            assert _check_running_intersection(g.n, cut, edges) == expected
+            report = validate_decomposition(g, TreeDecomposition(tuple(cut), edges))
+            assert (report.condition, report.message) == _conditions_reference(g, cut, edges)

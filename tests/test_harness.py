@@ -11,6 +11,7 @@ from cncut.bench import (
     parse_family,
     run_bench,
 )
+from cncut.decomposition import StructuralError, TreeDecomposition, make_nice
 from cncut.graph import InputError, complete_graph, connected_pairs, path_graph, verify_solution
 from cncut.harness import ENGINES, EngineRefusal, HarnessConfig, RunReport, select_algorithm, run_instance
 from cncut.instance_io import CncInstance, parse_instance
@@ -253,6 +254,24 @@ def test_run_bench_records_refusals():
     refused = [r for r in rows if r["answer"] == "REFUSED"]
     assert refused and all(r["stats"].startswith("reason=") for r in refused)
     assert rows[0]["answer"] == "YES"  # the edgeless class is answered trivially
+
+
+def test_run_instance_rejects_invalid_nice_decomposition():
+    bad = make_nice(TreeDecomposition((frozenset({0}),), ()))
+    inst = CncInstance(path_graph(3), 1, x=1)
+    with pytest.raises(StructuralError, match="condition 1"):
+        run_instance(inst, algo="dp-wx", ntd=bad)
+
+
+def test_run_bench_rows_name_the_engine_that_ran():
+    rows = run_bench("all:n=3:k=0:x=0", engines=("oracle", "dp-wx"))
+    edgeless = [r for r in rows if r["m"] == 0]
+    assert edgeless and all(
+        r["answer"] == "YES" and r["algorithm"] == "trivial" for r in edgeless
+    )
+    assert all(r["algorithm"] == r["engine"] for r in rows if r["m"] > 0)
+    refused = run_bench("all:n=5:k=2:x=0", engines=("oracle",), config=HarnessConfig(oracle_cap=1))
+    assert {r["algorithm"] for r in refused if r["answer"] == "REFUSED"} == {""}
 
 
 def test_run_bench_refused_rows_report_wall_time(monkeypatch):

@@ -1,10 +1,14 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cncut.families import random_graph
 from cncut.graph import (
     Graph,
     InputError,
     complete_graph,
+    disjoint_union,
     empty_graph,
     path_graph,
     star_graph,
@@ -27,6 +31,7 @@ from cncut.treewidth_dp import (
     introduce_table,
     join_table,
     leaf_table,
+    WxStats,
     read_decision,
     solve_wx,
 )
@@ -252,6 +257,139 @@ def test_precomputed_tables_answer_smaller_parameters():
         for x in range(11):
             got = solve_wx(g, k, x, ntd=ntd, precomputed=tables)
             assert got.answer == oracle_decides(g, k, x), (k, x)
+
+
+def test_precomputed_tables_refuse_larger_parameters():
+    g = path_graph(6)
+    ntd = make_nice(heuristic_decomposition(g))
+    tables = compute_tables(g, ntd, 1, 2)
+    assert oracle_decides(g, 2, 10)
+    with pytest.raises(InputError, match="built for k <= 1, x <= 2"):
+        solve_wx(g, 2, 10, ntd=ntd, precomputed=tables)
+    with pytest.raises(InputError):
+        solve_wx(g, 1, 3, ntd=ntd, precomputed=tables)
+    with pytest.raises(InputError):
+        solve_wx(g, 2, 2, ntd=ntd, precomputed=tables)
+    hand_built = [DpTable(10) for _ in ntd.nodes]
+    with pytest.raises(InputError):
+        solve_wx(g, 1, 2, ntd=ntd, precomputed=hand_built)
+    assert solve_wx(g, 1, 2, ntd=ntd, precomputed=tables).answer == oracle_decides(g, 1, 2)
+
+
+def _join_pair_reference(l_struct, l_min, r_struct, r_min, k, x):
+    """Union-find over the bag vertices of both sides' blocks."""
+    lk, deleted, lblocks, lsizes = l_struct
+    rk, _, rblocks, rsizes = r_struct
+    k_new = lk + rk - len(deleted)
+    if k_new > k:
+        return None
+    parent = {}
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for blocks in (lblocks, rblocks):
+        for b in blocks:
+            it = iter(b)
+            first = next(it)
+            parent.setdefault(first, first)
+            for w in it:
+                parent.setdefault(w, w)
+                ra, rb = find(first), find(w)
+                if ra != rb:
+                    parent[ra] = rb
+    classes = {}
+    for v in parent:
+        classes.setdefault(find(v), set()).add(v)
+    size_of = {root: -len(members) for root, members in classes.items()}
+    for blocks, sizes in ((lblocks, lsizes), (rblocks, rsizes)):
+        for b, s in zip(blocks, sizes):
+            size_of[find(next(iter(b)))] += s
+    new_pairs = sum(s * (s - 1) for s in size_of.values())
+    old_pairs = sum(s * (s - 1) for s in lsizes) + sum(s * (s - 1) for s in rsizes)
+    x_new = l_min + r_min + new_pairs - old_pairs
+    if x_new > x:
+        return None
+    order = sorted(classes.values(), key=min)
+    blocks = tuple(frozenset(members) for members in order)
+    sizes = tuple(size_of[find(min(members))] for members in order)
+    return (k_new, deleted, blocks, sizes), x_new
+
+
+def _join_reference(left, right, k, x):
+    out = {}
+    for l_struct, (l_min, _) in left.entries.items():
+        for r_struct, (r_min, _) in right.entries.items():
+            if l_struct[1] != r_struct[1]:
+                continue
+            merged = _join_pair_reference(l_struct, l_min, r_struct, r_min, k, x)
+            if merged is not None:
+                struct, x_new = merged
+                if x_new < out.get(struct, x + 1):
+                    out[struct] = x_new
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs(min_n=1, max_n=8), st.integers(0, 2), st.integers(0, 8))
+def test_join_matches_union_find_reference(g, k, x):
+    ntd = make_nice(heuristic_decomposition(g))
+    tables = compute_tables(g, ntd, k, x)
+    # Any two tables over one bag can be joined: both children of every join
+    # node, in both orders, and a few more same-bag pairs.
+    pairs = set()
+    by_bag: dict = {}
+    for i, nd in enumerate(ntd.nodes):
+        if nd.kind == "join":
+            a, b = nd.children
+            pairs |= {(a, b), (b, a)}
+        by_bag.setdefault(nd.bag, []).append(i)
+    for same in by_bag.values():
+        pairs |= {(a, b) for a in same[:3] for b in same[:3]}
+    for a, b in sorted(pairs):
+        got = entry_values(join_table(tables[a], tables[b], k, x))
+        assert got == _join_reference(tables[a], tables[b], k, x), (a, b)
+
+
+def _tree_with_chords(n, chords, rng):
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < n - 1 + chords:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return Graph.from_edges(n, edges)
+
+
+def _pinned_graphs():
+    rng = random.Random(20)
+    sparse = random_graph(30, 33, rng)
+    tree = _tree_with_chords(40, 3, rng)
+    union, _ = disjoint_union(_tree_with_chords(s, 2, rng) for s in (4, 5, 6, 5))
+    chain = _tree_with_chords(50, 1, rng)
+    return {"sparse": (sparse, 3, 8), "tree": (tree, 3, 12), "union": (union, 2, 8),
+            "chain": (chain, 3, 4)}
+
+
+# WxStats of the four graphs above, which are shaped like the benchmark's
+# auto-mix inputs. A change of table representation that adds or loses a
+# structural key changes these counts.
+PINNED_STATS = {
+    "sparse": WxStats(node_count=107, width=3, max_table_structs=31,
+                      max_table_expanded=178, total_structs=886),
+    "tree": WxStats(node_count=147, width=2, max_table_structs=29,
+                    max_table_expanded=237, total_structs=1164),
+    "union": WxStats(node_count=48, width=2, max_table_structs=11,
+                     max_table_expanded=62, total_structs=201),
+    "chain": WxStats(node_count=185, width=2, max_table_structs=17,
+                     max_table_expanded=65, total_structs=1042),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_STATS))
+def test_pinned_table_stats(name):
+    g, k, x = _pinned_graphs()[name]
+    assert solve_wx(g, k, x).stats == PINNED_STATS[name]
 
 
 @st.composite
