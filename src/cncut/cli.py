@@ -42,6 +42,7 @@ from .instance_io import CncInstance, parse_instance, serialize_instance
 from .kernel import kernelize_kx
 from .families import random_graph
 from .reductions import (
+    DEFAULT_MATERIALIZE_CAP,
     CliqueInstance,
     GadgetSizes,
     build_mcc_instance,
@@ -61,9 +62,7 @@ def _read_text(path: str) -> str:
 def _load_config(args) -> HarnessConfig:
     config = HarnessConfig.from_env()
     if getattr(args, "cap", None) is not None:
-        config = dataclasses.replace(
-            config, oracle_cap=args.cap, materialize_cap=args.cap
-        )
+        config = dataclasses.replace(config, oracle_cap=args.cap)
     return config
 
 
@@ -228,7 +227,8 @@ def cmd_generate(args) -> int:
             sizes = GadgetSizes(*vals)
         else:
             sizes = GadgetSizes.reference(g.n, args.ell)
-        out, layout = build_mcc_instance(src, sizes, cap=_load_config(args).materialize_cap)
+        cap = DEFAULT_MATERIALIZE_CAP if args.cap is None else args.cap
+        out, layout = build_mcc_instance(src, sizes, cap=cap)
         inst = CncInstance(out.graph, out.k, x=out.x)
         sidecar.update({
             "source": args.source[0], "ell": args.ell, "colors": list(colors),
@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance", help="instance file, or - for stdin")
     p.add_argument("--algo", choices=("auto",) + ENGINES, default="auto")
     p.add_argument("--td", help="tree decomposition file for dp-wx")
-    p.add_argument("--cap", type=_positive, help="oracle/materialization cap override")
+    p.add_argument("--cap", type=_positive, help="oracle candidate cap override")
     p.add_argument("--json", action="store_true")
     p.add_argument("--cert", help="write the cut, one 1-based id per line")
     p.set_defaults(func=cmd_solve)
@@ -378,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int, help="clique size")
     p.add_argument("--colors", help="comma-separated vertex colors (mcc)")
     p.add_argument("--sizes", help="A,B,Cv,L3,X,Y,Z gadget sizes (mcc)")
-    p.add_argument("--cap", type=_positive, help="materialization cap override")
+    p.add_argument("--cap", type=_positive,
+                   help=f"mcc vertex cap (default {DEFAULT_MATERIALIZE_CAP})")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("decompose", help="emit a tree decomposition")
@@ -393,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="e.g. all:n=6:k=0-3:x=0-8 or random:n=10:m=15:count=20:seed=1:k=2:x=0-6")
     p.add_argument("--engines", help="comma-separated subset of " + ",".join(ENGINES))
     p.add_argument("--reps", type=_positive, default=1)
-    p.add_argument("--cap", type=_positive)
+    p.add_argument("--cap", type=_positive, help="oracle candidate cap override")
     p.add_argument("-o", "--out", help="CSV path (default stdout)")
     p.set_defaults(func=cmd_bench)
 

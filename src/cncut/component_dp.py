@@ -18,7 +18,6 @@ from .graph import (
     connected_components,
     connected_pairs,
     induced_subgraph,
-    pairs_removed,
     remove_vertices,
 )
 from .oracle import DEFAULT_CAP, oracle_max_removed_exact
@@ -67,11 +66,10 @@ def shortcut_checks(g: Graph, k: int, y: int) -> YDecision | None:
         big = min(
             v for v in range(g.n) if labeling.sizes[labeling.labels[v]] > y
         )
-        removed = pairs_removed(g, [big])
+        removed, residual = _removed_and_residual(g, [big])
         if removed >= y:
             stats = SolveYStats(shortcut="large-component")
-            h, _ = remove_vertices(g, [big])
-            return YDecision(True, Cut(frozenset([big]), connected_pairs(h)), stats)
+            return YDecision(True, Cut(frozenset([big]), residual), stats)
         # A single deletion from a (>y)-vertex component always removes at
         # least 2*(size-1) >= 2y pairs, so this branch is unreachable; kept as
         # a guard so a bad pairs computation can never smuggle out a YES.
@@ -82,6 +80,13 @@ def shortcut_checks(g: Graph, k: int, y: int) -> YDecision | None:
             stats = SolveYStats(shortcut="greedy-2k")
             return YDecision(True, cut, stats)
     return None
+
+
+def _removed_and_residual(g: Graph, cut) -> tuple[int, int]:
+    """Pairs that deleting `cut` removes from g, and pairs g - cut keeps."""
+    h, _ = remove_vertices(g, cut)
+    residual = connected_pairs(h)
+    return connected_pairs(g) - residual, residual
 
 
 def _greedy_accumulate(g: Graph, k: int, y: int) -> Cut | None:
@@ -185,8 +190,7 @@ def solve_y(g: Graph, k: int, y: int, cap: int = DEFAULT_CAP) -> YDecision:
         j = choices[i][b]
         cut_set |= set(table.witnesses[i][j])
         b -= j
-    removed = pairs_removed(g, cut_set)
+    removed, residual = _removed_and_residual(g, cut_set)
     if removed < y:
         raise AssertionError("reconstructed cut lost removal value")
-    h, _ = remove_vertices(g, cut_set)
-    return YDecision(True, Cut(frozenset(cut_set), connected_pairs(h)), stats)
+    return YDecision(True, Cut(frozenset(cut_set), residual), stats)

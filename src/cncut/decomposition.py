@@ -28,13 +28,6 @@ class TreeDecomposition:
     def width(self) -> int:
         return max((len(b) for b in self.bags), default=0) - 1
 
-    def neighbors(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in self.bags]
-        for a, b in self.tree_edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        return adj
-
 
 @dataclass(frozen=True)
 class NiceNode:

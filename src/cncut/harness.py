@@ -14,7 +14,6 @@ from .decomposition import NiceTreeDecomposition, heuristic_decomposition, make_
 from .graph import Cut, Graph, InputError, Refusal, connected_pairs, verify_solution
 from .instance_io import CncInstance
 from .oracle import DEFAULT_CAP, oracle_min_pairs
-from .reductions import DEFAULT_MATERIALIZE_CAP
 from .treewidth_dp import solve_wx
 
 
@@ -29,7 +28,6 @@ class HarnessConfig:
     branch_kx_max: int = 24
     dp_wx_max: int = 18
     oracle_cap: int = DEFAULT_CAP
-    materialize_cap: int = DEFAULT_MATERIALIZE_CAP
 
     @staticmethod
     def from_env(environ=None) -> HarnessConfig:

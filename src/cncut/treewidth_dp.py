@@ -5,7 +5,7 @@ G_X, containing exactly the bag subset x0, leaves at most x' connected pairs,
 and the components meeting the bag trace the given blocks with the given true
 sizes. Feasibility is monotone in x' under every rule (introduce adds a fixed
 pair increment, forget preserves, join adds), so tables store one minimal x'
-per structural key and expand the full feasible key set only on demand.
+per structural key; `expanded_count` sizes the full feasible key set.
 
 Every rule walks its child tables in insertion order. `offer` keeps the
 least x' per key, so each table's key set and each key's x' are the same in
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterator
 
 from .graph import Cut, Graph, InputError, connected_pairs, verify_solution
 from .decomposition import (
@@ -49,24 +48,6 @@ Struct = tuple[int, frozenset, tuple, tuple]
 BackPointer = tuple
 
 
-@dataclass(frozen=True)
-class DpKey:
-    """One feasible table entry in the expanded (per-x') view."""
-
-    k_used: int
-    x_bound: int
-    deleted: frozenset[int]
-    blocks: tuple[frozenset[int], ...]
-    sizes: tuple[int, ...]
-
-    def check(self) -> None:
-        if len(self.blocks) != len(self.sizes):
-            raise InputError("blocks and sizes must align")
-        for b, s in zip(self.blocks, self.sizes):
-            if s < len(b) or s * (s - 1) > self.x_bound:
-                raise InputError(f"block {sorted(b)} with size {s} breaks the key invariant")
-
-
 def _canon_blocks(
     blocks: list[frozenset[int]], sizes: list[int]
 ) -> tuple[tuple, tuple]:
@@ -77,22 +58,14 @@ def _canon_blocks(
     )
 
 
-def _struct_sort_key(struct: Struct):
-    k_used, deleted, blocks, sizes = struct
-    return (k_used, sorted(deleted), [sorted(b) for b in blocks], sizes)
-
-
 class DpTable:
     """Sparse feasible set for one node, stored as min-x' per structural key.
 
-    x_cap and k_cap are the bounds the table was built for: it holds every
-    entry with k_used <= k_cap and x' <= x_cap, so it answers exactly the
-    questions within both. k_cap is None for a table built by hand.
+    x_cap is the bound the table was built for: `offer` drops any x' above it.
     """
 
-    def __init__(self, x_cap: int, k_cap: int | None = None):
+    def __init__(self, x_cap: int):
         self.x_cap = x_cap
-        self.k_cap = k_cap
         self.entries: dict[Struct, tuple[int, BackPointer]] = {}
 
     def offer(self, struct: Struct, x_val: int, bp: BackPointer) -> None:
@@ -101,14 +74,6 @@ class DpTable:
         held = self.entries.get(struct)
         if held is None or x_val < held[0]:
             self.entries[struct] = (x_val, bp)
-
-    def expanded_keys(self) -> Iterator[DpKey]:
-        """Every feasible DpKey with x' up to the run bound, in key order."""
-        for struct in sorted(self.entries, key=_struct_sort_key):
-            k_used, deleted, blocks, sizes = struct
-            min_x = self.entries[struct][0]
-            for x_bound in range(min_x, self.x_cap + 1):
-                yield DpKey(k_used, x_bound, deleted, blocks, sizes)
 
     def expanded_count(self) -> int:
         """Sum of x_cap - min_x + 1 over the entries."""
@@ -121,7 +86,7 @@ class DpTable:
 
 def leaf_table(v: int, k: int, x: int) -> DpTable:
     """Two families: v kept as a singleton block, or v deleted when k allows."""
-    table = DpTable(x, k)
+    table = DpTable(x)
     table.offer((0, frozenset(), (frozenset([v]),), (1,)), 0, ("leaf", v, False))
     if k >= 1:
         table.offer((1, frozenset([v]), (), ()), 0, ("leaf", v, True))
@@ -137,7 +102,7 @@ def introduce_table(
     decomposition's running-intersection property these are all the neighbors
     v has in the subtree graph. Keeping v apart is the merge of no blocks.
     """
-    table = DpTable(x, k)
+    table = DpTable(x)
     vset = frozenset([v])
     layouts: dict[tuple, tuple] = {}
     for struct, (min_x, _) in child.entries.items():
@@ -190,7 +155,7 @@ def _introduce_layout(
 
 def forget_table(child: DpTable, v: int) -> DpTable:
     """Drop v from the bag; a block emptied by this is a finalized component."""
-    table = DpTable(child.x_cap, child.k_cap)
+    table = DpTable(child.x_cap)
     vset = frozenset([v])
     layouts: dict[tuple, tuple] = {}
     for struct, (min_x, _) in child.entries.items():
@@ -224,7 +189,7 @@ def join_table(left: DpTable, right: DpTable, k: int, x: int) -> DpTable:
     merged component's size is the two sides' sizes minus the bag vertices
     counted twice.
     """
-    table = DpTable(x, k)
+    table = DpTable(x)
     by_deleted_left: dict[frozenset[int], list] = {}
     for struct, (l_min, _) in left.entries.items():
         by_deleted_left.setdefault(struct[1], []).append((struct, l_min))
@@ -298,35 +263,32 @@ class WxDecision:
 def compute_tables(
     g: Graph, ntd: NiceTreeDecomposition, k: int, x: int
 ) -> list[DpTable]:
-    """Bottom-up tables for every node; children precede parents by node order."""
+    """Bottom-up tables for every node; children precede parents by node order.
+
+    `ntd` must pass `validate_nice` for `g`; `solve_wx` checks this first.
+    Then every neighbor that an introduced vertex v has in its child c's
+    subtree lies in bag(c), so the child bag is all `introduce_table` reads.
+    Proof: let u be a neighbor of v in the bag of some node t in c's subtree.
+    By condition 2 some bag B holds both u and v. The bags holding v are
+    connected (condition 3) and include the introduce node's but not
+    bag(c), so none lies in c's subtree, and B is outside it. The tree path
+    from t to B passes through c, so by condition 3 for u, u is in bag(c).
+    """
     tables: list[DpTable] = []
-    subtree_verts: list[frozenset[int]] = []
-    for idx, nd in enumerate(ntd.nodes):
+    for nd in ntd.nodes:
         if nd.kind == "leaf":
             tables.append(leaf_table(nd.vertex, k, x))
-            subtree_verts.append(nd.bag)
         elif nd.kind == "introduce":
             child = nd.children[0]
-            below = subtree_verts[child]
-            outside = (g.neighbors(nd.vertex) & below) - ntd.nodes[child].bag
-            if outside:
-                raise StructuralError(
-                    f"introduce of {nd.vertex} at node {idx}: neighbors "
-                    f"{sorted(outside)} were already forgotten"
-                )
             bag_neighbors = g.neighbors(nd.vertex) & ntd.nodes[child].bag
             tables.append(
                 introduce_table(tables[child], nd.vertex, bag_neighbors, k, x)
             )
-            subtree_verts.append(below | {nd.vertex})
         elif nd.kind == "forget":
-            child = nd.children[0]
-            tables.append(forget_table(tables[child], nd.vertex))
-            subtree_verts.append(subtree_verts[child])
+            tables.append(forget_table(tables[nd.children[0]], nd.vertex))
         elif nd.kind == "join":
             a, b = nd.children
             tables.append(join_table(tables[a], tables[b], k, x))
-            subtree_verts.append(subtree_verts[a] | subtree_verts[b])
         else:
             raise StructuralError(f"unknown node kind {nd.kind!r}")
     return tables
@@ -379,13 +341,10 @@ def solve_wx(
     k: int,
     x: int,
     ntd: NiceTreeDecomposition | None = None,
-    precomputed: list[DpTable] | None = None,
 ) -> WxDecision:
     """YES/NO plus certificate, computed over a (supplied or built) decomposition."""
     if k < 0 or x < 0:
         raise InputError(f"parameters must be nonnegative, got k={k}, x={x}")
-    if g.n == 0:
-        return WxDecision(True, Cut(frozenset(), 0), WxStats())
     base = connected_pairs(g)
     if base <= x:
         # Every table x' range would be moot; the empty cut already certifies.
@@ -399,16 +358,7 @@ def solve_wx(
             f"invalid nice decomposition (condition {report.condition}): {report.message}"
         )
 
-    if precomputed is None:
-        tables = compute_tables(g, ntd, k, x)
-    else:
-        tables = precomputed
-        root = tables[ntd.root]
-        if root.k_cap is None or k > root.k_cap or x > root.x_cap:
-            raise InputError(
-                f"precomputed tables were built for k <= {root.k_cap}, "
-                f"x <= {root.x_cap}; asked k={k}, x={x}"
-            )
+    tables = compute_tables(g, ntd, k, x)
     stats = WxStats(
         node_count=len(ntd.nodes),
         width=ntd.width,

@@ -5,6 +5,7 @@ import random
 
 from hypothesis import strategies as st
 
+from cncut.decomposition import TreeDecomposition
 from cncut.graph import Graph
 
 
@@ -17,6 +18,22 @@ def graphs(draw, min_n=0, max_n=8, max_m=None):
     cap = len(pool) if max_m is None else min(max_m, len(pool))
     edges = draw(st.lists(st.sampled_from(pool), unique=True, max_size=cap))
     return Graph(n, edges)
+
+
+@st.composite
+def bag_trees(draw, max_n=6, max_bags=8):
+    """A random tree of random bags over 0..n (n itself lies outside the graph)."""
+    n = draw(st.integers(1, max_n))
+    count = draw(st.integers(1, max_bags))
+    labels = draw(st.permutations(range(count)))
+    edges = []
+    for i in range(1, count):
+        a, b = labels[draw(st.integers(0, i - 1))], labels[i]
+        edges.append((a, b) if draw(st.booleans()) else (b, a))
+    bags = tuple(
+        frozenset(draw(st.sets(st.integers(0, n), max_size=n))) for _ in range(count)
+    )
+    return n, TreeDecomposition(bags, tuple(edges))
 
 
 @st.composite

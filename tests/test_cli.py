@@ -222,6 +222,16 @@ def test_generate_mcc(tmp_path, capsys):
     assert sidecar["total_vertices"] == 138
 
 
+def test_generate_mcc_cap_refuses(tmp_path, capsys):
+    out = str(tmp_path / "a.cnc")
+    assert main([
+        "generate", "mcc", "-o", out, "--source", "path:2", "--ell", "2",
+        "--colors", "0,1", "--sizes", "2,3,4,2,5,6,7", "--cap", "100",
+    ]) == 3
+    assert "refused:" in capsys.readouterr().err
+    assert not (tmp_path / "a.cnc").exists()
+
+
 def test_generate_bad_source_spec(tmp_path, capsys):
     out = str(tmp_path / "a.cnc")
     assert main(["generate", "clique", "-o", out, "--source", "grid:3", "--ell", "2"]) == 2

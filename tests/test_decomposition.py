@@ -24,7 +24,7 @@ from cncut.decomposition import (
     validate_nice,
 )
 
-from .strategies import graphs
+from .strategies import bag_trees, graphs
 
 P3_BAGS = TreeDecomposition((frozenset({0, 1}), frozenset({1, 2})), ((0, 1),))
 
@@ -298,22 +298,6 @@ def _conditions_reference(g, bags, edges):
             return "2", f"edge ({u},{v}) in no bag"
     msg = _running_intersection_reference(g.n, [set(b) for b in bags], edges)
     return ("3", msg) if msg is not None else (None, "")
-
-
-@st.composite
-def bag_trees(draw, max_n=6, max_bags=8):
-    """A random tree of random bags over 0..n (n itself lies outside the graph)."""
-    n = draw(st.integers(1, max_n))
-    count = draw(st.integers(1, max_bags))
-    labels = draw(st.permutations(range(count)))
-    edges = []
-    for i in range(1, count):
-        a, b = labels[draw(st.integers(0, i - 1))], labels[i]
-        edges.append((a, b) if draw(st.booleans()) else (b, a))
-    bags = tuple(
-        frozenset(draw(st.sets(st.integers(0, n), max_size=n))) for _ in range(count)
-    )
-    return n, TreeDecomposition(bags, tuple(edges))
 
 
 @given(bag_trees(), st.data())

@@ -72,7 +72,7 @@ def test_select_respects_config_thresholds():
 def test_config_defaults_without_env():
     cfg = HarnessConfig.from_env(environ={})
     assert (cfg.oracle_max_n, cfg.dp_y_max, cfg.branch_kx_max, cfg.dp_wx_max) == (14, 22, 24, 18)
-    assert len(dataclasses.fields(cfg)) == 6
+    assert len(dataclasses.fields(cfg)) == 5
 
 
 def test_config_file_overrides(tmp_path):
@@ -88,6 +88,7 @@ def test_config_file_overrides(tmp_path):
     [
         ("bogus_key=1\n", "unknown config key"),
         ("workers=2\n", "unknown config key"),
+        ("materialize_cap=5\n", "unknown config key"),
         ("dp_y_max=three\n", "not an integer"),
         ("dp_y_max\n", "expected key=value"),
     ],

@@ -1,7 +1,8 @@
+from itertools import combinations
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cncut.families import random_graph
 from cncut.graph import (
@@ -21,10 +22,10 @@ from cncut.decomposition import (
     TreeDecomposition,
     heuristic_decomposition,
     make_nice,
+    validate_nice,
 )
 from cncut.oracle import oracle_decides
 from cncut.treewidth_dp import (
-    DpKey,
     DpTable,
     compute_tables,
     forget_table,
@@ -36,7 +37,7 @@ from cncut.treewidth_dp import (
     solve_wx,
 )
 
-from .strategies import graphs
+from .strategies import bag_trees, graphs
 
 EMPTY = frozenset()
 
@@ -47,11 +48,10 @@ def entry_values(table):
 
 def test_leaf_keys():
     t = leaf_table(4, 1, 0)
-    keys = list(t.expanded_keys())
-    assert keys == [
-        DpKey(0, 0, EMPTY, (frozenset({4}),), (1,)),
-        DpKey(1, 0, frozenset({4}), (), ()),
-    ]
+    assert entry_values(t) == {
+        (0, EMPTY, (frozenset({4}),), (1,)): 0,
+        (1, frozenset({4}), (), ()): 0,
+    }
 
 
 def test_leaf_zero_budget_only_keeps():
@@ -170,19 +170,6 @@ def test_join_size_arithmetic_with_forgotten_vertices():
     assert len(join_table(left, right, 3, 19)) == 0
 
 
-@pytest.mark.parametrize(
-    "key",
-    [
-        DpKey(0, 0, EMPTY, (frozenset({0}),), ()),
-        DpKey(0, 10, EMPTY, (frozenset({0, 1}),), (1,)),
-        DpKey(0, 1, EMPTY, (frozenset({0}),), (2,)),
-    ],
-)
-def test_key_check_rejects_bad_keys(key):
-    with pytest.raises(InputError):
-        key.check()
-
-
 def test_solve_path_four():
     dec = solve_wx(path_graph(4), 1, 2)
     assert dec.answer
@@ -222,6 +209,10 @@ def test_solve_rejects_invalid_decomposition():
 
 
 def test_compute_tables_rejects_stale_introduce():
+    # 1 is introduced after its neighbor 0 was forgotten, so edge {0, 1} lies
+    # in no bag. compute_tables assumes a valid decomposition and never sees
+    # this one: solve_wx rejects it first. At x = 2 the instance is settled
+    # before validation, so x = 0 here.
     ntd = NiceTreeDecomposition(
         (
             NiceNode("leaf", frozenset({0}), 0, ()),
@@ -230,8 +221,42 @@ def test_compute_tables_rejects_stale_introduce():
             NiceNode("forget", EMPTY, 1, (2,)),
         )
     )
-    with pytest.raises(StructuralError, match="already forgotten"):
-        compute_tables(path_graph(2), ntd, 1, 2)
+    with pytest.raises(StructuralError, match="condition 2"):
+        solve_wx(path_graph(2), 1, 0, ntd=ntd)
+
+
+@st.composite
+def _nice_decompositions(draw):
+    """A graph with a nice decomposition: from the heuristic, or from a bag tree.
+
+    A bag tree's vertices are renamed 0..m-1 and its edges are drawn among
+    pairs that share a bag, so only condition 3 can fail.
+    """
+    if draw(st.booleans()):
+        g = draw(graphs(max_n=8))
+        return g, make_nice(heuristic_decomposition(g))
+    _, td = draw(bag_trees())
+    rename = {v: i for i, v in enumerate(sorted(frozenset().union(*td.bags)))}
+    bags = tuple(frozenset(rename[v] for v in b) for b in td.bags)
+    pairs = sorted({p for b in bags for p in combinations(sorted(b), 2)})
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = Graph(len(rename), edges)
+    return g, make_nice(TreeDecomposition(bags, td.tree_edges))
+
+
+@given(_nice_decompositions())
+def test_validated_introduce_sees_all_subtree_neighbors(case):
+    # The assumption in compute_tables' docstring: past validate_nice, an
+    # introduced vertex's neighbors in the child's subtree lie in the child bag.
+    g, ntd = case
+    assume(validate_nice(g, ntd).ok)
+    below: list[frozenset[int]] = []
+    for nd in ntd.nodes:
+        verts = nd.bag.union(*(below[c] for c in nd.children))
+        if nd.kind == "introduce":
+            child = nd.children[0]
+            assert g.neighbors(nd.vertex) & below[child] <= ntd.nodes[child].bag
+        below.append(verts)
 
 
 def test_compute_tables_rejects_unknown_kind():
@@ -247,33 +272,6 @@ def test_read_decision_thresholds():
     assert read_decision(tables, ntd, 1, 2) is not None
     assert read_decision(tables, ntd, 0, 2) is None
     assert read_decision(tables, ntd, 1, 1) is None
-
-
-def test_precomputed_tables_answer_smaller_parameters():
-    g = path_graph(6)
-    ntd = make_nice(heuristic_decomposition(g))
-    tables = compute_tables(g, ntd, 3, 10)
-    for k in range(4):
-        for x in range(11):
-            got = solve_wx(g, k, x, ntd=ntd, precomputed=tables)
-            assert got.answer == oracle_decides(g, k, x), (k, x)
-
-
-def test_precomputed_tables_refuse_larger_parameters():
-    g = path_graph(6)
-    ntd = make_nice(heuristic_decomposition(g))
-    tables = compute_tables(g, ntd, 1, 2)
-    assert oracle_decides(g, 2, 10)
-    with pytest.raises(InputError, match="built for k <= 1, x <= 2"):
-        solve_wx(g, 2, 10, ntd=ntd, precomputed=tables)
-    with pytest.raises(InputError):
-        solve_wx(g, 1, 3, ntd=ntd, precomputed=tables)
-    with pytest.raises(InputError):
-        solve_wx(g, 2, 2, ntd=ntd, precomputed=tables)
-    hand_built = [DpTable(10) for _ in ntd.nodes]
-    with pytest.raises(InputError):
-        solve_wx(g, 1, 2, ntd=ntd, precomputed=hand_built)
-    assert solve_wx(g, 1, 2, ntd=ntd, precomputed=tables).answer == oracle_decides(g, 1, 2)
 
 
 def _join_pair_reference(l_struct, l_min, r_struct, r_min, k, x):
@@ -423,11 +421,15 @@ def test_table_internals(g, k, x):
     bound = 10 * max(g.n, 1) * max(x, 1) * (w + x + 2) ** (w + 1)
     for t, nd in zip(tables, ntd.nodes):
         assert t.expanded_count() <= bound
-        for key in t.expanded_keys():
-            key.check()
-        for k_used, deleted, blocks, sizes in t.entries:
+        for (k_used, deleted, blocks, sizes), (min_x, _) in t.entries.items():
             assert k_used <= k
             assert deleted <= nd.bag
+            # Blocks ordered by smallest member, sizes aligned with them, and
+            # each block's true size covers its bag vertices and its own pairs.
+            assert list(blocks) == sorted(blocks, key=min)
+            assert len(blocks) == len(sizes)
+            for b, s in zip(blocks, sizes):
+                assert s >= len(b) and s * (s - 1) <= min_x
             claimed = set(deleted)
             for b in blocks:
                 assert b <= nd.bag
