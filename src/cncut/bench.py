@@ -170,7 +170,7 @@ def run_bench(
     spec: FamilySpec | str,
     engines: tuple[str, ...] = ENGINES,
     reps: int = 1,
-    config: HarnessConfig | None = None,
+    config: HarnessConfig = HarnessConfig(),
 ) -> list[dict]:
     """One row per (instance, engine, rep); aborts on cross-engine disagreement."""
     if isinstance(spec, str):
@@ -178,7 +178,6 @@ def run_bench(
     for engine in engines:
         if engine not in ENGINES:
             raise InputError(f"unknown engine {engine!r}")
-    config = config or HarnessConfig.from_env()
     rows: list[dict] = []
     for name, inst in iterate_instances(spec):
         rows.extend(_run_one(name, inst, tuple(engines), reps, config))

@@ -60,10 +60,14 @@ def _read_text(path: str) -> str:
 
 
 def _load_config(args) -> HarnessConfig:
-    config = HarnessConfig.from_env()
-    if getattr(args, "cap", None) is not None:
-        config = dataclasses.replace(config, oracle_cap=args.cap)
-    return config
+    return HarnessConfig() if args.cap is None else HarnessConfig(oracle_cap=args.cap)
+
+
+def _int_list(text: str, flag: str) -> list[int]:
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise InputError(f"{flag} needs comma-separated integers, got {text!r}") from None
 
 
 def _positive(text: str) -> int:
@@ -217,11 +221,11 @@ def cmd_generate(args) -> int:
             raise InputError("generate mcc needs exactly one --source")
         if args.ell is None or not args.colors:
             raise InputError("generate mcc needs --ell and --colors")
-        colors = tuple(int(c) for c in args.colors.split(","))
+        colors = tuple(_int_list(args.colors, "--colors"))
         g = _parse_source(args.source[0], rng)
         src = CliqueInstance(g, args.ell, colors=colors)
         if args.sizes:
-            vals = [int(v) for v in args.sizes.split(",")]
+            vals = _int_list(args.sizes, "--sizes")
             if len(vals) != 7:
                 raise InputError("--sizes needs 7 comma-separated values A,B,Cv,L3,X,Y,Z")
             sizes = GadgetSizes(*vals)

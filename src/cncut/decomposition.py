@@ -396,9 +396,16 @@ def nice_annotations(ntd: NiceTreeDecomposition) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _td_ints(tokens: list[str], lineno: int) -> list[int]:
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise StructuralError(f"line {lineno}: not an integer in {' '.join(tokens)!r}") from None
+
+
 def parse_td(text: str) -> tuple[TreeDecomposition, int]:
     """Parse the PACE-style format; returns (decomposition, declared n)."""
-    header: tuple[int, int, int] | None = None
+    header: list[int] | None = None
     bags: dict[int, frozenset[int]] = {}
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -411,21 +418,23 @@ def parse_td(text: str) -> tuple[TreeDecomposition, int]:
                 raise StructuralError(f"line {lineno}: duplicate s-line")
             if len(parts) != 5 or parts[1] != "td":
                 raise StructuralError(f"line {lineno}: malformed s-line")
-            header = (int(parts[2]), int(parts[3]), int(parts[4]))
+            header = _td_ints(parts[2:], lineno)
         elif parts[0] == "b":
             if header is None:
                 raise StructuralError(f"line {lineno}: b-line before s-line")
-            idx = int(parts[1]) - 1
+            if len(parts) < 2:
+                raise StructuralError(f"line {lineno}: b-line without a bag id")
+            idx, *verts = (v - 1 for v in _td_ints(parts[1:], lineno))
             if idx in bags:
                 raise StructuralError(f"line {lineno}: duplicate bag {idx + 1}")
-            verts = [int(p) - 1 for p in parts[2:]]
             if any(not (0 <= v < header[2]) for v in verts):
                 raise StructuralError(f"line {lineno}: bag vertex out of range")
             bags[idx] = frozenset(verts)
         else:
             if header is None or len(parts) != 2:
                 raise StructuralError(f"line {lineno}: malformed tree edge")
-            edges.append((int(parts[0]) - 1, int(parts[1]) - 1))
+            a, b = _td_ints(parts, lineno)
+            edges.append((a - 1, b - 1))
     if header is None:
         raise StructuralError("missing s-line")
     count = header[0]

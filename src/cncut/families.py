@@ -91,11 +91,3 @@ def random_graph(n: int, m: int, rng: random.Random) -> Graph:
     if m > len(pool):
         raise InputError(f"cannot place {m} edges on {n} vertices")
     return Graph.from_edges(n, rng.sample(pool, m))
-
-
-def random_gnp(n: int, p: float, rng: random.Random) -> Graph:
-    """Each pair becomes an edge independently with probability p."""
-    if not (0.0 <= p <= 1.0):
-        raise InputError("edge probability must lie in [0, 1]")
-    edges = [e for e in combinations(range(n), 2) if rng.random() < p]
-    return Graph.from_edges(n, edges)

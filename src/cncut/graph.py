@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class InputError(ValueError):
@@ -74,9 +74,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return _normalize_edge(u, v) in self.edges
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
@@ -278,7 +275,3 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     keep = g._check_vertex_set(vertices)
     others = [v for v in range(g.n) if v not in keep]
     return remove_vertices(g, others)
-
-
-def iter_edges_sorted(g: Graph) -> Iterator[tuple[int, int]]:
-    return iter(sorted(g.edges))

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import os
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -18,44 +17,12 @@ from .treewidth_dp import solve_wx
 
 
 class EngineRefusal(Refusal):
-    """No engine is willing to touch the instance at the configured thresholds."""
+    """No engine is willing to touch the instance at auto's thresholds."""
 
 
 @dataclass(frozen=True)
 class HarnessConfig:
-    oracle_max_n: int = 14
-    dp_y_max: int = 22
-    branch_kx_max: int = 24
-    dp_wx_max: int = 18
     oracle_cap: int = DEFAULT_CAP
-
-    @staticmethod
-    def from_env(environ=None) -> HarnessConfig:
-        """Read overrides from the key=value file named by CNC_CONFIG, if any."""
-        environ = os.environ if environ is None else environ
-        path = environ.get("CNC_CONFIG")
-        if not path:
-            return HarnessConfig()
-        fields = {f.name for f in dataclasses.fields(HarnessConfig)}
-        overrides: dict[str, int] = {}
-        with open(path, encoding="utf-8") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise InputError(f"{path}:{line_no}: expected key=value")
-                key, _, value = line.partition("=")
-                key, value = key.strip(), value.strip()
-                if key not in fields:
-                    raise InputError(f"{path}:{line_no}: unknown config key {key!r}")
-                try:
-                    overrides[key] = int(value)
-                except ValueError:
-                    raise InputError(
-                        f"{path}:{line_no}: value for {key} is not an integer"
-                    ) from None
-        return HarnessConfig(**overrides)
 
 
 @dataclass(frozen=True)
@@ -98,22 +65,29 @@ def _check_engine(algo: str) -> None:
         raise InputError(f"unknown engine {algo!r}")
 
 
-def _auto(plan: _Plan, config: HarnessConfig) -> str:
-    if plan.g.n <= config.oracle_max_n:
+# Auto's engine envelopes, tried in this order; --algo overrides them per run.
+ORACLE_MAX_N = 14
+DP_Y_MAX = 22
+DP_WX_MAX = 18
+BRANCH_KX_MAX = 24
+
+
+def _auto(plan: _Plan) -> str:
+    if plan.g.n <= ORACLE_MAX_N:
         return "oracle"
-    if plan.y is not None and plan.y <= config.dp_y_max:
+    if plan.y is not None and plan.y <= DP_Y_MAX:
         return "dp-y"
     x_eff = max(plan.x_eff, 0)
     width = plan.td.width
-    if width + x_eff <= config.dp_wx_max:
+    if width + x_eff <= DP_WX_MAX:
         return "dp-wx"
-    if x_eff + plan.k <= config.branch_kx_max:
+    if x_eff + plan.k <= BRANCH_KX_MAX:
         return "branch-kx"
-    reasons = [f"n={plan.g.n} > {config.oracle_max_n}"]
+    reasons = [f"n={plan.g.n} > {ORACLE_MAX_N}"]
     if plan.y is not None:
-        reasons.append(f"y={plan.y} > {config.dp_y_max}")
-    reasons.append(f"w+x={width}+{x_eff} > {config.dp_wx_max}")
-    reasons.append(f"x+k={x_eff}+{plan.k} > {config.branch_kx_max}")
+        reasons.append(f"y={plan.y} > {DP_Y_MAX}")
+    reasons.append(f"w+x={width}+{x_eff} > {DP_WX_MAX}")
+    reasons.append(f"x+k={x_eff}+{plan.k} > {BRANCH_KX_MAX}")
     raise EngineRefusal("instance outside every engine envelope: " + "; ".join(reasons))
 
 
@@ -123,7 +97,6 @@ def select_algorithm(
     x: int | None,
     y: int | None,
     user_choice: str = "auto",
-    config: HarnessConfig | None = None,
 ) -> str:
     """Pick an engine. An explicit choice wins; auto walks the thresholds.
 
@@ -135,7 +108,7 @@ def select_algorithm(
     _check_engine(user_choice)
     if user_choice != "auto":
         return user_choice
-    return _auto(_Plan(g, k, x, y), config or HarnessConfig())
+    return _auto(_Plan(g, k, x, y))
 
 
 def _solve_oracle(plan: _Plan, config: HarnessConfig):
@@ -162,7 +135,7 @@ ENGINES = tuple(_SOLVERS)
 def run_instance(
     inst: CncInstance,
     algo: str = "auto",
-    config: HarnessConfig | None = None,
+    config: HarnessConfig = HarnessConfig(),
     ntd: NiceTreeDecomposition | None = None,
 ) -> RunReport:
     """Solve one instance and emit a verified report.
@@ -173,7 +146,6 @@ def run_instance(
     """
     start = time.perf_counter()
     _check_engine(algo)
-    config = config or HarnessConfig.from_env()
     plan = _Plan(inst.graph, inst.k, inst.x, inst.y, ntd)
 
     # Degenerate targets never reach an engine.
@@ -183,7 +155,7 @@ def run_instance(
     elif plan.x_eff >= plan.total:
         answer, cut, stats = True, Cut(frozenset(), plan.total), {"reason": "bound already met"}
     else:
-        engine = algo if algo != "auto" else _auto(plan, config)
+        engine = algo if algo != "auto" else _auto(plan)
         answer, cut, stats = _SOLVERS[engine](plan, config)
 
     cut_out = residual = removed = None

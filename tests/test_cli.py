@@ -94,6 +94,13 @@ def test_solve_writes_certificate(tmp_path, capsys):
     assert cert.read_text(encoding="utf-8") == "3\n"
 
 
+def test_solve_ignores_cnc_config(tmp_path, capsys, monkeypatch):
+    # Auto's limits are constants; an old-style config file changes nothing.
+    monkeypatch.setenv("CNC_CONFIG", write(tmp_path, "cnc.conf", "oracle_max_n=2\n"))
+    assert main(["solve", write(tmp_path, "a.cnc", K3)]) == 0
+    assert "algorithm: oracle" in capsys.readouterr().out
+
+
 def test_td_flag_conflicts_with_other_engines(tmp_path, capsys):
     path = write(tmp_path, "a.cnc", K3)
     td = write(tmp_path, "a.td", "s td 1 3 3\nb 1 1 2 3\n")
@@ -115,6 +122,13 @@ def test_td_flag_rejects_bad_decomposition(tmp_path, capsys):
     td = write(tmp_path, "bad.td", "s td 1 2 3\nb 1 1 2\n")  # edge {2,3} uncovered
     assert main(["solve", path, "--td", td]) == 2
     assert "decomposition invalid" in capsys.readouterr().err
+
+
+def test_td_flag_rejects_malformed_file(tmp_path, capsys):
+    path = write(tmp_path, "a.cnc", K3)
+    td = write(tmp_path, "bad.td", "s td 1 3 3\nb 1 a\n")
+    assert main(["solve", path, "--td", td]) == 2
+    assert "line 2: not an integer" in capsys.readouterr().err
 
 
 def test_decompose_stdout_round_trips(tmp_path, capsys):
@@ -220,6 +234,20 @@ def test_generate_mcc(tmp_path, capsys):
     assert inst.graph.n == 138 and inst.k == 5 and inst.x == 3248
     sidecar = json.loads((tmp_path / "a.cnc.json").read_text())
     assert sidecar["total_vertices"] == 138
+
+
+@pytest.mark.parametrize(
+    "colors,sizes,flag",
+    [("0,1,x", "2,3,4,2,5,6,7", "--colors"), ("0,1", "a,1,1,1,1,1,1", "--sizes")],
+)
+def test_generate_mcc_rejects_non_integer_lists(tmp_path, capsys, colors, sizes, flag):
+    out = str(tmp_path / "a.cnc")
+    assert main([
+        "generate", "mcc", "-o", out, "--source", "path:2", "--ell", "2",
+        "--colors", colors, "--sizes", sizes,
+    ]) == 2
+    assert f"error: {flag} needs comma-separated integers" in capsys.readouterr().err
+    assert not (tmp_path / "a.cnc").exists()
 
 
 def test_generate_mcc_cap_refuses(tmp_path, capsys):

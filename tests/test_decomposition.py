@@ -212,6 +212,10 @@ def test_parse_skips_comments_and_blanks():
         ("c nothing here\n", "missing s-line"),
         ("s td 2 1 2\nb 1 1\n", "expected bags 1..2"),
         ("s td 2 1 2\nb 1 1\nb 2 2\n1 3\n", "tree edge (1,3) out of range"),
+        ("s td x 2 3\n", "line 1: not an integer in 'x 2 3'"),
+        ("s td 1 1 1\nb 1 a\n", "line 2: not an integer in '1 a'"),
+        ("s td 1 1 1\nb\n", "line 2: b-line without a bag id"),
+        ("s td 2 1 2\nb 1 1\nb 2 2\n1 x\n", "line 4: not an integer in '1 x'"),
     ],
 )
 def test_parse_errors(text, fragment):

@@ -6,7 +6,6 @@ from cncut.families import (
     CLASS_COUNTS,
     MAX_EXHAUSTIVE,
     enumerate_graphs,
-    random_gnp,
     random_graph,
 )
 from cncut.graph import InputError
@@ -39,10 +38,3 @@ def test_random_graph_exact_edges_and_determinism():
     assert a.edges == b.edges
     with pytest.raises(InputError):
         random_graph(3, 4, random.Random(0))
-
-
-def test_random_gnp():
-    assert random_gnp(5, 0.0, random.Random(1)).m == 0
-    assert random_gnp(5, 1.0, random.Random(1)).m == 10
-    with pytest.raises(InputError):
-        random_gnp(5, 1.5, random.Random(1))

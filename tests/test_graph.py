@@ -14,7 +14,6 @@ from cncut.graph import (
     empty_graph,
     induced_subgraph,
     is_bipartite,
-    iter_edges_sorted,
     pairs_removed,
     path_graph,
     remove_isolated,
@@ -44,7 +43,7 @@ def test_construction_rejects_bad_edges():
 def test_edges_are_normalized():
     g = Graph.from_edges(3, [(2, 0)])
     assert g.has_edge(0, 2) and g.has_edge(2, 0)
-    assert list(iter_edges_sorted(g)) == [(0, 2)]
+    assert sorted(g.edges) == [(0, 2)]
     with pytest.raises(InputError):
         Graph(3, [(2, 0)])
 

@@ -13,9 +13,20 @@ from cncut.bench import (
 )
 from cncut.decomposition import StructuralError, TreeDecomposition, make_nice
 from cncut.graph import InputError, complete_graph, connected_pairs, path_graph, verify_solution
-from cncut.harness import ENGINES, EngineRefusal, HarnessConfig, RunReport, select_algorithm, run_instance
+from cncut.harness import (
+    BRANCH_KX_MAX,
+    DP_WX_MAX,
+    DP_Y_MAX,
+    ENGINES,
+    ORACLE_MAX_N,
+    EngineRefusal,
+    HarnessConfig,
+    RunReport,
+    run_instance,
+    select_algorithm,
+)
 from cncut.instance_io import CncInstance, parse_instance
-from cncut.oracle import oracle_decides
+from cncut.oracle import DEFAULT_CAP, oracle_decides
 
 from .strategies import graphs
 
@@ -57,49 +68,19 @@ def test_unknown_engine_rejected_on_trivial_instance():
         run_instance(CncInstance(complete_graph(3), 0, x=6), algo="no-such-engine")
 
 
-def test_select_respects_config_thresholds():
-    g = complete_graph(3)
-    tight = HarnessConfig(oracle_max_n=2)
-    assert select_algorithm(g, 1, 2, None, config=tight) == "dp-wx"
-    tighter = dataclasses.replace(tight, dp_wx_max=0)
-    assert select_algorithm(g, 1, 2, None, config=tighter) == "branch-kx"
-    with pytest.raises(EngineRefusal):
-        select_algorithm(g, 1, 2, None, config=dataclasses.replace(tighter, branch_kx_max=0))
+def test_select_dense_graph_goes_to_branching():
+    # K20: n > ORACLE_MAX_N and heuristic width 19 + x 4 > DP_WX_MAX, but x + k = 6.
+    assert select_algorithm(complete_graph(20), 2, 4, None) == "branch-kx"
+    report = run_instance(CncInstance(complete_graph(20), 2, x=4))
+    assert report.algorithm == "branch-kx" and report.answer == "NO"
 
 
 # --- config ----------------------------------------------------------------
 
 def test_config_defaults_without_env():
-    cfg = HarnessConfig.from_env(environ={})
-    assert (cfg.oracle_max_n, cfg.dp_y_max, cfg.branch_kx_max, cfg.dp_wx_max) == (14, 22, 24, 18)
-    assert len(dataclasses.fields(cfg)) == 5
-
-
-def test_config_file_overrides(tmp_path):
-    path = tmp_path / "cnc.conf"
-    path.write_text("# tuned down\noracle_max_n = 5\n\ndp_y_max=3\n", encoding="utf-8")
-    cfg = HarnessConfig.from_env(environ={"CNC_CONFIG": str(path)})
-    assert cfg.oracle_max_n == 5 and cfg.dp_y_max == 3
-    assert cfg.branch_kx_max == 24
-
-
-@pytest.mark.parametrize(
-    "body,fragment",
-    [
-        ("bogus_key=1\n", "unknown config key"),
-        ("workers=2\n", "unknown config key"),
-        ("materialize_cap=5\n", "unknown config key"),
-        ("dp_y_max=three\n", "not an integer"),
-        ("dp_y_max\n", "expected key=value"),
-    ],
-)
-def test_config_file_errors(tmp_path, body, fragment):
-    path = tmp_path / "cnc.conf"
-    path.write_text(body, encoding="utf-8")
-    with pytest.raises(InputError) as exc:
-        HarnessConfig.from_env(environ={"CNC_CONFIG": str(path)})
-    assert fragment in str(exc.value)
-    assert str(path) + ":1:" in str(exc.value)
+    assert [f.name for f in dataclasses.fields(HarnessConfig)] == ["oracle_cap"]
+    assert HarnessConfig().oracle_cap == DEFAULT_CAP
+    assert (ORACLE_MAX_N, DP_Y_MAX, DP_WX_MAX, BRANCH_KX_MAX) == (14, 22, 18, 24)
 
 
 # --- run_instance ----------------------------------------------------------
@@ -122,7 +103,7 @@ def test_run_report_to_dict_uses_one_based_ids():
     d = report.to_dict()
     assert d["cut"] == [3]
     assert d["algorithm"] == "oracle"
-    assert d["config"]["oracle_max_n"] == 14
+    assert d["config"] == {"oracle_cap": DEFAULT_CAP}
 
 
 def test_wall_ms_covers_verification(monkeypatch):
