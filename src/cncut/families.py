@@ -88,6 +88,8 @@ def enumerate_graphs(n: int) -> list[Graph]:
 def random_graph(n: int, m: int, rng: random.Random) -> Graph:
     """Uniform simple graph with exactly m edges."""
     pool = list(combinations(range(n), 2))
+    if m < 0:
+        raise InputError(f"edge count must be nonnegative, got {m}")
     if m > len(pool):
         raise InputError(f"cannot place {m} edges on {n} vertices")
     return Graph.from_edges(n, rng.sample(pool, m))

@@ -6,7 +6,7 @@ contributes s*(s-1). All solvers in this package share that convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -268,10 +268,3 @@ def disjoint_union(graphs: Iterable[Graph]) -> tuple[Graph, tuple[tuple[int, ...
         spans.append(tuple(range(offset, offset + g.n)))
         offset += g.n
     return Graph.from_edges(offset, edges), tuple(spans)
-
-
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph on the given vertices; returns (graph, new->old table)."""
-    keep = g._check_vertex_set(vertices)
-    others = [v for v in range(g.n) if v not in keep]
-    return remove_vertices(g, others)

@@ -34,6 +34,8 @@ class CncInstance:
             raise InputError("budget k must be nonnegative")
         if self.x is not None and self.x < 0:
             raise InputError("pair bound x must be nonnegative")
+        if self.y is not None and self.y < 0:
+            raise InputError("removal target y must be nonnegative")
         for text in self.comments:
             if "\n" in text or "\r" in text:
                 raise InputError("comments must be single lines")

@@ -10,7 +10,9 @@ witness. `evaluated` counts the subsets tried so far, the yielded one included.
 `oracle_min_pairs` keeps the last yield and stops at 0 pairs; `oracle_decides`
 stops at the first yield under bound x; `oracle_max_removed_exact` keeps the
 last yield over the one size k; `branching.extend_minimal_cover` stops at the
-first yield under bound x, over the vertices that still have an edge.
+first yield under bound x, over the vertices that still have an edge;
+`component_dp.build_removal_table` keeps, for each budget j, the last yield of
+size at most j over one component's vertices.
 """
 
 from __future__ import annotations

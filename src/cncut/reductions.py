@@ -298,12 +298,6 @@ class MccLayout:
     edge_guard: dict
     validation: dict  # (i, j, order) -> range
 
-    def low(self, u: int) -> int:
-        return u + 1
-
-    def high(self, u: int) -> int:
-        return 2 * self.n + 1 - self.low(u)
-
     def roles(self) -> tuple[str, ...]:
         out = [""] * self.total
         for rng in self.core_clique.values():

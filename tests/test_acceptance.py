@@ -391,7 +391,7 @@ def test_round_trip_thousand():
         if rng.random() < 0.5:
             inst = CncInstance(g, k, x=rng.randrange(0, 200), comments=comments)
         else:
-            inst = CncInstance(g, k, y=rng.randrange(-10, 200), comments=comments)
+            inst = CncInstance(g, k, y=rng.randrange(0, 200), comments=comments)
         text = serialize_instance(inst)
         again = parse_instance(text)
         if serialize_instance(again) != text:

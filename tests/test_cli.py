@@ -74,7 +74,10 @@ def test_nonpositive_reps_is_a_usage_error(capsys, reps):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("family", ["all:n=abc:k=0:x=0", "random:n=5:m=4:count=-1:k=0:x=0"])
+@pytest.mark.parametrize(
+    "family",
+    ["all:n=abc:k=0:x=0", "random:n=5:m=4:count=-1:k=0:x=0", "random:n=4:m=-1:count=1:k=0:x=0"],
+)
 def test_bad_family_spec_is_an_input_error(capsys, family):
     assert main(["bench", "--family", family]) == 2
     assert "error:" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,13 +12,14 @@ from cncut.graph import (
     empty_graph,
     pairs_removed,
     path_graph,
+    remove_vertices,
 )
 from cncut.component_dp import (
     build_removal_table,
     shortcut_checks,
     solve_y,
 )
-from cncut.oracle import oracle_min_pairs
+from cncut.oracle import CapExceeded, oracle_max_removed_exact, oracle_min_pairs
 
 from .strategies import graphs
 
@@ -83,6 +86,27 @@ def test_removal_table_two_triangles():
 def test_removal_table_budget_clamped_to_component_size():
     table = build_removal_table(TWO_EDGES, 3)
     assert table.values == ((0, 2, 2), (0, 2, 2))
+
+
+def test_removal_table_refuses_above_cap():
+    with pytest.raises(CapExceeded) as exc:
+        build_removal_table(complete_graph(6), 3, cap=10)
+    assert (exc.value.candidates, exc.value.cap, exc.value.n, exc.value.k) == (15, 10, 6, 2)
+
+
+@given(graphs(max_n=7), st.integers(0, 3))
+def test_removal_table_matches_oracle_per_component(g, k):
+    table = build_removal_table(g, k)
+    for i, verts in enumerate(table.components):
+        comp, _ = remove_vertices(g, set(range(g.n)) - set(verts))
+        s = len(verts)
+        assert len(table.values[i]) == min(k, s) + 1
+        for j, value in enumerate(table.values[i]):
+            assert value == oracle_max_removed_exact(comp, j).max_removed
+            witness = table.witnesses[i][j]
+            assert len(witness) <= j and witness <= set(verts)
+            assert pairs_removed(g, witness) == value
+        assert table.subsets_examined[i] == sum(comb(s, j) for j in range(min(k, s) + 1))
 
 
 def test_solve_two_triangles_split_budget():

@@ -38,3 +38,5 @@ def test_random_graph_exact_edges_and_determinism():
     assert a.edges == b.edges
     with pytest.raises(InputError):
         random_graph(3, 4, random.Random(0))
+    with pytest.raises(InputError):
+        random_graph(4, -1, random.Random(0))

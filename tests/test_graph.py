@@ -12,7 +12,6 @@ from cncut.graph import (
     degeneracy,
     disjoint_union,
     empty_graph,
-    induced_subgraph,
     is_bipartite,
     pairs_removed,
     path_graph,
@@ -236,9 +235,3 @@ def test_disjoint_union_offsets():
     g, offsets = disjoint_union([K3, path_graph(2)])
     assert g.n == 5 and g.m == 4
     assert offsets[1][0] == 3
-
-
-def test_induced_subgraph():
-    h, order = induced_subgraph(P4, {0, 1, 3})
-    assert h.n == 3 and h.m == 1
-    assert order == (0, 1, 3)

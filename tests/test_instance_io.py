@@ -61,7 +61,8 @@ def test_instance_validation():
         CncInstance(path_graph(2), 1, x=-1)
     with pytest.raises(InputError):
         CncInstance(path_graph(2), 1, x=0, comments=("two\nlines",))
-    CncInstance(path_graph(2), 1, y=-5)
+    with pytest.raises(InputError):
+        CncInstance(path_graph(2), 1, y=-5)
 
 
 @pytest.mark.parametrize(
@@ -89,6 +90,7 @@ def test_instance_validation():
         ("p cnc 1 0\nx 0\n", 3, "missing k line"),
         ("p cnc 1 0\nk 0\n", 3, "missing x or y line"),
         ("p cnc 1 0\nk -1\nx 0\n", 4, "budget k must be nonnegative"),
+        ("p cnc 1 0\nk 0\ny -3\n", 4, "removal target y must be nonnegative"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line_no, fragment):
@@ -105,7 +107,7 @@ def instances(draw):
     comments = tuple(draw(st.lists(st.sampled_from(["", "note", "two words"]), max_size=2)))
     if draw(st.booleans()):
         return CncInstance(g, k, x=draw(st.integers(0, 60)), comments=comments)
-    return CncInstance(g, k, y=draw(st.integers(-5, 60)), comments=comments)
+    return CncInstance(g, k, y=draw(st.integers(0, 60)), comments=comments)
 
 
 @given(instances())
