@@ -315,7 +315,7 @@ def cmd_bench(args) -> int:
 
 def cmd_verify(args) -> int:
     inst = parse_instance(_read_text(args.instance))
-    ids: list[int] = []
+    ids: set[int] = set()
     for line_no, raw in enumerate(_read_text(args.cut).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -326,7 +326,9 @@ def cmd_verify(args) -> int:
             raise InputError(f"cut file line {line_no}: not a vertex id: {line!r}") from None
         if not (1 <= v <= inst.graph.n):
             raise InputError(f"cut file line {line_no}: vertex {v} out of range")
-        ids.append(v - 1)
+        if v - 1 in ids:
+            raise InputError(f"cut file line {line_no}: duplicate vertex {v}")
+        ids.add(v - 1)
     res = verify_solution(inst.graph, ids, inst.k, inst.x_equivalent())
     payload = {
         "valid": res.ok,

@@ -392,8 +392,9 @@ def nice_annotations(ntd: NiceTreeDecomposition) -> str:
             lines.append(f"c nice {i + 1} {nd.kind} {nd.vertex + 1}")
         else:
             lines.append(f"c nice {i + 1} {nd.kind}")
-    lines.append(f"c nice-root {ntd.root + 1}")
-    return "\n".join(lines) + "\n"
+    if ntd.nodes:
+        lines.append(f"c nice-root {ntd.root + 1}")
+    return "".join(line + "\n" for line in lines)
 
 
 def _td_ints(tokens: list[str], lineno: int) -> list[int]:

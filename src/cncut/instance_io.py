@@ -120,7 +120,7 @@ def parse_instance(text: str) -> CncInstance:
             continue
         raise ParseError(line_no, f"unrecognized line type {tag!r}")
 
-    last = text.count("\n") + 1
+    last = max(1, len(text.splitlines()))
     if n is None:
         raise ParseError(last, "missing problem line")
     if len(edges) != m:

@@ -7,6 +7,10 @@ sizes. Feasibility is monotone in x' under every rule (introduce adds a fixed
 pair increment, forget preserves, join adds), so tables store one minimal x'
 per structural key; `expanded_count` sizes the full feasible key set.
 
+Vertex sets are int bitmasks over vertex ids, as in `oracle` and `branching`.
+The blocks of a key are (vertex mask, true size) pairs sorted by mask; the
+masks are disjoint, so each structure has exactly one key.
+
 Every rule walks its child tables in insertion order. `offer` keeps the
 least x' per key, so each table's key set and each key's x' are the same in
 any order; only the back-pointer kept among entries of equal x' (and so the
@@ -17,14 +21,14 @@ side's blocks partition bag - D, so every bag vertex lies in exactly one
 left block and one right block. Two blocks that share a vertex lie in one
 component of the joined graph, and blocks that share none are not joined
 through the bag, so the joined components are the classes of "shares a
-vertex". Each class's true size is the sum of both sides' sizes less the
-class's bag vertices, which both sides counted.
-- When the two sides have the same blocks, every class is one block, so the
-  blocks stay and a block B of sizes a and b gets size a + b - |B|.
-- Otherwise each right block is fused, in turn, with every current group it
-  meets; a group starts as a left block, and the right blocks partition
-  bag - D, so the groups end as the classes, each with size the sum of its
-  left sizes plus, for each right block B it took in, size(B) - |B|.
+vertex". Each right block is fused, in turn, with every current group it
+meets; a group starts as a left block, and the right blocks partition
+bag - D, so the groups end as the classes. Each class's true size is the sum
+of its left sizes plus, for each right block B it took in, size(B) - |B|:
+both sides counted the class's bag vertices. The groups also end sorted by
+mask, with no sort: the right blocks come in mask order, which for disjoint
+masks is the order of their highest vertices, so each class is appended for
+the last time by the right block that holds the class's highest vertex.
 """
 
 from __future__ import annotations
@@ -41,21 +45,11 @@ from .decomposition import (
     validate_nice,
 )
 
-# Structural key: (k_used, deleted bag subset, blocks, sizes), blocks ordered
-# by smallest member, sizes aligned with blocks.
-Struct = tuple[int, frozenset, tuple, tuple]
+# Structural key: (k_used, deleted bag subset as a mask, blocks), blocks a
+# tuple of (vertex mask, true size) pairs sorted by mask.
+Struct = tuple[int, int, tuple]
 
 BackPointer = tuple
-
-
-def _canon_blocks(
-    blocks: list[frozenset[int]], sizes: list[int]
-) -> tuple[tuple, tuple]:
-    order = sorted(range(len(blocks)), key=lambda i: min(blocks[i]))
-    return (
-        tuple(blocks[i] for i in order),
-        tuple(sizes[i] for i in order),
-    )
 
 
 class DpTable:
@@ -87,95 +81,59 @@ class DpTable:
 def leaf_table(v: int, k: int, x: int) -> DpTable:
     """Two families: v kept as a singleton block, or v deleted when k allows."""
     table = DpTable(x)
-    table.offer((0, frozenset(), (frozenset([v]),), (1,)), 0, ("leaf", v, False))
+    bit = 1 << v
+    table.offer((0, 0, ((bit, 1),)), 0, ("leaf", v, False))
     if k >= 1:
-        table.offer((1, frozenset([v]), (), ()), 0, ("leaf", v, True))
+        table.offer((1, bit, ()), 0, ("leaf", v, True))
     return table
 
 
 def introduce_table(
-    child: DpTable, v: int, bag_neighbors: frozenset[int], k: int, x: int
+    child: DpTable, v: int, bag_neighbors: int, k: int, x: int
 ) -> DpTable:
     """Add v to the bag: delete it, keep it apart, or keep it merging blocks.
 
-    bag_neighbors are v's graph neighbors inside the child bag; by the
-    decomposition's running-intersection property these are all the neighbors
-    v has in the subtree graph. Keeping v apart is the merge of no blocks.
+    bag_neighbors is the mask of v's graph neighbors inside the child bag; by
+    the decomposition's running-intersection property these are all the
+    neighbors v has in the subtree graph. Keeping v apart is the merge of no
+    blocks.
     """
     table = DpTable(x)
-    vset = frozenset([v])
-    layouts: dict[tuple, tuple] = {}
+    bit = 1 << v
     for struct, (min_x, _) in child.entries.items():
-        k_used, deleted, blocks, sizes = struct
+        k_used, deleted, blocks = struct
         if k_used < k:
-            table.offer(
-                (k_used + 1, deleted | vset, blocks, sizes),
-                min_x,
-                ("intro-del", struct, v),
-            )
-        layout = layouts.get(blocks)
-        if layout is None:
-            layout = layouts[blocks] = _introduce_layout(blocks, vset, bag_neighbors)
-        hits, rest, pos, nb = layout
-        m_sum = x_new = 0
-        if hits:
-            # v joins blocks of sizes s_i into one of 1 + m_sum vertices:
-            # 2 * m_sum pairs with v, and s_i * s_j for each pair of blocks.
-            hit_sizes = [sizes[i] for i in hits]
-            m_sum = sum(hit_sizes)
-            x_new = 2 * m_sum + m_sum * m_sum - sum(s * s for s in hit_sizes)
-        x_new += min_x
+            table.offer((k_used + 1, deleted | bit, blocks), min_x, ("intro-del", struct, v))
+        # v joins blocks of sizes s_i into one of 1 + m_sum vertices:
+        # 2 * m_sum pairs with v, and s_i * s_j for each pair of blocks.
+        merged, m_sum, squares, rest = bit, 0, 0, []
+        for block in blocks:
+            if block[0] & bag_neighbors:
+                merged |= block[0]
+                m_sum += block[1]
+                squares += block[1] * block[1]
+            else:
+                rest.append(block)
+        x_new = min_x + 2 * m_sum + m_sum * m_sum - squares
         if x_new <= x:
-            ns = [sizes[i] for i in rest]
-            ns.insert(pos, 1 + m_sum)
-            table.offer((k_used, deleted, nb, tuple(ns)), x_new, ("intro-keep", struct))
+            rest.append((merged, 1 + m_sum))
+            rest.sort()
+            table.offer((k_used, deleted, tuple(rest)), x_new, ("intro-keep", struct))
     return table
-
-
-def _introduce_layout(
-    blocks: tuple, vset: frozenset[int], bag_neighbors: frozenset[int]
-) -> tuple[tuple, tuple, int, tuple]:
-    """How keeping v reshapes `blocks`, whatever the sizes.
-
-    Returns the indices of the blocks v merges with, the indices of the other
-    blocks by smallest member, the position of the merged block among them,
-    and the resulting canonical blocks.
-    """
-    hits = tuple(i for i, b in enumerate(blocks) if not b.isdisjoint(bag_neighbors))
-    rest = sorted(
-        (i for i in range(len(blocks)) if i not in hits), key=lambda i: min(blocks[i])
-    )
-    merged = vset.union(*(blocks[i] for i in hits))
-    low = min(merged)
-    pos = sum(1 for i in rest if min(blocks[i]) < low)
-    nb = [blocks[i] for i in rest]
-    nb.insert(pos, merged)
-    return hits, tuple(rest), pos, tuple(nb)
 
 
 def forget_table(child: DpTable, v: int) -> DpTable:
     """Drop v from the bag; a block emptied by this is a finalized component."""
     table = DpTable(child.x_cap)
-    vset = frozenset([v])
-    layouts: dict[tuple, tuple] = {}
+    bit = 1 << v
     for struct, (min_x, _) in child.entries.items():
-        k_used, deleted, blocks, sizes = struct
-        if v in deleted:
-            new_struct: Struct = (k_used, deleted - vset, blocks, sizes)
+        k_used, deleted, blocks = struct
+        if deleted & bit:
+            new_struct: Struct = (k_used, deleted ^ bit, blocks)
         else:
-            layout = layouts.get(blocks)
-            if layout is None:
-                # An emptied block is dropped: its pairs are already inside x'.
-                kept = sorted(
-                    ((b - vset, i) for i, b in enumerate(blocks) if b != vset),
-                    key=lambda bi: min(bi[0]),
-                )
-                layout = layouts[blocks] = (
-                    tuple(b for b, _ in kept),
-                    tuple(i for _, i in kept),
-                )
-            nb, order = layout
-            new_struct = (k_used, deleted, nb, tuple([sizes[i] for i in order]))
+            # An emptied block is dropped: its pairs are already inside x'.
+            kept = sorted((b & ~bit, s) for b, s in blocks if b != bit)
+            new_struct = (k_used, deleted, tuple(kept))
         table.offer(new_struct, min_x, ("forget", struct))
     return table
 
@@ -190,7 +148,7 @@ def join_table(left: DpTable, right: DpTable, k: int, x: int) -> DpTable:
     counted twice.
     """
     table = DpTable(x)
-    by_deleted_left: dict[frozenset[int], list] = {}
+    by_deleted_left: dict[int, list] = {}
     for struct, (l_min, _) in left.entries.items():
         by_deleted_left.setdefault(struct[1], []).append((struct, l_min))
     for r_struct, (r_min, _) in right.entries.items():
@@ -198,7 +156,7 @@ def join_table(left: DpTable, right: DpTable, k: int, x: int) -> DpTable:
         matches = by_deleted_left.get(deleted)
         if not matches:
             continue
-        k_room = k - rk + len(deleted)  # the largest left k_used that fits
+        k_room = k - rk + deleted.bit_count()  # the largest left k_used that fits
         for l_struct, l_min in matches:
             if l_struct[0] > k_room:
                 continue
@@ -212,36 +170,28 @@ def join_table(left: DpTable, right: DpTable, k: int, x: int) -> DpTable:
 def _join_pair(
     l_struct: Struct, l_min: int, r_struct: Struct, r_min: int, k: int, x: int
 ) -> tuple[Struct, int] | None:
-    lk, deleted, lblocks, lsizes = l_struct
-    rk, _, rblocks, rsizes = r_struct
-    k_new = lk + rk - len(deleted)
+    lk, deleted, lblocks = l_struct
+    rk, _, rblocks = r_struct
+    k_new = lk + rk - deleted.bit_count()
     if k_new > k:
         return None
-    old_pairs = sum(s * (s - 1) for s in lsizes) + sum(s * (s - 1) for s in rsizes)
-    if lblocks == rblocks:
-        sizes = tuple(a + b - len(blk) for a, b, blk in zip(lsizes, rsizes, lblocks))
-        x_new = l_min + r_min + sum(s * (s - 1) for s in sizes) - old_pairs
-        if x_new > x:
-            return None
-        return (k_new, deleted, lblocks, sizes), x_new
-
-    groups = list(zip(lblocks, lsizes))
-    for rb, rs in zip(rblocks, rsizes):
-        members, size = rb, rs - len(rb)
+    old_pairs = sum(s * (s - 1) for _, s in lblocks) + sum(s * (s - 1) for _, s in rblocks)
+    groups = list(lblocks)
+    for rb, rs in rblocks:
+        members, size = rb, rs - rb.bit_count()
         rest = []
         for group in groups:
-            if group[0].isdisjoint(rb):
-                rest.append(group)
-            else:
-                members = members | group[0]
+            if group[0] & rb:
+                members |= group[0]
                 size += group[1]
+            else:
+                rest.append(group)
         rest.append((members, size))
         groups = rest
     x_new = l_min + r_min + sum(s * (s - 1) for _, s in groups) - old_pairs
     if x_new > x:
         return None
-    nb, ns = _canon_blocks([b for b, _ in groups], [s for _, s in groups])
-    return (k_new, deleted, nb, ns), x_new
+    return (k_new, deleted, tuple(groups)), x_new
 
 
 @dataclass
@@ -280,7 +230,8 @@ def compute_tables(
             tables.append(leaf_table(nd.vertex, k, x))
         elif nd.kind == "introduce":
             child = nd.children[0]
-            bag_neighbors = g.neighbors(nd.vertex) & ntd.nodes[child].bag
+            bag_mask = sum(1 << u for u in ntd.nodes[child].bag)
+            bag_neighbors = g.adjacency_masks[nd.vertex] & bag_mask
             tables.append(
                 introduce_table(tables[child], nd.vertex, bag_neighbors, k, x)
             )

@@ -172,6 +172,13 @@ def test_verify_rejects_out_of_range_id(tmp_path, capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+def test_verify_rejects_duplicate_id(tmp_path, capsys):
+    path = write(tmp_path, "a.cnc", K3)
+    cut = write(tmp_path, "cut.txt", "1\n1\n")
+    assert main(["verify", path, "--cut", cut]) == 2
+    assert "cut file line 2: duplicate vertex 1" in capsys.readouterr().err
+
+
 def test_kernelize_star(tmp_path, capsys):
     star = "p cnc 6 5\ne 1 2\ne 1 3\ne 1 4\ne 1 5\ne 1 6\nk 1\nx 0\n"
     assert main(["kernelize", write(tmp_path, "a.cnc", star), "--json"]) == 0

@@ -183,6 +183,7 @@ def test_serialize_format():
 def test_annotations_format():
     ntd = make_nice(TreeDecomposition((frozenset({0}),), ()))
     assert nice_annotations(ntd) == "c nice 1 leaf\nc nice 2 forget 1\nc nice-root 2\n"
+    assert nice_annotations(NiceTreeDecomposition(())) == ""
 
 
 def test_parse_round_trip():
