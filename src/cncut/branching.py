@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
-from .graph import Cut, Graph, InputError, verify_solution
+from .graph import Cut, Graph, InputError, bits, verify_solution
 from .oracle import _scan
 
 
@@ -94,10 +94,6 @@ def _covers(masks: tuple[int, ...], k: int, budget: int, stats: BranchStats) -> 
             stack.append((_without(adj, u), u, chosen | 1 << u, k_rem - 1, x_rem))
 
 
-def _vertex_set(mask: int) -> frozenset[int]:
-    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
 def enumerate_minimal_covers(
     g: Graph, k: int, x: int
 ) -> tuple[list[frozenset[int]], BranchStats]:
@@ -109,7 +105,7 @@ def enumerate_minimal_covers(
     """
     _check_parameters(k, x)
     stats = BranchStats()
-    found = {_vertex_set(c) for c in _covers(g.adjacency_masks, k, x, stats)}
+    found = {frozenset(bits(c)) for c in _covers(g.adjacency_masks, k, x, stats)}
     minimal = _inclusion_minimal(found)
     stats.minimal_solutions_found = len(minimal)
     return minimal, stats
@@ -176,7 +172,7 @@ def solve_branch_kx(g: Graph, k: int, x: int) -> BranchDecision:
             continue
         extended.add(cover)
         stats.minimal_solutions_found += 1
-        cut = extend_minimal_cover(g, _vertex_set(cover), k, x, stats)
+        cut = extend_minimal_cover(g, frozenset(bits(cover)), k, x, stats)
         if cut is not None:
             report = verify_solution(g, cut.vertices, k, x)
             if not report.ok or report.residual_pairs != cut.residual_pairs:

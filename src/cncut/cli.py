@@ -205,7 +205,7 @@ def cmd_generate(args) -> int:
         out = builder(src)
         inst = CncInstance(out.graph, out.k, y=out.y)
         sidecar.update({"source": args.source[0], "ell": args.ell,
-                        "roles": list(out.roles), "notes": _jsonable(out.notes)})
+                        "roles": list(out.roles), "notes": out.notes})
     elif args.kind == "compose":
         if not args.source or len(args.source) < 2:
             raise InputError("generate compose needs two or more --source")
@@ -215,7 +215,7 @@ def cmd_generate(args) -> int:
         out = cross_compose(instances, args.ell)
         inst = CncInstance(out.graph, out.k, y=out.y)
         sidecar.update({"sources": list(args.source), "ell": args.ell,
-                        "roles": list(out.roles), "notes": _jsonable(out.notes)})
+                        "roles": list(out.roles), "notes": out.notes})
     elif args.kind == "mcc":
         if not args.source or len(args.source) != 1:
             raise InputError("generate mcc needs exactly one --source")
@@ -237,7 +237,7 @@ def cmd_generate(args) -> int:
         sidecar.update({
             "source": args.source[0], "ell": args.ell, "colors": list(colors),
             "sizes": dataclasses.asdict(sizes), "roles": list(out.roles),
-            "notes": _jsonable(out.notes), "total_vertices": layout.total,
+            "notes": out.notes, "total_vertices": layout.total,
         })
     else:
         raise InputError(f"unknown generate kind {args.kind!r}")
@@ -251,14 +251,6 @@ def cmd_generate(args) -> int:
     print(f"wrote {args.out} (n={inst.graph.n} m={inst.graph.m} k={inst.k}) "
           f"and {args.out}.json")
     return 0
-
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
 
 
 def cmd_decompose(args) -> int:

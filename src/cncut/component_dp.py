@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .graph import Cut, Graph, InputError, connected_components, connected_pairs, verify_solution
-from .oracle import DEFAULT_CAP, CapExceeded, _pairs_of_alive, _scan
+from .graph import Cut, Graph, InputError, bits, connected_pairs, pairs_of_alive, verify_solution
+from .oracle import DEFAULT_CAP, CapExceeded, _scan
 
 
 @dataclass
@@ -51,14 +51,14 @@ def shortcut_checks(g: Graph, k: int, y: int) -> YDecision | None:
     if k < 0:
         raise InputError(f"budget must be nonnegative, got {k}")
     masks, alive = g.adjacency_masks, (1 << g.n) - 1
-    total = _pairs_of_alive(masks, alive)
+    total = connected_pairs(g)
     if y <= 0:
         return YDecision(True, Cut(frozenset(), total), SolveYStats(shortcut="trivial"))
 
-    labeling = connected_components(g)
-    if k >= 1 and any(s > y for s in labeling.sizes):
-        big = min(v for v in range(g.n) if labeling.sizes[labeling.labels[v]] > y)
-        residual = _pairs_of_alive(masks, alive & ~(1 << big))
+    large = next((c for c in g.components if c.bit_count() > y), 0)
+    if k >= 1 and large:
+        big = next(bits(large))
+        residual = pairs_of_alive(masks, alive & ~(1 << big))
         if total - residual >= y:
             stats = SolveYStats(shortcut="large-component")
             return YDecision(True, Cut(frozenset([big]), residual), stats)
@@ -72,12 +72,12 @@ def shortcut_checks(g: Graph, k: int, y: int) -> YDecision | None:
         # lands. Only an actually accumulated >= y is reported.
         chosen: list[int] = []
         for _ in range(k):
-            v = next((u for u in range(g.n) if alive >> u & 1 and masks[u] & alive), None)
+            v = next((u for u in bits(alive) if masks[u] & alive), None)
             if v is None:
                 break
             alive &= ~(1 << v)
             chosen.append(v)
-            residual = _pairs_of_alive(masks, alive)
+            residual = pairs_of_alive(masks, alive)
             if total - residual >= y:
                 stats = SolveYStats(shortcut="greedy-2k")
                 return YDecision(True, Cut(frozenset(chosen), residual), stats)
@@ -91,15 +91,11 @@ def build_removal_table(g: Graph, k: int, cap: int = DEFAULT_CAP) -> RemovalTabl
     only, so the last yield of size <= j is the best cut of at most j
     vertices. Each size is refused on its own above cap, as the oracle does.
     """
-    labeling = connected_components(g)
-    components: list[list[int]] = [[] for _ in range(labeling.count)]
-    for v in range(g.n):
-        components[labeling.labels[v]].append(v)
-
+    components = tuple(tuple(bits(comp)) for comp in g.components)
     values: list[tuple[int, ...]] = []
     witnesses: list[tuple[frozenset[int], ...]] = []
     examined: list[int] = []
-    for verts in components:
+    for comp, verts in zip(g.components, components):
         s = len(verts)
         counts = [comb(s, j) for j in range(min(k, s) + 1)]
         for j, count in enumerate(counts):
@@ -107,16 +103,13 @@ def build_removal_table(g: Graph, k: int, cap: int = DEFAULT_CAP) -> RemovalTabl
                 raise CapExceeded(count, cap, s, j)
         cuts: list[tuple[int, ...]] = [()] * len(counts)
         left = [0] * len(counts)
-        alive = sum(1 << v for v in verts)
-        for subset, pairs, _ in _scan(g.adjacency_masks, alive, verts, range(len(counts)), None):
+        for subset, pairs, _ in _scan(g.adjacency_masks, comp, verts, range(len(counts)), None):
             for j in range(len(subset), len(counts)):
                 cuts[j], left[j] = subset, pairs
         values.append(tuple(s * (s - 1) - pairs for pairs in left))
         witnesses.append(tuple(frozenset(cut) for cut in cuts))
         examined.append(sum(counts))
-    return RemovalTable(
-        tuple(map(tuple, components)), tuple(values), tuple(witnesses), tuple(examined)
-    )
+    return RemovalTable(components, tuple(values), tuple(witnesses), tuple(examined))
 
 
 def solve_y(g: Graph, k: int, y: int, cap: int = DEFAULT_CAP) -> YDecision:

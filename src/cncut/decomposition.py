@@ -71,7 +71,7 @@ def heuristic_decomposition(g) -> TreeDecomposition:
     if n == 0:
         return TreeDecomposition((), ())
 
-    adj: dict[int, set[int]] = {v: set(g.adjacency[v]) for v in range(n)}
+    adj: dict[int, set[int]] = {v: set(g.neighbors(v)) for v in range(n)}
     bags: list[frozenset[int]] = []
     position: dict[int, int] = {}
     elim_neighbors: list[set[int]] = []

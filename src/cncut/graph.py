@@ -2,13 +2,15 @@
 
 Connectivity is always measured in ordered pairs: a component with s vertices
 contributes s*(s-1). All solvers in this package share that convention.
+Vertex sets are int bitmasks: a graph holds its adjacency as one mask per
+vertex and finds its components once, as one mask each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
 class InputError(ValueError):
@@ -21,6 +23,14 @@ class Refusal(RuntimeError):
 
 def _normalize_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
+
+
+def bits(mask: int) -> Iterator[int]:
+    """The vertices of a vertex mask, smallest first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -44,21 +54,31 @@ class Graph:
         return Graph(n, frozenset(_normalize_edge(u, v) for u, v in edges))
 
     @cached_property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        nbrs: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return tuple(frozenset(s) for s in nbrs)
-
-    @cached_property
     def adjacency_masks(self) -> tuple[int, ...]:
-        # Bitmask form of the adjacency, used by the subset-enumeration oracle.
+        """The adjacency, one int per vertex with bit w set for each neighbour w."""
         masks = [0] * self.n
         for u, v in self.edges:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         return tuple(masks)
+
+    @cached_property
+    def components(self) -> tuple[int, ...]:
+        """One vertex mask per connected component, ordered by smallest vertex."""
+        masks = self.adjacency_masks
+        found: list[int] = []
+        remaining = (1 << self.n) - 1
+        while remaining:
+            comp = frontier = remaining & -remaining
+            while frontier:
+                reach = 0
+                for v in bits(frontier):
+                    reach |= masks[v]
+                frontier = reach & ~comp
+                comp |= frontier
+            found.append(comp)
+            remaining &= ~comp
+        return tuple(found)
 
     @property
     def m(self) -> int:
@@ -66,11 +86,11 @@ class Graph:
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        return len(self.adjacency[v])
+        return self.adjacency_masks[v].bit_count()
 
     def neighbors(self, v: int) -> frozenset[int]:
         self._check_vertex(v)
-        return self.adjacency[v]
+        return frozenset(bits(self.adjacency_masks[v]))
 
     def has_edge(self, u: int, v: int) -> bool:
         return _normalize_edge(u, v) in self.edges
@@ -119,31 +139,49 @@ class VerifyReport:
 
 
 def connected_components(g: Graph) -> ComponentLabeling:
-    """Label components with consecutive ints, iterative DFS, smallest root first."""
-    labels = [-1] * g.n
-    sizes: list[int] = []
-    adj = g.adjacency
-    for start in range(g.n):
-        if labels[start] != -1:
-            continue
-        label = len(sizes)
-        stack = [start]
-        labels[start] = label
-        size = 0
-        while stack:
-            v = stack.pop()
-            size += 1
-            for w in adj[v]:
-                if labels[w] == -1:
-                    labels[w] = label
-                    stack.append(w)
-        sizes.append(size)
-    return ComponentLabeling(tuple(labels), tuple(sizes))
+    """Label components with consecutive ints in order of their smallest vertex."""
+    labels = [0] * g.n
+    for label, comp in enumerate(g.components):
+        for v in bits(comp):
+            labels[v] = label
+    return ComponentLabeling(tuple(labels), tuple(c.bit_count() for c in g.components))
 
 
 def connected_pairs(g: Graph) -> int:
     """Ordered connected pairs: sum of s*(s-1) over component sizes s."""
-    return sum(s * (s - 1) for s in connected_components(g).sizes)
+    return sum(s * (s - 1) for s in (c.bit_count() for c in g.components))
+
+
+def pairs_of_alive(masks: tuple[int, ...], alive: int, bound: int | None = None) -> int:
+    """Ordered connected pairs among the vertices of `alive`, by a component sweep.
+
+    With a bound, gives up once the running total provably exceeds it and
+    returns some value > bound; the result is exact whenever it is <= bound.
+    """
+    total = 0
+    remaining = alive
+    while remaining:
+        comp = remaining & -remaining
+        frontier = comp
+        while frontier:
+            nxt = 0
+            f = frontier
+            while f:
+                low = f & -f
+                f ^= low
+                nxt |= masks[low.bit_length() - 1]
+            nxt &= alive & ~comp
+            comp |= nxt
+            frontier = nxt
+            if bound is not None:
+                s = comp.bit_count()
+                partial = total + s * (s - 1)
+                if partial > bound:
+                    return partial
+        s = comp.bit_count()
+        total += s * (s - 1)
+        remaining &= ~comp
+    return total
 
 
 def remove_vertices(g: Graph, c: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
@@ -171,7 +209,7 @@ def pairs_removed(g: Graph, c: Iterable[int]) -> int:
 
 def remove_isolated(g: Graph) -> tuple[Graph, tuple[int, ...], tuple[int, ...]]:
     """Drop degree-0 vertices; returns (graph, removed ids, new->old table)."""
-    isolated = [v for v in range(g.n) if not g.adjacency[v]]
+    isolated = [v for v in range(g.n) if not g.adjacency_masks[v]]
     h, remap = remove_vertices(g, isolated)
     return h, tuple(isolated), remap
 
@@ -194,43 +232,40 @@ def component_size_census(g: Graph, c: Iterable[int] = ()) -> dict[int, int]:
     """Sizes of the non-trivial components of g - c, as {size: count}."""
     h, _ = remove_vertices(g, c)
     census: dict[int, int] = {}
-    for s in connected_components(h).sizes:
+    for s in (comp.bit_count() for comp in h.components):
         if s >= 2:
             census[s] = census.get(s, 0) + 1
     return census
 
 
 def is_bipartite(g: Graph) -> bool:
-    color = [-1] * g.n
-    adj = g.adjacency
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if color[w] == -1:
-                    color[w] = 1 - color[v]
-                    stack.append(w)
-                elif color[w] == color[v]:
-                    return False
+    """Breadth-first layers per component; an odd cycle shows as an edge inside a layer."""
+    masks = g.adjacency_masks
+    for comp in g.components:
+        seen = layer = comp & -comp
+        while layer:
+            reach = 0
+            for v in bits(layer):
+                reach |= masks[v]
+            if reach & layer:
+                return False
+            layer = reach & ~seen
+            seen |= layer
     return True
 
 
 def degeneracy(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Graph degeneracy and a witness elimination order (repeated min-degree)."""
-    adj = {v: set(g.adjacency[v]) for v in range(g.n)}
+    masks = g.adjacency_masks
+    alive = (1 << g.n) - 1
     order: list[int] = []
     best = 0
-    while adj:
-        v = min(adj, key=lambda u: (len(adj[u]), u))
-        best = max(best, len(adj[v]))
+    while alive:
+        # min keeps the first of equal degrees, which is the smallest id.
+        v = min(bits(alive), key=lambda u: (masks[u] & alive).bit_count())
+        best = max(best, (masks[v] & alive).bit_count())
         order.append(v)
-        for w in adj[v]:
-            adj[w].discard(v)
-        del adj[v]
+        alive ^= 1 << v
     return best, tuple(order)
 
 

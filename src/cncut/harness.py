@@ -103,9 +103,12 @@ def select_algorithm(
     Auto order: oracle by vertex count, then dp-y when the instance is
     y-shaped and small, then dp-wx when heuristic width keeps w+x small,
     then branch-kx on x+k. Structure is consulted before branching so that
-    near-tree graphs with moderate x go to the width engine.
+    near-tree graphs with moderate x go to the width engine. The target and
+    budget are checked as an instance file's are: exactly one of x and y,
+    each nonnegative.
     """
     _check_engine(user_choice)
+    CncInstance(g, k, x=x, y=y)
     if user_choice != "auto":
         return user_choice
     return _auto(_Plan(g, k, x, y))

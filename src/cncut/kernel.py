@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, InputError, remove_isolated, remove_vertices
+from .graph import Graph, InputError, bits, remove_isolated, remove_vertices
 
 
 @dataclass(frozen=True)
@@ -30,15 +30,13 @@ class KernelTrace:
     infeasible: bool = False
 
 
-def _forced_vertex(degrees: dict[int, int], k_cur: int, x: int) -> int | None:
-    # Smallest id whose degree d satisfies d > k_cur and (d - k_cur)^2 > x.
-    best = None
-    for v in sorted(degrees):
-        d = degrees[v]
+def _forced_vertex(masks: tuple[int, ...], alive: int, k_cur: int, x: int) -> int | None:
+    # Smallest live id whose live degree d satisfies d > k_cur and (d - k_cur)^2 > x.
+    for v in bits(alive):
+        d = (masks[v] & alive).bit_count()
         if d > k_cur and (d - k_cur) * (d - k_cur) > x:
-            best = v
-            break
-    return best
+            return v
+    return None
 
 
 def kernelize_kx(g: Graph, k: int, x: int) -> KernelTrace:
@@ -46,12 +44,11 @@ def kernelize_kx(g: Graph, k: int, x: int) -> KernelTrace:
     if k < 0 or x < 0:
         raise InputError(f"parameters must be nonnegative, got k={k}, x={x}")
 
-    adj = {v: set(g.adjacency[v]) for v in range(g.n)}
+    masks, alive = g.adjacency_masks, (1 << g.n) - 1
     forced: list[int] = []
     k_cur = k
     while True:
-        degrees = {v: len(nbrs) for v, nbrs in adj.items()}
-        v = _forced_vertex(degrees, k_cur, x)
+        v = _forced_vertex(masks, alive, k_cur, x)
         if v is None:
             break
         if k_cur == 0:
@@ -65,9 +62,7 @@ def kernelize_kx(g: Graph, k: int, x: int) -> KernelTrace:
                 kernel_to_original=residual[1],
                 infeasible=True,
             )
-        for w in adj[v]:
-            adj[w].discard(v)
-        del adj[v]
+        alive &= ~(1 << v)
         forced.append(v)
         k_cur -= 1
 

@@ -22,7 +22,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterator, Sequence
 
-from .graph import Cut, Graph, InputError, Refusal
+from .graph import Cut, Graph, InputError, Refusal, connected_pairs, pairs_of_alive
 
 DEFAULT_CAP = 20_000_000
 
@@ -57,36 +57,6 @@ class MaxRemovedResult:
     explored: int
 
 
-def _pairs_of_alive(masks: tuple[int, ...], alive: int, bound: int | None = None) -> int:
-    # Component sweep over a vertex bitmask; each component of size s adds s*(s-1).
-    # With a bound, gives up once the running total provably exceeds it and
-    # returns some value > bound; the result is exact whenever it is <= bound.
-    total = 0
-    remaining = alive
-    while remaining:
-        comp = remaining & -remaining
-        frontier = comp
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                f ^= low
-                nxt |= masks[low.bit_length() - 1]
-            nxt &= alive & ~comp
-            comp |= nxt
-            frontier = nxt
-            if bound is not None:
-                s = comp.bit_count()
-                partial = total + s * (s - 1)
-                if partial > bound:
-                    return partial
-        s = comp.bit_count()
-        total += s * (s - 1)
-        remaining &= ~comp
-    return total
-
-
 def _scan(
     masks: tuple[int, ...], alive: int, candidates: Sequence[int], sizes: Sequence[int],
     bound: int | None,
@@ -99,7 +69,7 @@ def _scan(
             rest = alive
             for v in subset:
                 rest &= ~(1 << v)
-            pairs = _pairs_of_alive(masks, rest, bound)
+            pairs = pairs_of_alive(masks, rest, bound)
             if bound is None or pairs <= bound:
                 yield subset, pairs, evaluated
                 bound = pairs - 1
@@ -147,5 +117,4 @@ def oracle_max_removed_exact(g: Graph, k: int, cap: int = DEFAULT_CAP) -> MaxRem
     # With no bound the first subset always yields, so the loop binds subset and best.
     for subset, best, _ in scan:
         pass
-    base = _pairs_of_alive(g.adjacency_masks, (1 << g.n) - 1)
-    return MaxRemovedResult(base - best, Cut(frozenset(subset), best), explored)
+    return MaxRemovedResult(connected_pairs(g) - best, Cut(frozenset(subset), best), explored)

@@ -88,19 +88,34 @@ def pairs_target(n: int, big_n: int, k: int) -> int:
     return k * (k - 1) + 2 * k * (big_n - k) + d * (d - 1) + 2 * d * max(0, big_n - k - d)
 
 
-def _gadget_graph(source: CliqueInstance) -> tuple[list[tuple[int, int]], int, list[str]]:
+def _clique_reduction(source: CliqueInstance, variant: str) -> ReductionOutput:
+    """Gadgets for every source edge, then each original pair by variant.
+
+    Every source edge {u, v} gets n dummies adjacent to both u and v. Then
+    each original pair gets an edge when it is a source non-edge (base),
+    always (split), or a subdivided edge when it is a source non-edge
+    (bipartite).
+    """
     g = source.graph
-    n = g.n
+    n, ell = g.n, source.ell
     edges: list[tuple[int, int]] = []
     roles = ["original"] * n
-    nxt = n
     for u, v in sorted(g.edges):
         for _ in range(n):
-            edges.append((u, nxt))
-            edges.append((v, nxt))
+            edges += [(u, len(roles)), (v, len(roles))]
             roles.append("dummy")
-            nxt += 1
-    return edges, nxt, roles
+    for u, v in combinations(range(n), 2):
+        if g.has_edge(u, v) and variant != "split":
+            continue
+        if variant == "bipartite":
+            edges += [(u, len(roles)), (v, len(roles))]
+            roles.append("subdivision")
+        else:
+            edges.append((u, v))
+    total = len(roles)
+    notes = {"variant": variant, "source_n": n, "source_m": g.m, "ell": ell, "N": total}
+    out_graph = Graph.from_edges(total, edges)
+    return ReductionOutput(out_graph, ell, pairs_target(n, total, ell), None, tuple(roles), notes)
 
 
 def reduce_clique_to_cnc(source: CliqueInstance) -> ReductionOutput:
@@ -110,17 +125,7 @@ def reduce_clique_to_cnc(source: CliqueInstance) -> ReductionOutput:
     source-edge pair, which is what the y target counts; no other budget-k
     deletion reaches it.
     """
-    g = source.graph
-    n, ell = g.n, source.ell
-    edges, total, roles = _gadget_graph(source)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if not g.has_edge(u, v):
-                edges.append((u, v))
-    out_graph = Graph.from_edges(total, edges)
-    y = pairs_target(n, total, ell)
-    notes = {"variant": "base", "source_n": n, "source_m": g.m, "ell": ell, "N": total}
-    return ReductionOutput(out_graph, ell, y, None, tuple(roles), notes)
+    return _clique_reduction(source, "base")
 
 
 def reduce_clique_split(source: CliqueInstance) -> ReductionOutput:
@@ -129,16 +134,7 @@ def reduce_clique_split(source: CliqueInstance) -> ReductionOutput:
     The originals form a clique and the dummies an independent set, so the
     output is a split graph; the vertex count and the y target are unchanged.
     """
-    g = source.graph
-    n, ell = g.n, source.ell
-    edges, total, roles = _gadget_graph(source)
-    for u in range(n):
-        for v in range(u + 1, n):
-            edges.append((u, v))
-    out_graph = Graph.from_edges(total, edges)
-    y = pairs_target(n, total, ell)
-    notes = {"variant": "split", "source_n": n, "source_m": g.m, "ell": ell, "N": total}
-    return ReductionOutput(out_graph, ell, y, None, tuple(roles), notes)
+    return _clique_reduction(source, "split")
 
 
 def reduce_clique_bipartite(source: CliqueInstance) -> ReductionOutput:
@@ -147,20 +143,7 @@ def reduce_clique_bipartite(source: CliqueInstance) -> ReductionOutput:
     Originals end on one side, all dummies and subdividers on the other; every
     non-original has degree at most 2, so the output is also 2-degenerate.
     """
-    g = source.graph
-    n, ell = g.n, source.ell
-    edges, total, roles = _gadget_graph(source)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if not g.has_edge(u, v):
-                edges.append((u, total))
-                edges.append((v, total))
-                roles.append("subdivision")
-                total += 1
-    out_graph = Graph.from_edges(total, edges)
-    y = pairs_target(n, total, ell)
-    notes = {"variant": "bipartite", "source_n": n, "source_m": g.m, "ell": ell, "N": total}
-    return ReductionOutput(out_graph, ell, y, None, tuple(roles), notes)
+    return _clique_reduction(source, "bipartite")
 
 
 def cross_compose(sources: list[CliqueInstance], ell: int) -> ReductionOutput:
@@ -298,36 +281,6 @@ class MccLayout:
     edge_guard: dict
     validation: dict  # (i, j, order) -> range
 
-    def roles(self) -> tuple[str, ...]:
-        out = [""] * self.total
-        for rng in self.core_clique.values():
-            for v in rng:
-                out[v] = "selector-clique"
-        for rng in self.vertex_dummies.values():
-            for v in rng:
-                out[v] = "vertex-dummy"
-        for rng in self.selector_core.values():
-            for v in rng:
-                out[v] = "connector-core"
-        for rng in self.selector_guard.values():
-            for v in rng:
-                out[v] = "connector-guard"
-        for v in self.edge_vertex.values():
-            out[v] = "edge-vertex"
-        for rng in self.edge_dummies.values():
-            for v in rng:
-                out[v] = "edge-dummy"
-        for rng in self.edge_core.values():
-            for v in rng:
-                out[v] = "connector-core"
-        for rng in self.edge_guard.values():
-            for v in rng:
-                out[v] = "connector-guard"
-        for rng in self.validation.values():
-            for v in rng:
-                out[v] = "validation"
-        return tuple(out)
-
 
 DEFAULT_MATERIALIZE_CAP = 100_000
 
@@ -351,12 +304,11 @@ def build_mcc_instance(
     if total_vertices > cap:
         raise MaterializationRefused(total_vertices, cap)
 
-    nxt = 0
+    roles: list[str] = []
 
-    def take(count: int) -> range:
-        nonlocal nxt
-        r = range(nxt, nxt + count)
-        nxt += count
+    def take(count: int, role: str) -> range:
+        r = range(len(roles), len(roles) + count)
+        roles.extend([role] * count)
         return r
 
     core_clique: dict = {}
@@ -389,18 +341,18 @@ def build_mcc_instance(
                 edges.append((a, b))
 
     for u in range(n):
-        cu = take(sizes.A)
+        cu = take(sizes.A, "selector-clique")
         core_clique[u] = cu
         clique(cu)
-        du = take(sizes.Y)
+        du = take(sizes.Y, "vertex-dummy")
         vertex_dummies[u] = du
         complete_between(cu, du)
         for other in range(ell):
             if other == colors[u]:
                 continue
             for order, guard_size in ((LOW, sizes.Z + low(u)), (HIGH, sizes.Z + high(u))):
-                core = take(sizes.B)
-                guard = take(guard_size)
+                core = take(sizes.B, "connector-core")
+                guard = take(guard_size, "connector-guard")
                 selector_core[(u, other, order)] = core
                 selector_guard[(u, other, order)] = guard
                 clique(core)
@@ -410,16 +362,16 @@ def build_mcc_instance(
     sorted_edges = tuple(sorted(g.edges))
     for f in sorted_edges:
         u1, u2 = f
-        ev = take(1)[0]
+        ev = take(1, "edge-vertex")[0]
         edge_vertex[f] = ev
-        df = take(sizes.X)
+        df = take(sizes.X, "edge-dummy")
         edge_dummies[f] = df
         for d in df:
             edges.append((ev, d))
         for w in (u1, u2):
             for order, guard_size in ((LOW, sizes.Z + low(w)), (HIGH, sizes.Z + high(w))):
-                core = take(sizes.B)
-                guard = take(guard_size)
+                core = take(sizes.B, "connector-core")
+                guard = take(guard_size, "connector-guard")
                 edge_core[(f, w, order)] = core
                 edge_guard[(f, w, order)] = guard
                 clique(core)
@@ -432,7 +384,7 @@ def build_mcc_instance(
             if i == j:
                 continue
             for order in (LOW, HIGH):
-                vr = take(sizes.Cv)
+                vr = take(sizes.Cv, "validation")
                 validation[(i, j, order)] = vr
                 clique(vr)
 
@@ -457,8 +409,8 @@ def build_mcc_instance(
         complete_between(validation[(j, i, LOW)], edge_core[(f, u2, HIGH)])
         complete_between(validation[(j, i, HIGH)], edge_core[(f, u2, LOW)])
 
-    if nxt != total_vertices:
-        raise AssertionError(f"allocated {nxt} vertices, expected {total_vertices}")
+    if len(roles) != total_vertices:
+        raise AssertionError(f"allocated {len(roles)} vertices, expected {total_vertices}")
     out_graph = Graph.from_edges(total_vertices, edges)
     layout = MccLayout(
         n=n,
@@ -483,7 +435,7 @@ def build_mcc_instance(
         k=params.k,
         y=None,
         x=params.x,
-        roles=layout.roles(),
+        roles=tuple(roles),
         notes={
             "variant": "multicolored",
             "source_n": n,

@@ -91,7 +91,7 @@ def test_extend_matches_naive_scan(g_cover, extra, x):
 
     live = [
         v for v in range(g.n)
-        if v not in cover and any(w not in cover for w in g.adjacency[v])
+        if v not in cover and any(w not in cover for w in g.neighbors(v))
     ]
     sizes = [len(live)] if extra > len(live) else range(extra + 1)
     tried, expected = 0, None

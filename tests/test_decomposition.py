@@ -239,7 +239,7 @@ def test_heuristic_always_validates(g):
 
 def _min_fill_bags_reference(g):
     """Elimination bags with every vertex's fill-in recounted at every step."""
-    adj = {v: set(g.adjacency[v]) for v in range(g.n)}
+    adj = {v: set(g.neighbors(v)) for v in range(g.n)}
     bags = []
     while adj:
         def key(v):

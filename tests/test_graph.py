@@ -173,6 +173,40 @@ def test_pairs_match_double_loop_reachability(g):
     assert connected_pairs(g) == direct
 
 
+def _reach(edges, start):
+    """Vertices reachable from start over an edge list, relaxed to a fixed point."""
+    seen = {start}
+    grew = True
+    while grew:
+        grew = False
+        for u, v in edges:
+            if (u in seen) != (v in seen):
+                seen |= {u, v}
+                grew = True
+    return seen
+
+
+@given(graphs(max_n=10))
+def test_components_match_edge_reachability(g):
+    comps = [{v for v in range(g.n) if mask >> v & 1} for mask in g.components]
+    # The masks partition range(n) and come ordered by smallest vertex.
+    assert sorted(v for c in comps for v in c) == list(range(g.n))
+    assert all(comps) and [min(c) for c in comps] == sorted(min(c) for c in comps)
+    for c in comps:
+        inside = [(u, v) for u, v in g.edges if u in c and v in c]
+        assert _reach(inside, min(c)) == c
+        assert all((u in c) == (v in c) for u, v in g.edges)
+
+    labels = [-1] * g.n
+    count = 0
+    for v in range(g.n):
+        if labels[v] == -1:
+            for w in _reach(g.edges, v):
+                labels[w] = count
+            count += 1
+    assert connected_components(g).labels == tuple(labels)
+
+
 @given(graphs_with_subset())
 def test_remap_preserves_adjacency(gc):
     g, c = gc

@@ -63,6 +63,16 @@ def test_select_user_choice_wins():
         select_algorithm(complete_graph(3), 1, 2, None, "foo")
 
 
+@pytest.mark.parametrize(
+    "k, x, y",
+    [(1, None, None), (1, 100, 3), (-1, 5, None)],
+    ids=["neither-x-nor-y", "both-x-and-y", "negative-k"],
+)
+def test_select_rejects_invalid_targets(k, x, y):
+    with pytest.raises(InputError):
+        select_algorithm(path_graph(20), k, x, y)
+
+
 def test_unknown_engine_rejected_on_trivial_instance():
     with pytest.raises(InputError):
         run_instance(CncInstance(complete_graph(3), 0, x=6), algo="no-such-engine")
