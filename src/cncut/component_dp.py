@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import itemgetter
 
 from .graph import Cut, Graph, InputError, bits, connected_pairs, pairs_of_alive, verify_solution
 from .oracle import DEFAULT_CAP, CapExceeded, _scan
@@ -127,26 +128,20 @@ def solve_y(g: Graph, k: int, y: int, cap: int = DEFAULT_CAP) -> YDecision:
     )
 
     # Knapsack over components: best[b] is the most pairs removable with at
-    # most b deletions so far; choices[i][b] is the smallest budget giving
-    # component i that best at total b.
-    best = [0] * (k + 1)
-    choices: list[list[int]] = []
-    for vals in table.values:
+    # most b deletions so far, and a cut that removes them. Each component
+    # takes the smallest budget j that gives the most at total b.
+    best = [(0, frozenset())] * (k + 1)
+    for vals, cuts in zip(table.values, table.witnesses):
         pick = [
-            max(range(min(b, len(vals) - 1) + 1), key=lambda j: best[b - j] + vals[j])
+            max(range(min(b, len(vals) - 1) + 1), key=lambda j: best[b - j][0] + vals[j])
             for b in range(k + 1)
         ]
-        best = [best[b - j] + vals[j] for b, j in enumerate(pick)]
-        choices.append(pick)
-    if best[k] < y:
+        best = [(best[b - j][0] + vals[j], best[b - j][1] | cuts[j]) for b, j in enumerate(pick)]
+    # best never falls as b grows, so max takes the smallest b reaching best[k].
+    removed, cut = max(best, key=itemgetter(0))
+    if removed < y:
         return YDecision(False, None, stats)
-
-    b = best.index(best[k])
-    cut: set[int] = set()
-    for i in reversed(range(len(choices))):
-        cut |= table.witnesses[i][choices[i][b]]
-        b -= choices[i][b]
     report = verify_solution(g, cut, k, connected_pairs(g) - y)
     if not report.ok:
         raise AssertionError(f"dp-y produced an invalid cut: {report}")
-    return YDecision(True, Cut(frozenset(cut), report.residual_pairs), stats)
+    return YDecision(True, Cut(cut, report.residual_pairs), stats)

@@ -8,6 +8,7 @@ are pinned to the known values as a self-check.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -86,10 +87,22 @@ def enumerate_graphs(n: int) -> list[Graph]:
 
 
 def random_graph(n: int, m: int, rng: random.Random) -> Graph:
-    """Uniform simple graph with exactly m edges."""
-    pool = list(combinations(range(n), 2))
+    """Uniform simple graph with exactly m edges.
+
+    Samples m indices into the C(n, 2) pairs in `combinations` order and maps
+    each to its pair, so memory is O(n + m). `rng.sample` draws alike from any
+    sequence of the same length, so the graphs and the rng state afterwards
+    are those of sampling the materialized pair list.
+    """
+    total = n * (n - 1) // 2 if n > 1 else 0
     if m < 0:
         raise InputError(f"edge count must be nonnegative, got {m}")
-    if m > len(pool):
+    if m > total:
         raise InputError(f"cannot place {m} edges on {n} vertices")
-    return Graph.from_edges(n, rng.sample(pool, m))
+    # Row u holds the pairs (u, u+1..n-1) and starts at index u*(2n-u-1)/2.
+    starts = [u * (2 * n - u - 1) // 2 for u in range(n)]
+    edges = []
+    for i in rng.sample(range(total), m):
+        u = bisect_right(starts, i) - 1
+        edges.append((u, u + 1 + i - starts[u]))
+    return Graph.from_edges(n, edges)

@@ -215,10 +215,33 @@ def remove_isolated(g: Graph) -> tuple[Graph, tuple[int, ...], tuple[int, ...]]:
 
 
 def verify_solution(g: Graph, c: Iterable[int], k: int, x: int) -> VerifyReport:
-    """Check |c| <= k and connected_pairs(g - c) <= x."""
+    """Check |c| <= k and connected_pairs(g - c) <= x.
+
+    Counts the pairs of g - c with a union-find over g.edges, in O(n + m)
+    memory. It shares no code with the engines' mask sweep, so each engine's
+    YES is checked by an independent count.
+    """
     cs = g._check_vertex_set(c)
-    h, _ = remove_vertices(g, cs)
-    residual = connected_pairs(h)
+    parent = list(range(g.n))
+    size = [1] * g.n
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for u, v in g.edges:
+        if u in cs or v in cs:
+            continue
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            if size[ru] < size[rv]:
+                ru, rv = rv, ru
+            parent[rv] = ru
+            size[ru] += size[rv]
+    # A deleted vertex stays a singleton root of size 1 and adds no pairs.
+    residual = sum(s * (s - 1) for v, s in enumerate(size) if parent[v] == v)
     return VerifyReport(
         ok=(len(cs) <= k and residual <= x),
         cut_size=len(cs),

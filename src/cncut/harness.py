@@ -121,7 +121,7 @@ def _solve_oracle(plan: _Plan, config: HarnessConfig):
 
 
 def _decided(d):
-    return d.answer, d.cut, dataclasses.asdict(d.stats)
+    return d.answer, d.cut, dict(vars(d.stats))
 
 
 # Engine name -> solve(plan, config) returning (answer, cut, stats). Engine
@@ -177,5 +177,5 @@ def run_instance(
         algorithm=engine,
         stats=stats,
         wall_ms=(time.perf_counter() - start) * 1e3,
-        config=dataclasses.asdict(config),
+        config=dict(vars(config)),
     )

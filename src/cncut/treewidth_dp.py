@@ -1,7 +1,7 @@
 """Dynamic programming over a nice tree decomposition, parameterized by w + x.
 
 Per node, an entry says: some set C of exactly k' vertices of the subtree graph
-G_X, containing exactly the bag subset x0, leaves at most x' connected pairs,
+G_X, containing exactly the bag subset D, leaves at most x' connected pairs,
 and the components meeting the bag trace the given blocks with the given true
 sizes. Feasibility is monotone in x' under every rule (introduce adds a fixed
 pair increment, forget preserves, join adds), so tables store one minimal x'
@@ -11,9 +11,14 @@ Vertex sets are int bitmasks over vertex ids, as in `oracle` and `branching`.
 The blocks of a key are (vertex mask, true size) pairs sorted by mask; the
 masks are disjoint, so each structure has exactly one key.
 
+Each entry carries its C as a vertex mask, from the derivation that set its
+x': a leaf's is 0 or v's bit, introduce-delete adds v's bit, a join ORs its
+sides' cuts and the other rules pass C on. A join's sides share only bag
+vertices, so their cuts meet in exactly D and |l | r| = lk + rk - |D| = k_new.
+
 Every rule walks its child tables in insertion order. `offer` keeps the
 least x' per key, so each table's key set and each key's x' are the same in
-any order; only the back-pointer kept among entries of equal x' (and so the
+any order; only the cut kept among entries of equal x' (and so the
 certificate among equally good cuts) follows that order.
 
 Join. Both sides have the same bag and the same deleted subset D, and each
@@ -36,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .graph import Cut, Graph, InputError, connected_pairs, verify_solution
+from .graph import Cut, Graph, InputError, bits, connected_pairs, verify_solution
 from .decomposition import (
     NiceTreeDecomposition,
     StructuralError,
@@ -49,25 +54,23 @@ from .decomposition import (
 # tuple of (vertex mask, true size) pairs sorted by mask.
 Struct = tuple[int, int, tuple]
 
-BackPointer = tuple
-
 
 class DpTable:
-    """Sparse feasible set for one node, stored as min-x' per structural key.
+    """Sparse feasible set for one node: min x' and its cut mask per structural key.
 
     x_cap is the bound the table was built for: `offer` drops any x' above it.
     """
 
     def __init__(self, x_cap: int):
         self.x_cap = x_cap
-        self.entries: dict[Struct, tuple[int, BackPointer]] = {}
+        self.entries: dict[Struct, tuple[int, int]] = {}
 
-    def offer(self, struct: Struct, x_val: int, bp: BackPointer) -> None:
+    def offer(self, struct: Struct, x_val: int, cut: int) -> None:
         if x_val > self.x_cap:
             return
         held = self.entries.get(struct)
         if held is None or x_val < held[0]:
-            self.entries[struct] = (x_val, bp)
+            self.entries[struct] = (x_val, cut)
 
     def expanded_count(self) -> int:
         """Sum of x_cap - min_x + 1 over the entries."""
@@ -82,9 +85,9 @@ def leaf_table(v: int, k: int, x: int) -> DpTable:
     """Two families: v kept as a singleton block, or v deleted when k allows."""
     table = DpTable(x)
     bit = 1 << v
-    table.offer((0, 0, ((bit, 1),)), 0, ("leaf", v, False))
+    table.offer((0, 0, ((bit, 1),)), 0, 0)
     if k >= 1:
-        table.offer((1, bit, ()), 0, ("leaf", v, True))
+        table.offer((1, bit, ()), 0, bit)
     return table
 
 
@@ -100,10 +103,9 @@ def introduce_table(
     """
     table = DpTable(x)
     bit = 1 << v
-    for struct, (min_x, _) in child.entries.items():
-        k_used, deleted, blocks = struct
+    for (k_used, deleted, blocks), (min_x, cut) in child.entries.items():
         if k_used < k:
-            table.offer((k_used + 1, deleted | bit, blocks), min_x, ("intro-del", struct, v))
+            table.offer((k_used + 1, deleted | bit, blocks), min_x, cut | bit)
         # v joins blocks of sizes s_i into one of 1 + m_sum vertices:
         # 2 * m_sum pairs with v, and s_i * s_j for each pair of blocks.
         merged, m_sum, squares, rest = bit, 0, 0, []
@@ -118,7 +120,7 @@ def introduce_table(
         if x_new <= x:
             rest.append((merged, 1 + m_sum))
             rest.sort()
-            table.offer((k_used, deleted, tuple(rest)), x_new, ("intro-keep", struct))
+            table.offer((k_used, deleted, tuple(rest)), x_new, cut)
     return table
 
 
@@ -126,15 +128,14 @@ def forget_table(child: DpTable, v: int) -> DpTable:
     """Drop v from the bag; a block emptied by this is a finalized component."""
     table = DpTable(child.x_cap)
     bit = 1 << v
-    for struct, (min_x, _) in child.entries.items():
-        k_used, deleted, blocks = struct
+    for (k_used, deleted, blocks), (min_x, cut) in child.entries.items():
         if deleted & bit:
             new_struct: Struct = (k_used, deleted ^ bit, blocks)
         else:
             # An emptied block is dropped: its pairs are already inside x'.
             kept = sorted((b & ~bit, s) for b, s in blocks if b != bit)
             new_struct = (k_used, deleted, tuple(kept))
-        table.offer(new_struct, min_x, ("forget", struct))
+        table.offer(new_struct, min_x, cut)
     return table
 
 
@@ -149,21 +150,21 @@ def join_table(left: DpTable, right: DpTable, k: int, x: int) -> DpTable:
     """
     table = DpTable(x)
     by_deleted_left: dict[int, list] = {}
-    for struct, (l_min, _) in left.entries.items():
-        by_deleted_left.setdefault(struct[1], []).append((struct, l_min))
-    for r_struct, (r_min, _) in right.entries.items():
+    for struct, held in left.entries.items():
+        by_deleted_left.setdefault(struct[1], []).append((struct, held))
+    for r_struct, (r_min, r_cut) in right.entries.items():
         rk, deleted = r_struct[0], r_struct[1]
         matches = by_deleted_left.get(deleted)
         if not matches:
             continue
         k_room = k - rk + deleted.bit_count()  # the largest left k_used that fits
-        for l_struct, l_min in matches:
+        for l_struct, (l_min, l_cut) in matches:
             if l_struct[0] > k_room:
                 continue
             merged = _join_pair(l_struct, l_min, r_struct, r_min, k, x)
             if merged is not None:
                 struct, x_new = merged
-                table.offer(struct, x_new, ("join", l_struct, r_struct))
+                table.offer(struct, x_new, l_cut | r_cut)
     return table
 
 
@@ -249,42 +250,16 @@ def read_decision(
     tables: list[DpTable], ntd: NiceTreeDecomposition, k: int, x: int
 ) -> Struct | None:
     """Smallest accepting root entry for budgets k' <= k and bound x' <= x."""
-    root_table = tables[ntd.root]
-    best: tuple | None = None
-    for struct, (min_x, _) in root_table.entries.items():
-        k_used = struct[0]
-        if k_used <= k and min_x <= x:
-            cand = (k_used, min_x)
-            if best is None or cand < best[0]:
-                best = (cand, struct)
-    return None if best is None else best[1]
+    root = tables[ntd.root].entries
+    fits = [struct for struct, (min_x, _) in root.items() if struct[0] <= k and min_x <= x]
+    return min(fits, key=lambda struct: (struct[0], root[struct][0]), default=None)
 
 
 def extract_cut(
     tables: list[DpTable], ntd: NiceTreeDecomposition, root_struct: Struct
 ) -> frozenset[int]:
-    """Follow back-pointers from an accepting root entry down to the leaves."""
-    cut: set[int] = set()
-    stack: list[tuple[int, Struct]] = [(ntd.root, root_struct)]
-    while stack:
-        node_idx, struct = stack.pop()
-        _, bp = tables[node_idx].entries[struct]
-        node = ntd.nodes[node_idx]
-        op = bp[0]
-        if op == "leaf":
-            if bp[2]:
-                cut.add(bp[1])
-        elif op == "intro-del":
-            cut.add(bp[2])
-            stack.append((node.children[0], bp[1]))
-        elif op in ("intro-keep", "forget"):
-            stack.append((node.children[0], bp[1]))
-        elif op == "join":
-            stack.append((node.children[0], bp[1]))
-            stack.append((node.children[1], bp[2]))
-        else:
-            raise AssertionError(f"unknown back-pointer {op!r}")
-    return frozenset(cut)
+    """The cut a root entry carries; it leaves x' = connected_pairs(g - cut) pairs."""
+    return frozenset(bits(tables[ntd.root].entries[root_struct][1]))
 
 
 def solve_wx(

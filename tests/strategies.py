@@ -1,7 +1,11 @@
-"""Shared hypothesis strategies and small deterministic graph helpers."""
+"""Shared hypothesis strategies, small deterministic graph helpers and a memory probe."""
 
 from itertools import combinations
+import os
+from pathlib import Path
 import random
+import subprocess
+import sys
 
 from hypothesis import strategies as st
 
@@ -55,3 +59,18 @@ def seeded_random_graphs(seed, count, n_range, m_factor=2.0):
         m = min(max_m, rng.randint(0, int(m_factor * n)))
         out.append(random_graph(n, m, rng))
     return out
+
+
+def child_peak_rss_mb(code):
+    """Run code in a fresh interpreter capped at 1 GB of address space; its peak RSS in MB."""
+    script = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        f"{code}\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return int(done.stdout.split()[-1]) / 1024

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -8,7 +9,9 @@ from cncut.families import (
     enumerate_graphs,
     random_graph,
 )
-from cncut.graph import InputError
+from cncut.graph import Graph, InputError
+
+from .strategies import child_peak_rss_mb
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -40,3 +43,25 @@ def test_random_graph_exact_edges_and_determinism():
         random_graph(3, 4, random.Random(0))
     with pytest.raises(InputError):
         random_graph(4, -1, random.Random(0))
+
+
+def test_random_graph_matches_pair_pool_sample():
+    # Sampling indices draws exactly what sampling the materialized pair
+    # list drew, so seeded graphs and the rng state afterwards are unchanged.
+    for n in range(0, 30):
+        pool = list(combinations(range(n), 2))
+        for m in sorted({0, 1, n, len(pool) // 2, len(pool)} & set(range(len(pool) + 1))):
+            for seed in range(3):
+                new, old = random.Random(seed), random.Random(seed)
+                assert random_graph(n, m, new) == Graph.from_edges(n, old.sample(pool, m))
+                assert new.random() == old.random()
+
+
+def test_random_graph_memory_is_linear():
+    # The C(10000, 2) pair list alone would take gigabytes.
+    code = (
+        "import random\n"
+        "from cncut.families import random_graph\n"
+        "assert random_graph(10000, 20000, random.Random(1)).m == 20000"
+    )
+    assert child_peak_rss_mb(code) < 100

@@ -21,7 +21,7 @@ from cncut.graph import (
     verify_solution,
 )
 
-from .strategies import graphs, graphs_with_subset
+from .strategies import child_peak_rss_mb, graphs, graphs_with_subset
 
 K3 = complete_graph(3)
 P4 = path_graph(4)
@@ -131,6 +131,24 @@ def test_verify_solution_examples(g, cut, k, x, ok):
 def test_verify_solution_rejects_unknown_vertex():
     with pytest.raises(InputError):
         verify_solution(K3, {7}, 2, 6)
+
+
+@given(graphs_with_subset())
+def test_verify_solution_matches_rebuilt_graph(gc):
+    g, c = gc
+    h, _ = remove_vertices(g, c)
+    assert verify_solution(g, c, len(c), 0).residual_pairs == connected_pairs(h)
+
+
+def test_verify_solution_memory_is_linear():
+    # An adjacency mask per vertex of a 100,000-vertex path costs about
+    # n^2/16 bytes (over 600 MB); the edge-list count needs a few MB.
+    code = (
+        "from cncut.graph import path_graph, verify_solution\n"
+        "assert verify_solution(path_graph(100000), [0, 1], 2, 0).residual_pairs"
+        " == 99998 * 99997"
+    )
+    assert child_peak_rss_mb(code) < 100
 
 
 @given(graphs())

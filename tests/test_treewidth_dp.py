@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cncut.families import random_graph
+from cncut.families import enumerate_graphs, random_graph
 from cncut.graph import (
     Graph,
     InputError,
@@ -106,7 +106,7 @@ def test_introduce_without_edge_adds_singleton_block():
 
 def test_introduce_merging_two_blocks():
     child = DpTable(10)
-    child.offer((0, 0, ((mask(0), 1), (mask(2), 1))), 0, ("t",))
+    child.offer((0, 0, ((mask(0), 1), (mask(2), 1))), 0, 0)
     t = introduce_table(child, 1, mask(0, 2), 0, 10)
     # Two size-1 components fuse through the new vertex: 6 new pairs.
     assert entry_values(t) == {(0, 0, ((mask(0, 1, 2), 3),)): 6}
@@ -120,8 +120,8 @@ def test_introduce_prunes_past_cap():
 
 def test_forget_shrinks_blocks():
     child = DpTable(10)
-    child.offer((0, 0, ((mask(0, 1), 2),)), 2, ("t",))
-    child.offer((1, mask(0), ((mask(1), 1),)), 0, ("t",))
+    child.offer((0, 0, ((mask(0, 1), 2),)), 2, 0)
+    child.offer((1, mask(0), ((mask(1), 1),)), 0, 0)
     t = forget_table(child, 0)
     assert entry_values(t) == {
         (0, 0, ((mask(1), 2),)): 2,
@@ -131,7 +131,7 @@ def test_forget_shrinks_blocks():
 
 def test_forget_keeps_blocks_in_mask_order():
     child = DpTable(10)
-    child.offer((0, 0, ((mask(1), 1), (mask(0, 2), 2))), 2, ("t",))
+    child.offer((0, 0, ((mask(1), 1), (mask(0, 2), 2))), 2, 0)
     t = forget_table(child, 2)
     # Without vertex 2, block {0} sorts before block {1}.
     assert entry_values(t) == {(0, 0, ((mask(0), 2), (mask(1), 1))): 2}
@@ -139,30 +139,30 @@ def test_forget_keeps_blocks_in_mask_order():
 
 def test_forget_finalizes_emptied_block():
     child = DpTable(10)
-    child.offer((0, 0, ((mask(0), 3),)), 6, ("t",))
+    child.offer((0, 0, ((mask(0), 3),)), 6, 0)
     t = forget_table(child, 0)
     assert entry_values(t) == {(0, 0, ()): 6}
 
 
 def test_join_identity_on_shared_vertex():
     a = DpTable(10)
-    a.offer((0, 0, ((mask(7), 1),)), 0, ("t",))
+    a.offer((0, 0, ((mask(7), 1),)), 0, 0)
     t = join_table(a, a, 3, 10)
     assert entry_values(t) == {(0, 0, ((mask(7), 1),)): 0}
 
 
 def test_join_block_fusion_counts_once():
     left = DpTable(10)
-    left.offer((0, 0, ((mask(0, 1), 2),)), 2, ("t",))
+    left.offer((0, 0, ((mask(0, 1), 2),)), 2, 0)
     right = DpTable(10)
-    right.offer((0, 0, ((mask(0), 1), (mask(1), 1))), 0, ("t",))
+    right.offer((0, 0, ((mask(0), 1), (mask(1), 1))), 0, 0)
     t = join_table(left, right, 3, 10)
     assert entry_values(t) == {(0, 0, ((mask(0, 1), 2),)): 2}
 
 
 def test_join_shared_deletions_counted_once():
     side = DpTable(10)
-    side.offer((1, mask(0), ()), 0, ("t",))
+    side.offer((1, mask(0), ()), 0, 0)
     t = join_table(side, side, 1, 10)
     assert entry_values(t) == {(1, mask(0), ()): 0}
     assert len(join_table(side, side, 0, 10)) == 0
@@ -170,17 +170,17 @@ def test_join_shared_deletions_counted_once():
 
 def test_join_requires_matching_deleted_sets():
     left = DpTable(10)
-    left.offer((1, mask(0), ()), 0, ("t",))
+    left.offer((1, mask(0), ()), 0, 0)
     right = DpTable(10)
-    right.offer((0, 0, ((mask(0), 1),)), 0, ("t",))
+    right.offer((0, 0, ((mask(0), 1),)), 0, 0)
     assert len(join_table(left, right, 3, 10)) == 0
 
 
 def test_join_size_arithmetic_with_forgotten_vertices():
     left = DpTable(20)
-    left.offer((0, 0, ((mask(0, 1), 3),)), 6, ("t",))
+    left.offer((0, 0, ((mask(0, 1), 3),)), 6, 0)
     right = DpTable(20)
-    right.offer((0, 0, ((mask(0), 2), (mask(1), 2))), 4, ("t",))
+    right.offer((0, 0, ((mask(0), 2), (mask(1), 2))), 4, 0)
     t = join_table(left, right, 3, 20)
     assert entry_values(t) == {(0, 0, ((mask(0, 1), 5),)): 20}
     assert len(join_table(left, right, 3, 19)) == 0
@@ -279,6 +279,29 @@ def test_compute_tables_rejects_unknown_kind():
     ntd = NiceTreeDecomposition((NiceNode("weird", frozenset({0}), 0, ()),))
     with pytest.raises(StructuralError, match="unknown node kind"):
         compute_tables(path_graph(1), ntd, 1, 2)
+
+
+def test_root_entries_are_certificates():
+    # Every root entry, not only the one read_decision picks, carries a cut
+    # of exactly k_used vertices that leaves exactly its x' pairs.
+    cases = [(g, k, x) for n in range(1, 7) for g in enumerate_graphs(n)
+             for k, x in ((1, 2), (2, 5), (3, 10))]
+    rng = random.Random(11)
+    for _ in range(60):
+        n = rng.randrange(8, 20)
+        g = random_graph(n, rng.randrange(n - 4, n + 2), rng)
+        cases.append((g, rng.randrange(1, 4), rng.randrange(10, 40)))
+    checked = 0
+    for g, k, x in cases:
+        ntd = make_nice(heuristic_decomposition(g))
+        root = compute_tables(g, ntd, k, x)[ntd.root]
+        for (k_used, deleted, blocks), (min_x, cut) in root.entries.items():
+            assert (deleted, blocks) == (0, ())
+            assert cut.bit_count() == k_used
+            report = verify_solution(g, members(cut), k_used, min_x)
+            assert report.residual_pairs == min_x, (g, k, x, k_used)
+            checked += 1
+    assert checked > 800
 
 
 def test_read_decision_thresholds():
@@ -434,9 +457,11 @@ def _check_table_internals(g, k, x):
     for t, nd in zip(tables, ntd.nodes):
         assert t.expanded_count() <= bound
         bag = mask(*nd.bag)
-        for (k_used, deleted, blocks), (min_x, _) in t.entries.items():
+        for (k_used, deleted, blocks), (min_x, cut) in t.entries.items():
             assert k_used <= k
             assert deleted & ~bag == 0
+            # The carried cut has k_used vertices and meets the bag in deleted.
+            assert cut.bit_count() == k_used and cut & bag == deleted
             # Blocks sorted by mask, non-zero, pairwise disjoint, inside the
             # bag and apart from the deleted set, which they complete to the
             # bag; each block's true size covers its bag vertices and its
