@@ -3,30 +3,19 @@
 Subcommands: solve, kernelize, generate, decompose, bench, verify.
 Exit codes: 0 = YES (or plain success), 1 = NO (or failed verification),
 2 = usage or parse error, 3 = refusal, 4 = benchmark discrepancy abort.
+
+Each subcommand imports the modules only it uses, so a `cnc solve` process
+loads the harness and the one engine that runs, not the generators, the
+kernel or the bench.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
-import json
-import random
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .bench import CSV_COLUMNS, BenchDiscrepancy, run_bench
-from .decomposition import (
-    StructuralError,
-    TreeDecomposition,
-    heuristic_decomposition,
-    make_nice,
-    nice_annotations,
-    parse_td,
-    serialize_td,
-    validate_decomposition,
-    validate_nice,
-)
 from .graph import (
     Graph,
     InputError,
@@ -39,18 +28,9 @@ from .graph import (
 )
 from .harness import ENGINES, HarnessConfig, run_instance
 from .instance_io import CncInstance, parse_instance, serialize_instance
-from .kernel import kernelize_kx
-from .families import random_graph
-from .reductions import (
-    DEFAULT_MATERIALIZE_CAP,
-    CliqueInstance,
-    GadgetSizes,
-    build_mcc_instance,
-    cross_compose,
-    reduce_clique_bipartite,
-    reduce_clique_split,
-    reduce_clique_to_cnc,
-)
+
+if TYPE_CHECKING:
+    import random
 
 
 def _read_text(path: str) -> str:
@@ -89,6 +69,8 @@ def _parse_source(spec: str, rng: random.Random) -> Graph:
         if kind == "star" and len(parts) == 2:
             return star_graph(int(parts[1]))
         if kind == "random" and len(parts) == 3:
+            from .families import random_graph
+
             return random_graph(int(parts[1]), int(parts[2]), rng)
     except ValueError:
         raise InputError(f"bad source spec {spec!r}") from None
@@ -104,6 +86,8 @@ def cmd_solve(args) -> int:
     ntd = None
     algo = args.algo
     if args.td:
+        from .decomposition import make_nice, parse_td, validate_decomposition
+
         if algo not in ("auto", "dp-wx"):
             print("error: --td only applies to the dp-wx engine", file=sys.stderr)
             return 2
@@ -122,6 +106,8 @@ def cmd_solve(args) -> int:
             "".join(f"{v + 1}\n" for v in result.cut), encoding="utf-8"
         )
     if args.json:
+        import json
+
         print(json.dumps(result.to_dict(), indent=2))
     else:
         g = inst.graph
@@ -138,6 +124,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_kernelize(args) -> int:
+    import json
+
+    from .kernel import kernelize_kx
+
     inst = parse_instance(_read_text(args.instance))
     x_eff = inst.x_equivalent()
     if x_eff < 0:
@@ -180,6 +170,22 @@ def cmd_kernelize(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    import dataclasses
+    import json
+    import random
+
+    from .families import random_graph
+    from .reductions import (
+        DEFAULT_MATERIALIZE_CAP,
+        CliqueInstance,
+        GadgetSizes,
+        build_mcc_instance,
+        cross_compose,
+        reduce_clique_bipartite,
+        reduce_clique_split,
+        reduce_clique_to_cnc,
+    )
+
     rng = random.Random(args.seed)
     sidecar: dict = {"kind": args.kind, "seed": args.seed}
     if args.kind == "random":
@@ -254,6 +260,16 @@ def cmd_generate(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from .decomposition import (
+        TreeDecomposition,
+        heuristic_decomposition,
+        make_nice,
+        nice_annotations,
+        serialize_td,
+        validate_decomposition,
+        validate_nice,
+    )
+
     inst = parse_instance(_read_text(args.instance))
     g = inst.graph
     td = heuristic_decomposition(g)
@@ -284,6 +300,10 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    import csv
+
+    from .bench import CSV_COLUMNS, BenchDiscrepancy, run_bench
+
     engines = tuple(args.engines.split(",")) if args.engines else ENGINES
     config = _load_config(args)
     try:
@@ -330,6 +350,8 @@ def cmd_verify(args) -> int:
         "pair_bound": res.pair_bound,
     }
     if args.json:
+        import json
+
         print(json.dumps(payload, indent=2))
     else:
         print(f"valid: {'yes' if res.ok else 'no'}")
@@ -377,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--colors", help="comma-separated vertex colors (mcc)")
     p.add_argument("--sizes", help="A,B,Cv,L3,X,Y,Z gadget sizes (mcc)")
     p.add_argument("--cap", type=_positive,
-                   help=f"mcc vertex cap (default {DEFAULT_MATERIALIZE_CAP})")
+                   help="mcc vertex cap (default 100000)")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("decompose", help="emit a tree decomposition")
@@ -412,7 +434,7 @@ def main(argv=None) -> int:
     except Refusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
-    except (InputError, StructuralError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

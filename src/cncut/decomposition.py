@@ -12,8 +12,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
+from .graph import InputError
 
-class StructuralError(ValueError):
+
+class StructuralError(InputError):
     """A decomposition violates its structural contract."""
 
 

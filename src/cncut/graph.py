@@ -21,6 +21,11 @@ class Refusal(RuntimeError):
     """Raised when a computation declines to start because a size cap is hit."""
 
 
+# The candidate-set cap of the subset scans (the oracle's and dp-y's), kept
+# here so that a harness default does not load the oracle.
+DEFAULT_CAP = 20_000_000
+
+
 def _normalize_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
@@ -214,12 +219,12 @@ def remove_isolated(g: Graph) -> tuple[Graph, tuple[int, ...], tuple[int, ...]]:
     return h, tuple(isolated), remap
 
 
-def verify_solution(g: Graph, c: Iterable[int], k: int, x: int) -> VerifyReport:
-    """Check |c| <= k and connected_pairs(g - c) <= x.
+def pairs_by_edges(g: Graph, c: Iterable[int] = ()) -> int:
+    """Ordered connected pairs of g - c, by a union-find over g.edges.
 
-    Counts the pairs of g - c with a union-find over g.edges, in O(n + m)
-    memory. It shares no code with the engines' mask sweep, so each engine's
-    YES is checked by an independent count.
+    Needs O(n + m) memory: it builds neither g - c nor any adjacency mask.
+    It shares no code with the engines' mask sweep, so a count made here is
+    independent of theirs.
     """
     cs = g._check_vertex_set(c)
     parent = list(range(g.n))
@@ -241,7 +246,17 @@ def verify_solution(g: Graph, c: Iterable[int], k: int, x: int) -> VerifyReport:
             parent[rv] = ru
             size[ru] += size[rv]
     # A deleted vertex stays a singleton root of size 1 and adds no pairs.
-    residual = sum(s * (s - 1) for v, s in enumerate(size) if parent[v] == v)
+    return sum(s * (s - 1) for v, s in enumerate(size) if parent[v] == v)
+
+
+def verify_solution(g: Graph, c: Iterable[int], k: int, x: int) -> VerifyReport:
+    """Check |c| <= k and connected_pairs(g - c) <= x.
+
+    Counts the pairs with `pairs_by_edges`, so each engine's YES is checked
+    by a count independent of the engines' own, in O(n + m) memory.
+    """
+    cs = g._check_vertex_set(c)
+    residual = pairs_by_edges(g, cs)
     return VerifyReport(
         ok=(len(cs) <= k and residual <= x),
         cut_size=len(cs),

@@ -1,19 +1,35 @@
-"""Engine selection and single-instance runs shared by the CLI and the bench."""
+"""Engine selection and single-instance runs shared by the CLI and the bench.
+
+Each engine's module, and the decomposition module, is imported the first
+time a run needs it, so a process loads only the engines it runs.
+"""
 
 from __future__ import annotations
 
 import dataclasses
+import sys
 import time
 from dataclasses import dataclass
 from functools import cached_property
+from importlib import import_module
+from typing import TYPE_CHECKING
 
-from .branching import solve_branch_kx
-from .component_dp import solve_y
-from .decomposition import NiceTreeDecomposition, heuristic_decomposition, make_nice
-from .graph import Cut, Graph, InputError, Refusal, connected_pairs, verify_solution
+from .graph import DEFAULT_CAP, Cut, Graph, InputError, Refusal, connected_pairs, verify_solution
 from .instance_io import CncInstance
-from .oracle import DEFAULT_CAP, oracle_min_pairs
-from .treewidth_dp import solve_wx
+
+if TYPE_CHECKING:
+    from .decomposition import NiceTreeDecomposition
+
+
+def _lazy(module: str):
+    """The cncut module `module`, imported on first use.
+
+    Callers read functions off the returned module at call time, so a patch
+    of that module (a test's, the benchmark tracer's) reaches them. Once the
+    module is loaded this is one dict lookup, far cheaper than an import
+    statement, which matters on the bench's sub-millisecond runs.
+    """
+    return sys.modules.get(f"{__package__}.{module}") or import_module(f".{module}", __package__)
 
 
 class EngineRefusal(Refusal):
@@ -53,11 +69,13 @@ class _Plan:
 
     @cached_property
     def td(self):
-        return heuristic_decomposition(self.g)
+        return _lazy("decomposition").heuristic_decomposition(self.g)
 
     @cached_property
     def ntd(self):
-        return self._given_ntd if self._given_ntd is not None else make_nice(self.td)
+        if self._given_ntd is not None:
+            return self._given_ntd
+        return _lazy("decomposition").make_nice(self.td)
 
 
 def _check_engine(algo: str) -> None:
@@ -115,7 +133,7 @@ def select_algorithm(
 
 
 def _solve_oracle(plan: _Plan, config: HarnessConfig):
-    res = oracle_min_pairs(plan.g, plan.k, cap=config.oracle_cap)
+    res = _lazy("oracle").oracle_min_pairs(plan.g, plan.k, cap=config.oracle_cap)
     stats = {"explored": res.explored, "min_residual_pairs": res.min_residual_pairs}
     return res.min_residual_pairs <= plan.x_eff, res.best_cut, stats
 
@@ -124,13 +142,16 @@ def _decided(d):
     return d.answer, d.cut, dict(vars(d.stats))
 
 
-# Engine name -> solve(plan, config) returning (answer, cut, stats). Engine
-# functions are looked up at call time, so patching this module reaches them.
+# Engine name -> solve(plan, config) returning (answer, cut, stats). Each loads
+# its engine's module on its first call.
 _SOLVERS = {
     "oracle": _solve_oracle,
-    "branch-kx": lambda p, c: _decided(solve_branch_kx(p.g, p.k, p.x_eff)),
-    "dp-y": lambda p, c: _decided(solve_y(p.g, p.k, p.total - p.x_eff, cap=c.oracle_cap)),
-    "dp-wx": lambda p, c: _decided(solve_wx(p.g, p.k, p.x_eff, ntd=p.ntd)),
+    "branch-kx": lambda p, c: _decided(
+        _lazy("branching").solve_branch_kx(p.g, p.k, p.x_eff)),
+    "dp-y": lambda p, c: _decided(
+        _lazy("component_dp").solve_y(p.g, p.k, p.total - p.x_eff, cap=c.oracle_cap)),
+    "dp-wx": lambda p, c: _decided(
+        _lazy("treewidth_dp").solve_wx(p.g, p.k, p.x_eff, ntd=p.ntd)),
 }
 ENGINES = tuple(_SOLVERS)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, InputError, connected_pairs
+from .graph import Graph, InputError, pairs_by_edges
 
 
 class ParseError(InputError):
@@ -41,10 +41,14 @@ class CncInstance:
                 raise InputError("comments must be single lines")
 
     def x_equivalent(self) -> int:
-        """The residual-pair bound; negative means unsatisfiable."""
+        """The residual-pair bound; negative means unsatisfiable.
+
+        A y-target's pair total is counted over the edge list, so this stays
+        linear in n + m on graphs too large for adjacency masks.
+        """
         if self.x is not None:
             return self.x
-        return connected_pairs(self.graph) - self.y
+        return pairs_by_edges(self.graph) - self.y
 
 
 def parse_instance(text: str) -> CncInstance:

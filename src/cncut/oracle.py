@@ -22,9 +22,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterator, Sequence
 
-from .graph import Cut, Graph, InputError, Refusal, connected_pairs, pairs_of_alive
-
-DEFAULT_CAP = 20_000_000
+from .graph import DEFAULT_CAP, Cut, Graph, InputError, Refusal, connected_pairs, pairs_of_alive
 
 _Scan = Iterator[tuple[tuple[int, ...], int, int]]
 

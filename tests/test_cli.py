@@ -292,23 +292,81 @@ def test_bench_writes_csv(tmp_path, capsys):
 
 
 def test_bench_discrepancy_exit_code(tmp_path, capsys, monkeypatch):
-    import cncut.cli as cli_mod
+    import cncut.bench as bench_mod
 
     def fake_bench(*args, **kwargs):
         raise BenchDiscrepancy("t", {"oracle": "YES", "dp-y": "NO"}, "p cnc 1 0\nk 0\nx 0\n")
 
-    monkeypatch.setattr(cli_mod, "run_bench", fake_bench)
+    monkeypatch.setattr(bench_mod, "run_bench", fake_bench)
     monkeypatch.chdir(tmp_path)
     assert main(["bench", "--family", "all:n=3:k=0:x=0"]) == 4
     assert "bench aborted" in capsys.readouterr().err
     assert (tmp_path / "discrepancy-t.cnc").read_text() == "p cnc 1 0\nk 0\nx 0\n"
 
 
-def test_cli_import_skips_numpy():
-    code = "import sys, cncut.cli; sys.exit('numpy' in sys.modules)"
+def run_child(code):
+    """Run code in a fresh interpreter with the package on the path; its stdout."""
     src = str(Path(cncut.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_cli_import_skips_numpy():
+    assert run_child("import sys, cncut.cli; print('numpy' in sys.modules)") == "False\n"
+
+
+STAR17 = "p cnc 17 16\n" + "".join(f"e 1 {v}\n" for v in range(2, 18)) + "k 1\nx 0\n"
+SOLVE_BASE = ["cncut", "cncut.cli", "cncut.graph", "cncut.harness", "cncut.instance_io"]
+
+
+@pytest.mark.parametrize("text, algorithm, engine_modules", [
+    (K3, "oracle", ["cncut.oracle"]),
+    (STAR17, "dp-wx", ["cncut.decomposition", "cncut.treewidth_dp"]),
+], ids=["oracle", "dp-wx"])
+def test_solve_loads_only_its_engine(tmp_path, text, algorithm, engine_modules):
+    # A cold `cnc solve` loads the harness and the engine that runs; never the
+    # generators (reductions, families), the kernel or the bench.
+    path = write(tmp_path, "a.cnc", text)
+    code = (
+        "import sys\n"
+        "from cncut.cli import main\n"
+        f"assert main(['solve', {path!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'cncut'))\n"
+    )
+    out = run_child(code).splitlines()
+    assert f"algorithm: {algorithm}" in out
+    assert out[-1] == str(sorted(SOLVE_BASE + engine_modules))
+
+
+def test_package_root_resolves_every_export_lazily():
+    code = (
+        "import sys, cncut\n"
+        "assert [m for m in sys.modules if m.startswith('cncut.')] == []\n"
+        "for name in cncut.__all__:\n"
+        "    obj = getattr(cncut, name)\n"
+        "    assert obj.__module__.startswith('cncut.'), name\n"
+        "    assert getattr(sys.modules[obj.__module__], name) is obj, name\n"
+        "    assert name in dir(cncut), name\n"
+        "try:\n"
+        "    cncut.no_such_name\n"
+        "except AttributeError:\n"
+        "    print('ok')\n"
+    )
+    assert run_child(code).split() == ["ok"]
+
+
+def test_mcc_cap_help_shows_the_default(capsys):
+    # The parser states the cap without importing reductions, so the two copies
+    # of the value are pinned equal here.
+    from cncut.reductions import DEFAULT_MATERIALIZE_CAP
+
+    with pytest.raises(SystemExit):
+        main(["generate", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"mcc vertex cap (default {DEFAULT_MATERIALIZE_CAP})" in help_text
 
 
 def test_usage_error_exits_two():

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from cncut.graph import InputError, complete_graph, path_graph
+from cncut.graph import InputError, complete_graph, connected_pairs, path_graph
 from cncut.instance_io import (
     CncInstance,
     ParseError,
@@ -9,7 +9,7 @@ from cncut.instance_io import (
     serialize_instance,
 )
 
-from .strategies import graphs
+from .strategies import child_peak_rss_mb, graphs
 
 K3_TEXT = "p cnc 3 3\ne 1 2\ne 2 3\ne 1 3\nk 1\nx 2\n"
 
@@ -30,6 +30,22 @@ def test_parse_triangle_y_form():
 def test_y_above_total_gives_negative_equivalent():
     inst = CncInstance(path_graph(2), 1, y=10)
     assert inst.x_equivalent() == 2 - 10
+
+
+@given(graphs(), st.integers(0, 60))
+def test_x_equivalent_counts_every_pair(g, y):
+    assert CncInstance(g, 0, y=y).x_equivalent() == connected_pairs(g) - y
+
+
+def test_x_equivalent_memory_is_linear():
+    # Adjacency masks of a 100,000-vertex path cost about n^2/16 bytes (over
+    # 600 MB); the edge-list count needs a few MB.
+    code = (
+        "from cncut.graph import path_graph\n"
+        "from cncut.instance_io import CncInstance\n"
+        "assert CncInstance(path_graph(100000), 1, y=1).x_equivalent() == 100000 * 99999 - 1"
+    )
+    assert child_peak_rss_mb(code) < 100
 
 
 def test_serialization_is_canonical():
