@@ -180,9 +180,11 @@ def run_bench(
     """One row per (instance, engine, rep); aborts on cross-engine disagreement."""
     if isinstance(spec, str):
         spec = parse_family(spec)
-    for engine in engines:
+    for i, engine in enumerate(engines):
         if engine not in ENGINES:
             raise InputError(f"unknown engine {engine!r}")
+        if engine in engines[:i]:
+            raise InputError(f"engine {engine!r} is listed twice; reps repeats a run")
     rows: list[dict] = []
     for name, inst in iterate_instances(spec):
         rows.extend(_run_one(name, inst, tuple(engines), reps, config))

@@ -1,8 +1,9 @@
 """Graph suites for cross-validation: exhaustive small graphs and seeded random ones.
 
 enumerate_graphs returns one representative per isomorphism class, built by
-vertex augmentation with a canonical-form dedup. The per-order class counts
-are pinned to the known values as a self-check.
+vertex augmentation with a dedup on the least code over all relabellings,
+found by a pure-Python search. The per-order class counts are pinned to the
+known values as a self-check.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .graph import Graph, InputError
 
@@ -21,39 +22,85 @@ MAX_EXHAUSTIVE = 7
 
 
 def _pair_order(t: int) -> list[tuple[int, int]]:
-    # Must match np.triu_indices(t, 1) row-major order.
+    # Bit i of a graph's code is the i-th pair here, so pair (a, b) with
+    # a < b is bit a(2t-a-1)/2 + b-a-1.
     return list(combinations(range(t), 2))
 
 
+def _least_code(adj: list[int]) -> int:
+    """Least code over all relabellings of the graph with adjacency masks `adj`.
+
+    The code of a labelling sets bit a(2n-a-1)/2 + b-a-1 for each edge on
+    positions a < b. Pairs with a larger a are more significant, and within
+    one a, pairs with a larger b are. The search fills positions n-1, n-2,
+    ..., 0. Filling position a fixes the bits of its pairs (a, b), b > a: one
+    block, all below the blocks fixed before. So codes compare block by block
+    in fill order, and keeping after each position only the partial
+    labellings whose block is least loses no least code.
+
+    Twins are pruned. If two unplaced vertices u < v have N(u) - {v} =
+    N(v) - {u}, swapping them is an automorphism that fixes every placed
+    vertex, so placing v next reaches the same codes as placing u; v is
+    skipped.
+
+    `vals` packs one n-bit field per vertex w: the block w fixes if it is
+    placed next, at position a, where bit i is its adjacency to the vertex at
+    position a+1+i. Placing v shifts every field one bit up and sets bit 0 of
+    each neighbour of v. v's own field is cleared first, so no field outgrows
+    its n bits.
+    """
+    n = len(adj)
+    field = (1 << n) - 1
+    twins = [
+        sum(1 << u for u in range(v) if adj[u] & ~(1 << v) == adj[v] & ~(1 << u))
+        for v in range(n)
+    ]
+    spread = [sum(1 << w * n for w in range(n) if adj[v] >> w & 1) for v in range(n)]
+    code = 0
+    level = [(field, 0)]  # (unplaced mask, vals) per kept partial labelling
+    for a in range(n - 1, -1, -1):
+        best = field  # above every block, which has at most n-1 bits
+        kept = []
+        for free, vals in level:
+            for v in range(n):
+                if free >> v & 1 and not twins[v] & free:
+                    block = vals >> v * n & field
+                    if block < best:
+                        best = block
+                        kept = []
+                    if block == best:
+                        kept.append(
+                            (free & ~(1 << v), (vals & ~(field << v * n)) << 1 | spread[v])
+                        )
+        code = code << (n - 1 - a) | best
+        level = kept
+    return code
+
+
 def _augment(codes: list[int], t: int) -> list[int]:
-    """Canonical codes of all classes on t+1 vertices from those on t."""
-    import numpy as np  # only here, so importing the package skips numpy
+    """Least codes of all classes on t+1 vertices from those on t.
 
-    tn = t + 1
-    count = len(codes) * (1 << t)
-    mats = np.zeros((count, tn, tn), dtype=bool)
-    idx = 0
+    Only neighbourhoods that give the new vertex t the largest degree are
+    tried. That still reaches every class: deleting a vertex of largest
+    degree from a graph on t+1 vertices leaves a graph isomorphic to one of
+    the given classes, and adding the vertex back with its neighbourhood
+    carried over is one of the tried augmentations.
+    """
+    pairs = _pair_order(t)
+    out = set()
     for code in codes:
-        base = np.zeros((t, t), dtype=bool)
-        for i, (a, b) in enumerate(_pair_order(t)):
+        base = [0] * t
+        for i, (a, b) in enumerate(pairs):
             if code >> i & 1:
-                base[a, b] = base[b, a] = True
+                base[a] |= 1 << b
+                base[b] |= 1 << a
+        degrees = [m.bit_count() for m in base]
         for mask in range(1 << t):
-            mats[idx, :t, :t] = base
-            for i in range(t):
-                if mask >> i & 1:
-                    mats[idx, t, i] = mats[idx, i, t] = True
-            idx += 1
-
-    iu0, iu1 = np.triu_indices(tn, 1)
-    pows = np.int64(1) << np.arange(len(iu0), dtype=np.int64)
-    best = None
-    for p in permutations(range(tn)):
-        pa = np.asarray(p)
-        pm = mats[:, pa[:, None], pa[None, :]]
-        vals = pm[:, iu0, iu1] @ pows
-        best = vals if best is None else np.minimum(best, vals)
-    return sorted({int(v) for v in best})
+            top = mask.bit_count()
+            if all(d + (mask >> i & 1) <= top for i, d in enumerate(degrees)):
+                adj = [m | (mask >> i & 1) << t for i, m in enumerate(base)]
+                out.add(_least_code(adj + [mask]))
+    return sorted(out)
 
 
 @lru_cache(maxsize=None)

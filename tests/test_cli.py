@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import os
@@ -291,6 +292,33 @@ def test_bench_writes_csv(tmp_path, capsys):
     )
 
 
+def test_bench_repeated_engine_is_an_input_error(capsys):
+    # Both copies would write rep 0 for every instance; --reps repeats a run.
+    argv = ["bench", "--family", "all:n=3:k=0:x=0", "--engines", "oracle,dp-y,oracle"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "engine 'oracle' is listed twice" in captured.err
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_bench_reader_closing_early_is_not_an_error(unbuffered):
+    # `cnc bench ... | head -1`: the CSV (about 117 kB) outgrows the pipe, so
+    # the writes after the reader leaves fail with EPIPE.
+    src = str(Path(cncut.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+    child = subprocess.Popen(
+        [sys.executable, "-m", "cncut.cli", "bench", "--family", "all:n=5:k=0-1:x=0-3"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    assert child.stdout.readline().startswith("instance,engine,")
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 0
+    assert err == ""
+
+
 def test_bench_discrepancy_exit_code(tmp_path, capsys, monkeypatch):
     import cncut.bench as bench_mod
 
@@ -316,6 +344,34 @@ def run_child(code):
 
 def test_cli_import_skips_numpy():
     assert run_child("import sys, cncut.cli; print('numpy' in sys.modules)") == "False\n"
+
+
+def test_catalogue_skips_numpy():
+    code = (
+        "import sys\n"
+        "from cncut.bench import run_bench\n"
+        "from cncut.families import enumerate_graphs\n"
+        "assert len(run_bench('all:n=5:k=0:x=0')) == 34 * 4\n"
+        "assert len(enumerate_graphs(7)) == 1044\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    assert run_child(code) == "False\n"
+
+
+def test_package_imports_only_the_standard_library():
+    package = Path(cncut.__file__).resolve().parent
+    outside = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside += [(path.name, name) for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
 
 
 STAR17 = "p cnc 17 16\n" + "".join(f"e 1 {v}\n" for v in range(2, 18)) + "k 1\nx 0\n"

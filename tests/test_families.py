@@ -1,8 +1,11 @@
+import hashlib
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
 
+from cncut import families
 from cncut.families import (
     CLASS_COUNTS,
     MAX_EXHAUSTIVE,
@@ -11,14 +14,45 @@ from cncut.families import (
 )
 from cncut.graph import Graph, InputError
 
-from .strategies import child_peak_rss_mb
+from .strategies import child_peak_rss_mb, graphs
+
+# sha256 of ",".join(map(str, _codes(n))), as computed by a search over every
+# relabelling with numpy; the catalogue's graphs and vertex labels follow from
+# these codes.
+CODES_SHA256 = {
+    0: "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+    1: "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+    2: "83b97b859aa5f81b2f0f86ba2a675efaf515ad2d5e2b8652cf2de7e1c2267350",
+    3: "e07a92fb5aaa979553ff4952bd4597b190f6f37b327b065caeb0272ef00c4a82",
+    4: "ee8879922ff2981c1ef94a44feef8f72d7beb0c9cad9d539f0d678d3877a7d26",
+    5: "0590bd47e8dd07dcaf48fca66c863cb1cb934329d93ef0563b96122174383eec",
+    6: "2d01f5d8a4feb13139b83e7c225a2c04568935848b620cae2d28194fa2b246e8",
+    7: "409cc39ac8b2a97b4cb375d79e3658bf2f447a0ea1f3fd5bc580ddb505f502ac",
+}
 
 
-@pytest.mark.parametrize("n", range(7))
+@pytest.mark.parametrize("n", range(MAX_EXHAUSTIVE + 1))
 def test_class_counts(n):
     graphs = enumerate_graphs(n)
     assert len(graphs) == CLASS_COUNTS[n]
     assert all(g.n == n for g in graphs)
+
+
+@pytest.mark.parametrize("n", range(MAX_EXHAUSTIVE + 1))
+def test_codes_are_pinned(n):
+    text = ",".join(map(str, families._codes(n)))
+    assert hashlib.sha256(text.encode()).hexdigest() == CODES_SHA256[n]
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(max_n=6))
+def test_least_code_is_the_least_over_all_relabellings(g):
+    pairs = list(combinations(range(g.n), 2))
+    brute = min(
+        sum(1 << i for i, (a, b) in enumerate(pairs) if g.has_edge(p[a], p[b]))
+        for p in permutations(range(g.n))
+    )
+    assert families._least_code(list(g.adjacency_masks)) == brute
 
 
 def test_enumeration_starts_edgeless():
