@@ -68,62 +68,7 @@ _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in nam
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BranchDecision",
-    "BranchStats",
-    "CapExceeded",
-    "CliqueInstance",
-    "CncInstance",
-    "Cut",
-    "GadgetSizes",
-    "Graph",
-    "HarnessConfig",
-    "InputError",
-    "KernelTrace",
-    "MccLayout",
-    "NiceTreeDecomposition",
-    "OracleResult",
-    "ParseError",
-    "ReductionOutput",
-    "Refusal",
-    "RemovalTable",
-    "RunReport",
-    "TreeDecomposition",
-    "VerifyReport",
-    "WxDecision",
-    "YDecision",
-    "build_mcc_instance",
-    "connected_components",
-    "connected_pairs",
-    "cross_compose",
-    "forward_solution_cut",
-    "heuristic_decomposition",
-    "kernel_bound_holds",
-    "kernelize_kx",
-    "make_nice",
-    "mcc_parameters",
-    "oracle_decides",
-    "oracle_max_removed_exact",
-    "oracle_min_pairs",
-    "pairs_removed",
-    "parse_instance",
-    "parse_td",
-    "reduce_clique_bipartite",
-    "reduce_clique_split",
-    "reduce_clique_to_cnc",
-    "remove_isolated",
-    "remove_vertices",
-    "run_instance",
-    "select_algorithm",
-    "serialize_instance",
-    "serialize_td",
-    "solve_branch_kx",
-    "solve_wx",
-    "solve_y",
-    "validate_decomposition",
-    "validate_nice",
-    "verify_solution",
-]
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):

@@ -206,10 +206,10 @@ def pairs_removed(g: Graph, c: Iterable[int]) -> int:
     """How many ordered connected pairs vanish when c is deleted.
 
     Uniform over disconnected inputs and cuts touching isolated vertices:
-    always connected_pairs(g) - connected_pairs(g - c).
+    always connected_pairs(g) - connected_pairs(g - c). Both terms are
+    counted by `pairs_by_edges`, so the memory is O(n + m).
     """
-    h, _ = remove_vertices(g, c)
-    return connected_pairs(g) - connected_pairs(h)
+    return pairs_by_edges(g) - pairs_by_edges(g, c)
 
 
 def remove_isolated(g: Graph) -> tuple[Graph, tuple[int, ...], tuple[int, ...]]:
@@ -266,52 +266,8 @@ def verify_solution(g: Graph, c: Iterable[int], k: int, x: int) -> VerifyReport:
     )
 
 
-def component_size_census(g: Graph, c: Iterable[int] = ()) -> dict[int, int]:
-    """Sizes of the non-trivial components of g - c, as {size: count}."""
-    h, _ = remove_vertices(g, c)
-    census: dict[int, int] = {}
-    for s in (comp.bit_count() for comp in h.components):
-        if s >= 2:
-            census[s] = census.get(s, 0) + 1
-    return census
-
-
-def is_bipartite(g: Graph) -> bool:
-    """Breadth-first layers per component; an odd cycle shows as an edge inside a layer."""
-    masks = g.adjacency_masks
-    for comp in g.components:
-        seen = layer = comp & -comp
-        while layer:
-            reach = 0
-            for v in bits(layer):
-                reach |= masks[v]
-            if reach & layer:
-                return False
-            layer = reach & ~seen
-            seen |= layer
-    return True
-
-
-def degeneracy(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """Graph degeneracy and a witness elimination order (repeated min-degree)."""
-    masks = g.adjacency_masks
-    alive = (1 << g.n) - 1
-    order: list[int] = []
-    best = 0
-    while alive:
-        # min keeps the first of equal degrees, which is the smallest id.
-        v = min(bits(alive), key=lambda u: (masks[u] & alive).bit_count())
-        best = max(best, (masks[v] & alive).bit_count())
-        order.append(v)
-        alive ^= 1 << v
-    return best, tuple(order)
-
-
-# Small builders, mostly for tests and bench families.
-
-def empty_graph(n: int) -> Graph:
-    return Graph(n, frozenset())
-
+# Builders: `cli._parse_source` reads the first four from a `--source` spec,
+# and `reductions.cross_compose` joins its parts with `disjoint_union`.
 
 def complete_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])

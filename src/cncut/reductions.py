@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .decomposition import TreeDecomposition
 from .graph import Cut, Graph, InputError, Refusal, disjoint_union
 
 
@@ -65,16 +64,6 @@ class ReductionOutput:
     x: int | None
     roles: tuple[str, ...]
     notes: dict
-
-
-def has_clique(g: Graph, size: int) -> bool:
-    """Plain subset check, independent of any reduction bookkeeping."""
-    if size <= 1:
-        return size >= 0 and g.n >= size
-    for cand in combinations(range(g.n), size):
-        if all(g.has_edge(u, v) for u, v in combinations(cand, 2)):
-            return True
-    return False
 
 
 def pairs_target(n: int, big_n: int, k: int) -> int:
@@ -493,53 +482,3 @@ def forward_solution_cut(layout: MccLayout, clique: list[int]) -> Cut:
         raise AssertionError(f"canonical cut has {len(cut)} vertices, budget is {params.k}")
     return Cut(frozenset(cut), params.x)
 
-
-def mcc_direct_decomposition(layout: MccLayout) -> TreeDecomposition:
-    """A decomposition witnessing the treewidth bound: all validation vertices
-    ride in every bag, each gadget contributes small local bags."""
-    val: list[int] = []
-    for rng in sorted(layout.validation.items(), key=lambda kv: kv[1][0]):
-        val.extend(rng[1])
-    val_f = frozenset(val)
-
-    bags: list[frozenset[int]] = []
-    edges: list[tuple[int, int]] = []
-
-    def add_bag(members: frozenset[int], parent: int | None) -> int:
-        bags.append(members | val_f)
-        idx = len(bags) - 1
-        if parent is not None:
-            edges.append((parent, idx))
-        return idx
-
-    spine_prev: int | None = None
-    for u in range(layout.n):
-        cu = frozenset(layout.core_clique[u])
-        spine = add_bag(cu, spine_prev)
-        spine_prev = spine
-        for d in layout.vertex_dummies[u]:
-            add_bag(cu | {d}, spine)
-        for key, core in sorted(layout.selector_core.items(), key=lambda kv: kv[1][0]):
-            if key[0] != u:
-                continue
-            core_f = frozenset(core)
-            core_bag = add_bag(cu | core_f, spine)
-            for gv in layout.selector_guard[key]:
-                add_bag(core_f | {gv}, core_bag)
-
-    for f in layout.source_edges:
-        ev = layout.edge_vertex[f]
-        spine = add_bag(frozenset([ev]), spine_prev)
-        spine_prev = spine
-        for d in layout.edge_dummies[f]:
-            add_bag(frozenset([ev, d]), spine)
-        for w in f:
-            for order in (LOW, HIGH):
-                core_f = frozenset(layout.edge_core[(f, w, order)])
-                core_bag = add_bag(core_f | {ev}, spine)
-                for gv in layout.edge_guard[(f, w, order)]:
-                    add_bag(core_f | {gv}, core_bag)
-
-    if spine_prev is None:
-        add_bag(frozenset(), None)
-    return TreeDecomposition(tuple(bags), tuple(edges))

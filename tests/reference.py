@@ -1,0 +1,120 @@
+"""Reference predicates and witnesses that only the tests use.
+
+Each is a plain check, independent of the engines and of the reductions'
+own bookkeeping, so a test can hold a construction's structural claims
+(bipartite, degenerate, clique, component census, treewidth witness)
+against it.
+"""
+
+from itertools import combinations
+from typing import Iterable
+
+from cncut.decomposition import TreeDecomposition
+from cncut.graph import Graph, bits, remove_vertices
+from cncut.reductions import HIGH, LOW, MccLayout
+
+
+def empty_graph(n: int) -> Graph:
+    return Graph(n, frozenset())
+
+
+def component_size_census(g: Graph, c: Iterable[int] = ()) -> dict[int, int]:
+    """Sizes of the non-trivial components of g - c, as {size: count}."""
+    h, _ = remove_vertices(g, c)
+    census: dict[int, int] = {}
+    for s in (comp.bit_count() for comp in h.components):
+        if s >= 2:
+            census[s] = census.get(s, 0) + 1
+    return census
+
+
+def is_bipartite(g: Graph) -> bool:
+    """Breadth-first layers per component; an odd cycle shows as an edge inside a layer."""
+    masks = g.adjacency_masks
+    for comp in g.components:
+        seen = layer = comp & -comp
+        while layer:
+            reach = 0
+            for v in bits(layer):
+                reach |= masks[v]
+            if reach & layer:
+                return False
+            layer = reach & ~seen
+            seen |= layer
+    return True
+
+
+def degeneracy(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """Graph degeneracy and a witness elimination order (repeated min-degree)."""
+    masks = g.adjacency_masks
+    alive = (1 << g.n) - 1
+    order: list[int] = []
+    best = 0
+    while alive:
+        # min keeps the first of equal degrees, which is the smallest id.
+        v = min(bits(alive), key=lambda u: (masks[u] & alive).bit_count())
+        best = max(best, (masks[v] & alive).bit_count())
+        order.append(v)
+        alive ^= 1 << v
+    return best, tuple(order)
+
+
+def has_clique(g: Graph, size: int) -> bool:
+    """Plain subset check, independent of any reduction bookkeeping."""
+    if size <= 1:
+        return size >= 0 and g.n >= size
+    for cand in combinations(range(g.n), size):
+        if all(g.has_edge(u, v) for u, v in combinations(cand, 2)):
+            return True
+    return False
+
+
+def mcc_direct_decomposition(layout: MccLayout) -> TreeDecomposition:
+    """A decomposition witnessing the treewidth bound: all validation vertices
+    ride in every bag, each gadget contributes small local bags."""
+    val: list[int] = []
+    for rng in sorted(layout.validation.items(), key=lambda kv: kv[1][0]):
+        val.extend(rng[1])
+    val_f = frozenset(val)
+
+    bags: list[frozenset[int]] = []
+    edges: list[tuple[int, int]] = []
+
+    def add_bag(members: frozenset[int], parent: int | None) -> int:
+        bags.append(members | val_f)
+        idx = len(bags) - 1
+        if parent is not None:
+            edges.append((parent, idx))
+        return idx
+
+    spine_prev: int | None = None
+    for u in range(layout.n):
+        cu = frozenset(layout.core_clique[u])
+        spine = add_bag(cu, spine_prev)
+        spine_prev = spine
+        for d in layout.vertex_dummies[u]:
+            add_bag(cu | {d}, spine)
+        for key, core in sorted(layout.selector_core.items(), key=lambda kv: kv[1][0]):
+            if key[0] != u:
+                continue
+            core_f = frozenset(core)
+            core_bag = add_bag(cu | core_f, spine)
+            for gv in layout.selector_guard[key]:
+                add_bag(core_f | {gv}, core_bag)
+
+    for f in layout.source_edges:
+        ev = layout.edge_vertex[f]
+        spine = add_bag(frozenset([ev]), spine_prev)
+        spine_prev = spine
+        for d in layout.edge_dummies[f]:
+            add_bag(frozenset([ev, d]), spine)
+        for w in f:
+            for order in (LOW, HIGH):
+                core_f = frozenset(layout.edge_core[(f, w, order)])
+                core_bag = add_bag(core_f | {ev}, spine)
+                for gv in layout.edge_guard[(f, w, order)]:
+                    add_bag(core_f | {gv}, core_bag)
+
+    if spine_prev is None:
+        add_bag(frozenset(), None)
+    return TreeDecomposition(tuple(bags), tuple(edges))

@@ -18,10 +18,10 @@ def graphs(draw, min_n=0, max_n=8, max_m=None):
     n = draw(st.integers(min_n, max_n))
     pool = list(combinations(range(n), 2))
     if not pool:
-        return Graph(n, [])
+        return Graph(n, frozenset())
     cap = len(pool) if max_m is None else min(max_m, len(pool))
     edges = draw(st.lists(st.sampled_from(pool), unique=True, max_size=cap))
-    return Graph(n, edges)
+    return Graph(n, frozenset(edges))
 
 
 @st.composite

@@ -27,7 +27,6 @@ from cncut.families import enumerate_graphs, random_graph
 from cncut.graph import (
     Graph,
     complete_graph,
-    component_size_census,
     connected_pairs,
     path_graph,
     verify_solution,
@@ -41,11 +40,12 @@ from cncut.reductions import (
     build_mcc_instance,
     cross_compose,
     forward_solution_cut,
-    has_clique,
     mcc_parameters,
     reduce_clique_to_cnc,
 )
 from cncut.treewidth_dp import compute_tables, read_decision, solve_wx
+
+from .reference import component_size_census, has_clique
 
 K_MAX = 3
 X_MAX = 10

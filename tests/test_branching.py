@@ -9,7 +9,6 @@ from cncut.graph import (
     InputError,
     complete_graph,
     connected_pairs,
-    empty_graph,
     path_graph,
     remove_vertices,
     star_graph,
@@ -23,6 +22,7 @@ from cncut.branching import (
 )
 from cncut.oracle import oracle_decides
 
+from .reference import empty_graph
 from .strategies import graphs, graphs_with_subset
 
 

@@ -374,6 +374,40 @@ def test_package_imports_only_the_standard_library():
     assert outside == []
 
 
+def test_package_keeps_only_what_runs():
+    # Every public top-level function or class of the package is named in the
+    # package outside its own definition, exported from the package root, or
+    # traced by the benchmark; code that only the tests call lives in tests/.
+    package = Path(cncut.__file__).resolve().parent
+    tracer = (Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py").read_text(
+        encoding="utf-8")
+
+    def named(top):
+        found = set()
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.alias):
+                found.add(node.name.split(".")[-1])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                found.add(node.value)
+        return found
+
+    tops = [(path.stem, top, named(top)) for path in sorted(package.glob("*.py"))
+            for top in ast.parse(path.read_text(encoding="utf-8")).body]
+    unused = []
+    for module, defn, _ in tops:
+        if not isinstance(defn, (ast.FunctionDef, ast.ClassDef)) or defn.name[0] == "_":
+            continue
+        elsewhere = set().union(*(names for _, top, names in tops if top is not defn))
+        if not (defn.name in elsewhere or defn.name in cncut._MODULE_OF
+                or f"{module}.{defn.name}" in tracer):
+            unused.append(f"{module}.{defn.name}")
+    assert unused == []
+
+
 STAR17 = "p cnc 17 16\n" + "".join(f"e 1 {v}\n" for v in range(2, 18)) + "k 1\nx 0\n"
 SOLVE_BASE = ["cncut", "cncut.cli", "cncut.graph", "cncut.harness", "cncut.instance_io"]
 
@@ -395,6 +429,25 @@ def test_solve_loads_only_its_engine(tmp_path, text, algorithm, engine_modules):
     out = run_child(code).splitlines()
     assert f"algorithm: {algorithm}" in out
     assert out[-1] == str(sorted(SOLVE_BASE + engine_modules))
+
+
+GENERATE_MODULES = ["cncut", "cncut.cli", "cncut.families", "cncut.graph", "cncut.harness",
+                    "cncut.instance_io", "cncut.reductions"]
+
+
+@pytest.mark.parametrize("args", [
+    ["clique", "--source", "complete:3", "--ell", "3"],
+    ["mcc", "--source", "path:2", "--ell", "2", "--colors", "0,1", "--sizes", "2,3,4,2,5,6,7"],
+], ids=["clique", "mcc"])
+def test_generate_loads_no_engine(tmp_path, args):
+    # The reductions build instances without any decomposition or engine.
+    code = (
+        "import sys\n"
+        "from cncut.cli import main\n"
+        f"assert main(['generate', '-o', {str(tmp_path / 'a.cnc')!r}] + {args!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'cncut'))\n"
+    )
+    assert run_child(code).splitlines()[-1] == str(GENERATE_MODULES)
 
 
 def test_package_root_resolves_every_export_lazily():

@@ -9,7 +9,6 @@ from cncut.graph import (
     complete_graph,
     connected_pairs,
     disjoint_union,
-    empty_graph,
     pairs_removed,
     path_graph,
     remove_vertices,
@@ -21,6 +20,7 @@ from cncut.component_dp import (
 )
 from cncut.oracle import CapExceeded, oracle_max_removed_exact, oracle_min_pairs
 
+from .reference import empty_graph
 from .strategies import graphs
 
 TWO_TRIANGLES = disjoint_union([complete_graph(3), complete_graph(3)])[0]

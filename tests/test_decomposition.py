@@ -5,7 +5,6 @@ from cncut.graph import (
     complete_graph,
     cycle_graph,
     disjoint_union,
-    empty_graph,
     path_graph,
     star_graph,
 )
@@ -24,6 +23,7 @@ from cncut.decomposition import (
     validate_nice,
 )
 
+from .reference import empty_graph
 from .strategies import bag_trees, graphs
 
 P3_BAGS = TreeDecomposition((frozenset({0, 1}), frozenset({1, 2})), ((0, 1),))

@@ -5,14 +5,10 @@ from cncut.graph import (
     Graph,
     InputError,
     complete_graph,
-    component_size_census,
     connected_components,
     connected_pairs,
     cycle_graph,
-    degeneracy,
     disjoint_union,
-    empty_graph,
-    is_bipartite,
     pairs_removed,
     path_graph,
     remove_isolated,
@@ -21,6 +17,7 @@ from cncut.graph import (
     verify_solution,
 )
 
+from .reference import component_size_census, degeneracy, empty_graph, is_bipartite
 from .strategies import child_peak_rss_mb, graphs, graphs_with_subset
 
 K3 = complete_graph(3)
@@ -140,6 +137,16 @@ def test_verify_solution_matches_rebuilt_graph(gc):
     assert verify_solution(g, c, len(c), 0).residual_pairs == connected_pairs(h)
 
 
+def test_pairs_removed_memory_is_linear():
+    # Both counts run over the edge list, so no adjacency mask is built.
+    code = (
+        "from cncut.graph import pairs_removed, path_graph\n"
+        "assert pairs_removed(path_graph(100000), [0, 1])"
+        " == 100000 * 99999 - 99998 * 99997"
+    )
+    assert child_peak_rss_mb(code) < 100
+
+
 def test_verify_solution_memory_is_linear():
     # An adjacency mask per vertex of a 100,000-vertex path costs about
     # n^2/16 bytes (over 600 MB); the edge-list count needs a few MB.
@@ -206,6 +213,9 @@ def _reach(edges, start):
 
 @given(graphs(max_n=10))
 def test_components_match_edge_reachability(g):
+    # The strategy builds the same hashable graph as from_edges.
+    same = Graph.from_edges(g.n, g.edges)
+    assert g == same and hash(g) == hash(same)
     comps = [{v for v in range(g.n) if mask >> v & 1} for mask in g.components]
     # The masks partition range(n) and come ordered by smallest vertex.
     assert sorted(v for c in comps for v in c) == list(range(g.n))

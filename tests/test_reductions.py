@@ -7,12 +7,8 @@ from cncut.graph import (
     Graph,
     InputError,
     complete_graph,
-    component_size_census,
     connected_pairs,
     cycle_graph,
-    degeneracy,
-    empty_graph,
-    is_bipartite,
     path_graph,
     remove_vertices,
     verify_solution,
@@ -27,13 +23,20 @@ from cncut.reductions import (
     build_mcc_instance,
     cross_compose,
     forward_solution_cut,
-    has_clique,
-    mcc_direct_decomposition,
     mcc_parameters,
     pairs_target,
     reduce_clique_bipartite,
     reduce_clique_split,
     reduce_clique_to_cnc,
+)
+
+from .reference import (
+    component_size_census,
+    degeneracy,
+    empty_graph,
+    has_clique,
+    is_bipartite,
+    mcc_direct_decomposition,
 )
 
 SMALL_SIZES = GadgetSizes(A=2, B=3, Cv=4, L3=2, X=5, Y=6, Z=7)

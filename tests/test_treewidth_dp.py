@@ -10,7 +10,6 @@ from cncut.graph import (
     InputError,
     complete_graph,
     disjoint_union,
-    empty_graph,
     path_graph,
     star_graph,
     verify_solution,
@@ -37,6 +36,7 @@ from cncut.treewidth_dp import (
     solve_wx,
 )
 
+from .reference import empty_graph
 from .strategies import bag_trees, graphs
 
 EMPTY = frozenset()
