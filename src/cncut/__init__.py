@@ -14,8 +14,8 @@ from importlib import import_module
 
 # Defining module -> the names it exports from the package root.
 _EXPORTS = {
-    "branching": ("BranchDecision", "BranchStats", "solve_branch_kx"),
-    "component_dp": ("RemovalTable", "YDecision", "solve_y"),
+    "branching": ("BranchStats", "solve_branch_kx"),
+    "component_dp": ("RemovalTable", "solve_y"),
     "decomposition": (
         "NiceTreeDecomposition",
         "TreeDecomposition",
@@ -28,6 +28,7 @@ _EXPORTS = {
     ),
     "graph": (
         "Cut",
+        "Decision",
         "Graph",
         "InputError",
         "Refusal",
@@ -62,7 +63,7 @@ _EXPORTS = {
         "reduce_clique_split",
         "reduce_clique_to_cnc",
     ),
-    "treewidth_dp": ("WxDecision", "solve_wx"),
+    "treewidth_dp": ("solve_wx",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
-from .graph import Cut, Graph, InputError, bits, verify_solution
+from .graph import Cut, Decision, Graph, InputError, bits, certify, check_parameters
 from .oracle import _scan
 
 
@@ -39,18 +39,6 @@ class BranchStats:
     # solve_branch_kx: the distinct covers extended before the answer.
     minimal_solutions_found: int = 0
     extensions_tested: int = 0
-
-
-@dataclass(frozen=True)
-class BranchDecision:
-    answer: bool
-    cut: Cut | None
-    stats: BranchStats
-
-
-def _check_parameters(k: int, x: int) -> None:
-    if k < 0 or x < 0:
-        raise InputError(f"parameters must be nonnegative, got k={k}, x={x}")
 
 
 def _without(adj: list[int], w: int) -> list[int]:
@@ -103,7 +91,7 @@ def enumerate_minimal_covers(
     3^(x+k) nodes, counted in stats.nodes_visited. Covers come sorted by size,
     then lexicographically.
     """
-    _check_parameters(k, x)
+    check_parameters(k, x)
     stats = BranchStats()
     found = {frozenset(bits(c)) for c in _covers(g.adjacency_masks, k, x, stats)}
     minimal = _inclusion_minimal(found)
@@ -156,7 +144,7 @@ def extend_minimal_cover(
     return None
 
 
-def solve_branch_kx(g: Graph, k: int, x: int) -> BranchDecision:
+def solve_branch_kx(g: Graph, k: int, x: int) -> Decision:
     """YES/NO plus a certificate cut for: delete <= k vertices, <= x pairs remain.
 
     Searches covers with an edge budget of x // 2 (a solution leaves at most
@@ -164,7 +152,7 @@ def solve_branch_kx(g: Graph, k: int, x: int) -> BranchDecision:
     reaches it. Every minimal cover is reached and every solution extends one,
     so the first YES settles the instance and exhausting the search means NO.
     """
-    _check_parameters(k, x)
+    check_parameters(k, x)
     stats = BranchStats()
     extended: set[int] = set()
     for cover in _covers(g.adjacency_masks, k, x // 2, stats):
@@ -174,8 +162,5 @@ def solve_branch_kx(g: Graph, k: int, x: int) -> BranchDecision:
         stats.minimal_solutions_found += 1
         cut = extend_minimal_cover(g, frozenset(bits(cover)), k, x, stats)
         if cut is not None:
-            report = verify_solution(g, cut.vertices, k, x)
-            if not report.ok or report.residual_pairs != cut.residual_pairs:
-                raise AssertionError(f"branch-kx produced an invalid cut: {report}")
-            return BranchDecision(True, cut, stats)
-    return BranchDecision(False, None, stats)
+            return Decision(True, certify(g, cut, k, x, "branch-kx"), stats)
+    return Decision(False, None, stats)

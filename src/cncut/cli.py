@@ -58,27 +58,22 @@ def _positive(text: str) -> int:
 
 
 def _parse_source(spec: str, rng: random.Random) -> Graph:
-    parts = spec.split(":")
-    kind = parts[0]
-    try:
-        if kind == "complete" and len(parts) == 2:
-            return complete_graph(int(parts[1]))
-        if kind == "path" and len(parts) == 2:
-            return path_graph(int(parts[1]))
-        if kind == "cycle" and len(parts) == 2:
-            return cycle_graph(int(parts[1]))
-        if kind == "star" and len(parts) == 2:
-            return star_graph(int(parts[1]))
-        if kind == "random" and len(parts) == 3:
-            from .families import random_graph
+    from .families import random_graph
 
-            return random_graph(int(parts[1]), int(parts[2]), rng)
+    builders = {"complete": complete_graph, "path": path_graph, "cycle": cycle_graph,
+                "star": star_graph, "random": lambda n, m: random_graph(n, m, rng)}
+    kind, *args = spec.split(":")
+    if kind not in builders or len(args) != 1 + (kind == "random"):
+        raise InputError(
+            f"unknown source spec {spec!r}; use complete:N, path:N, cycle:N, star:N "
+            "or random:N:M"
+        )
+    try:
+        nums = [int(a) for a in args]
     except ValueError:
         raise InputError(f"bad source spec {spec!r}") from None
-    raise InputError(
-        f"unknown source spec {spec!r}; use complete:N, path:N, cycle:N, star:N "
-        "or random:N:M"
-    )
+    # A builder's own InputError keeps its reason.
+    return builders[kind](*nums)
 
 
 def cmd_solve(args) -> int:
@@ -132,7 +127,11 @@ def cmd_kernelize(args) -> int:
     inst = parse_instance(_read_text(args.instance))
     x_eff = inst.x_equivalent()
     if x_eff < 0:
-        print("answer: NO (the removal target exceeds the pairs present)")
+        reason = "the removal target exceeds the pairs present"
+        if args.json:
+            print(json.dumps({"answer": "NO", "reason": reason}, indent=2))
+        else:
+            print(f"answer: NO ({reason})")
         return 1
     trace = kernelize_kx(inst.graph, inst.k, x_eff)
     if trace.infeasible:

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from math import comb
 from operator import itemgetter
 
-from .graph import Cut, Graph, InputError, bits, connected_pairs, pairs_of_alive, verify_solution
+from .graph import (
+    Cut, Decision, Graph, bits, certify, check_parameters, connected_pairs, pairs_of_alive,
+)
 from .oracle import DEFAULT_CAP, CapExceeded, _scan
 
 
@@ -40,32 +42,26 @@ class RemovalTable:
     subsets_examined: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class YDecision:
-    answer: bool
-    cut: Cut | None
-    stats: SolveYStats
-
-
-def shortcut_checks(g: Graph, k: int, y: int) -> YDecision | None:
+def shortcut_checks(g: Graph, k: int, y: int) -> Decision | None:
     """Cheap screens that settle easy instances; None means fall through."""
-    if k < 0:
-        raise InputError(f"budget must be nonnegative, got {k}")
+    check_parameters(k)
     masks, alive = g.adjacency_masks, (1 << g.n) - 1
     total = connected_pairs(g)
+
+    def yes(cut: Cut, shortcut: str) -> Decision:
+        stats = SolveYStats(shortcut=shortcut)
+        return Decision(True, certify(g, cut, k, total - y, "dp-y"), stats)
+
     if y <= 0:
-        return YDecision(True, Cut(frozenset(), total), SolveYStats(shortcut="trivial"))
+        return yes(Cut(frozenset(), total), "trivial")
 
     large = next((c for c in g.components if c.bit_count() > y), 0)
     if k >= 1 and large:
+        # One deletion from a (>y)-vertex component removes at least
+        # 2*(size-1) >= 2y pairs.
         big = next(bits(large))
-        residual = pairs_of_alive(masks, alive & ~(1 << big))
-        if total - residual >= y:
-            stats = SolveYStats(shortcut="large-component")
-            return YDecision(True, Cut(frozenset([big]), residual), stats)
-        # A single deletion from a (>y)-vertex component always removes at
-        # least 2*(size-1) >= 2y pairs, so this branch is unreachable; kept as
-        # a guard so a bad pairs computation can never smuggle out a YES.
+        return yes(Cut(frozenset([big]), pairs_of_alive(masks, alive & ~(1 << big))),
+                   "large-component")
 
     if 2 * k >= y:
         # Delete the smallest vertex that still has an edge, up to k times;
@@ -80,8 +76,7 @@ def shortcut_checks(g: Graph, k: int, y: int) -> YDecision | None:
             chosen.append(v)
             residual = pairs_of_alive(masks, alive)
             if total - residual >= y:
-                stats = SolveYStats(shortcut="greedy-2k")
-                return YDecision(True, Cut(frozenset(chosen), residual), stats)
+                return yes(Cut(frozenset(chosen), residual), "greedy-2k")
     return None
 
 
@@ -113,14 +108,14 @@ def build_removal_table(g: Graph, k: int, cap: int = DEFAULT_CAP) -> RemovalTabl
     return RemovalTable(components, tuple(values), tuple(witnesses), tuple(examined))
 
 
-def solve_y(g: Graph, k: int, y: int, cap: int = DEFAULT_CAP) -> YDecision:
+def solve_y(g: Graph, k: int, y: int, cap: int = DEFAULT_CAP) -> Decision:
     """YES/NO plus a certificate for: delete <= k vertices, remove >= y pairs."""
     early = shortcut_checks(g, k, y)
     if early is not None:
         return early
     if k == 0:
         # y > 0 here; no deletions remove no pairs.
-        return YDecision(False, None, SolveYStats())
+        return Decision(False, None, SolveYStats())
 
     table = build_removal_table(g, k, cap=cap)
     stats = SolveYStats(
@@ -140,8 +135,6 @@ def solve_y(g: Graph, k: int, y: int, cap: int = DEFAULT_CAP) -> YDecision:
     # best never falls as b grows, so max takes the smallest b reaching best[k].
     removed, cut = max(best, key=itemgetter(0))
     if removed < y:
-        return YDecision(False, None, stats)
-    report = verify_solution(g, cut, k, connected_pairs(g) - y)
-    if not report.ok:
-        raise AssertionError(f"dp-y produced an invalid cut: {report}")
-    return YDecision(True, Cut(cut, report.residual_pairs), stats)
+        return Decision(False, None, stats)
+    total = connected_pairs(g)
+    return Decision(True, certify(g, Cut(cut, total - removed), k, total - y, "dp-y"), stats)

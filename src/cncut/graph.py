@@ -132,6 +132,15 @@ class Cut:
 
 
 @dataclass(frozen=True)
+class Decision:
+    """An engine's answer; a YES carries a cut that has passed `certify`."""
+
+    answer: bool
+    cut: Cut | None
+    stats: object
+
+
+@dataclass(frozen=True)
 class VerifyReport:
     ok: bool
     cut_size: int
@@ -264,6 +273,27 @@ def verify_solution(g: Graph, c: Iterable[int], k: int, x: int) -> VerifyReport:
         residual_pairs=residual,
         pair_bound=x,
     )
+
+
+def certify(g: Graph, cut: Cut, k: int, x: int, engine: str) -> Cut:
+    """Return an engine's YES cut once `verify_solution` has checked it.
+
+    The cut must keep within k and x, and the residual the engine claims must
+    equal the independent count; otherwise an AssertionError names the engine.
+    """
+    report = verify_solution(g, cut.vertices, k, x)
+    if not report.ok or report.residual_pairs != cut.residual_pairs:
+        raise AssertionError(
+            f"engine {engine} produced a cut that fails verification: {report}, "
+            f"claimed residual {cut.residual_pairs}"
+        )
+    return cut
+
+
+def check_parameters(k: int, x: int = 0) -> None:
+    """Reject a negative budget k or pair bound x."""
+    if k < 0 or x < 0:
+        raise InputError(f"parameters must be nonnegative, got k={k}, x={x}")
 
 
 # Builders: `cli._parse_source` reads the first four from a `--source` spec,

@@ -14,7 +14,7 @@ from functools import cached_property
 from importlib import import_module
 from typing import TYPE_CHECKING
 
-from .graph import DEFAULT_CAP, Cut, Graph, InputError, Refusal, connected_pairs, verify_solution
+from .graph import DEFAULT_CAP, Cut, Decision, Graph, InputError, Refusal, certify, connected_pairs
 from .instance_io import CncInstance
 
 if TYPE_CHECKING:
@@ -132,26 +132,22 @@ def select_algorithm(
     return _auto(_Plan(g, k, x, y))
 
 
-def _solve_oracle(plan: _Plan, config: HarnessConfig):
+def _solve_oracle(plan: _Plan, config: HarnessConfig) -> Decision:
     res = _lazy("oracle").oracle_min_pairs(plan.g, plan.k, cap=config.oracle_cap)
     stats = {"explored": res.explored, "min_residual_pairs": res.min_residual_pairs}
-    return res.min_residual_pairs <= plan.x_eff, res.best_cut, stats
+    if res.min_residual_pairs > plan.x_eff:
+        return Decision(False, None, stats)
+    return Decision(True, certify(plan.g, res.best_cut, plan.k, plan.x_eff, "oracle"), stats)
 
 
-def _decided(d):
-    return d.answer, d.cut, dict(vars(d.stats))
-
-
-# Engine name -> solve(plan, config) returning (answer, cut, stats). Each loads
-# its engine's module on its first call.
+# Engine name -> solve(plan, config) returning a Decision. Each loads its
+# engine's module on its first call.
 _SOLVERS = {
     "oracle": _solve_oracle,
-    "branch-kx": lambda p, c: _decided(
-        _lazy("branching").solve_branch_kx(p.g, p.k, p.x_eff)),
-    "dp-y": lambda p, c: _decided(
-        _lazy("component_dp").solve_y(p.g, p.k, p.total - p.x_eff, cap=c.oracle_cap)),
-    "dp-wx": lambda p, c: _decided(
-        _lazy("treewidth_dp").solve_wx(p.g, p.k, p.x_eff, ntd=p.ntd)),
+    "branch-kx": lambda p, c: _lazy("branching").solve_branch_kx(p.g, p.k, p.x_eff),
+    "dp-y": lambda p, c: _lazy("component_dp").solve_y(
+        p.g, p.k, p.total - p.x_eff, cap=c.oracle_cap),
+    "dp-wx": lambda p, c: _lazy("treewidth_dp").solve_wx(p.g, p.k, p.x_eff, ntd=p.ntd),
 }
 ENGINES = tuple(_SOLVERS)
 
@@ -162,11 +158,11 @@ def run_instance(
     config: HarnessConfig = HarnessConfig(),
     ntd: NiceTreeDecomposition | None = None,
 ) -> RunReport:
-    """Solve one instance and emit a verified report.
+    """Solve one instance and emit a report whose YES cut has passed `certify`.
 
     Raises Refusal subclasses when the instance is outside the engine
     envelopes or a cap is hit; those are reports for the caller, not bugs.
-    wall_ms covers the whole call, the re-verification included.
+    wall_ms covers the whole call, the verification included.
     """
     start = time.perf_counter()
     _check_engine(algo)
@@ -175,28 +171,26 @@ def run_instance(
     # Degenerate targets never reach an engine.
     engine = "trivial"
     if plan.x_eff < 0:
-        answer, cut, stats = False, None, {"reason": "x-equivalent below zero"}
+        d = Decision(False, None, {"reason": "x-equivalent below zero"})
     elif plan.x_eff >= plan.total:
-        answer, cut, stats = True, Cut(frozenset(), plan.total), {"reason": "bound already met"}
+        cut = certify(plan.g, Cut(frozenset(), plan.total), plan.k, plan.x_eff, engine)
+        d = Decision(True, cut, {"reason": "bound already met"})
     else:
         engine = algo if algo != "auto" else _auto(plan)
-        answer, cut, stats = _SOLVERS[engine](plan, config)
+        d = _SOLVERS[engine](plan, config)
 
     cut_out = residual = removed = None
-    if answer:
-        cut_out = tuple(sorted(cut.vertices))
-        report = verify_solution(plan.g, cut_out, plan.k, plan.x_eff)
-        if not report:
-            raise AssertionError(f"engine {engine} produced a cut that fails verification")
-        residual = report.residual_pairs
+    if d.answer:
+        cut_out = tuple(sorted(d.cut.vertices))
+        residual = d.cut.residual_pairs
         removed = plan.total - residual
     return RunReport(
-        answer="YES" if answer else "NO",
+        answer="YES" if d.answer else "NO",
         cut=cut_out,
         residual_pairs=residual,
         pairs_removed=removed,
         algorithm=engine,
-        stats=stats,
+        stats=d.stats if isinstance(d.stats, dict) else dict(vars(d.stats)),
         wall_ms=(time.perf_counter() - start) * 1e3,
         config=dict(vars(config)),
     )

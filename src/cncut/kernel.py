@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, InputError, bits, remove_isolated, remove_vertices
+from .graph import Graph, bits, check_parameters, remove_isolated, remove_vertices
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,7 @@ def _forced_vertex(masks: tuple[int, ...], alive: int, k_cur: int, x: int) -> in
 
 def kernelize_kx(g: Graph, k: int, x: int) -> KernelTrace:
     """Apply the high-degree rule to exhaustion, then drop isolated vertices."""
-    if k < 0 or x < 0:
-        raise InputError(f"parameters must be nonnegative, got k={k}, x={x}")
+    check_parameters(k, x)
 
     masks, alive = g.adjacency_masks, (1 << g.n) - 1
     forced: list[int] = []

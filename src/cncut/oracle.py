@@ -22,7 +22,10 @@ from itertools import combinations
 from math import comb
 from typing import Iterator, Sequence
 
-from .graph import DEFAULT_CAP, Cut, Graph, InputError, Refusal, connected_pairs, pairs_of_alive
+from .graph import (
+    DEFAULT_CAP, Cut, Graph, InputError, Refusal, check_parameters, connected_pairs,
+    pairs_of_alive,
+)
 
 _Scan = Iterator[tuple[tuple[int, ...], int, int]]
 
@@ -85,8 +88,7 @@ def _graph_scan(
 
 def oracle_min_pairs(g: Graph, k: int, cap: int = DEFAULT_CAP) -> OracleResult:
     """Minimum connected pairs left after deleting at most k vertices."""
-    if k < 0:
-        raise InputError(f"budget must be nonnegative, got {k}")
+    check_parameters(k)
     explored, scan = _graph_scan(g, k, range(min(k, g.n) + 1), cap, None)
     # With no bound the empty set always yields, so the loop binds subset and best.
     for subset, best, evaluated in scan:
@@ -98,8 +100,7 @@ def oracle_min_pairs(g: Graph, k: int, cap: int = DEFAULT_CAP) -> OracleResult:
 
 def oracle_decides(g: Graph, k: int, x: int, cap: int = DEFAULT_CAP) -> bool:
     """Decision form: can deleting at most k vertices leave at most x pairs?"""
-    if k < 0:
-        raise InputError(f"budget must be nonnegative, got {k}")
+    check_parameters(k)
     if x < 0:
         return False
     _, scan = _graph_scan(g, k, range(min(k, g.n) + 1), cap, x)

@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .graph import Cut, Graph, InputError, bits, connected_pairs, verify_solution
+from .graph import Cut, Decision, Graph, bits, certify, check_parameters, connected_pairs
 from .decomposition import (
     NiceTreeDecomposition,
     StructuralError,
@@ -161,7 +161,7 @@ def join_table(left: DpTable, right: DpTable, k: int, x: int) -> DpTable:
         for l_struct, (l_min, l_cut) in matches:
             if l_struct[0] > k_room:
                 continue
-            merged = _join_pair(l_struct, l_min, r_struct, r_min, k, x)
+            merged = _join_pair(l_struct, l_min, r_struct, r_min, x)
             if merged is not None:
                 struct, x_new = merged
                 table.offer(struct, x_new, l_cut | r_cut)
@@ -169,13 +169,11 @@ def join_table(left: DpTable, right: DpTable, k: int, x: int) -> DpTable:
 
 
 def _join_pair(
-    l_struct: Struct, l_min: int, r_struct: Struct, r_min: int, k: int, x: int
+    l_struct: Struct, l_min: int, r_struct: Struct, r_min: int, x: int
 ) -> tuple[Struct, int] | None:
     lk, deleted, lblocks = l_struct
     rk, _, rblocks = r_struct
-    k_new = lk + rk - deleted.bit_count()
-    if k_new > k:
-        return None
+    k_new = lk + rk - deleted.bit_count()  # <= k: join_table skips the rest
     old_pairs = sum(s * (s - 1) for _, s in lblocks) + sum(s * (s - 1) for _, s in rblocks)
     groups = list(lblocks)
     for rb, rs in rblocks:
@@ -202,13 +200,6 @@ class WxStats:
     max_table_structs: int = 0
     max_table_expanded: int = 0
     total_structs: int = 0
-
-
-@dataclass(frozen=True)
-class WxDecision:
-    answer: bool
-    cut: Cut | None
-    stats: WxStats
 
 
 def compute_tables(
@@ -267,14 +258,13 @@ def solve_wx(
     k: int,
     x: int,
     ntd: NiceTreeDecomposition | None = None,
-) -> WxDecision:
+) -> Decision:
     """YES/NO plus certificate, computed over a (supplied or built) decomposition."""
-    if k < 0 or x < 0:
-        raise InputError(f"parameters must be nonnegative, got k={k}, x={x}")
+    check_parameters(k, x)
     base = connected_pairs(g)
     if base <= x:
         # Every table x' range would be moot; the empty cut already certifies.
-        return WxDecision(True, Cut(frozenset(), base), WxStats())
+        return Decision(True, certify(g, Cut(frozenset(), base), k, x, "dp-wx"), WxStats())
 
     if ntd is None:
         ntd = make_nice(heuristic_decomposition(g))
@@ -294,11 +284,9 @@ def solve_wx(
     )
     accept = read_decision(tables, ntd, k, x)
     if accept is None:
-        return WxDecision(False, None, stats)
+        return Decision(False, None, stats)
     cut = extract_cut(tables, ntd, accept)
     if len(cut) != accept[0]:
         raise AssertionError("certificate size disagrees with its table entry")
-    check = verify_solution(g, cut, k, x)
-    if not check.ok:
-        raise AssertionError("table entry produced an invalid certificate")
-    return WxDecision(True, Cut(cut, check.residual_pairs), stats)
+    residual = tables[ntd.root].entries[accept][0]
+    return Decision(True, certify(g, Cut(cut, residual), k, x, "dp-wx"), stats)

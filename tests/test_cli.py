@@ -200,6 +200,13 @@ def test_kernelize_infeasible(tmp_path, capsys):
     assert "answer: NO" in capsys.readouterr().out
 
 
+def test_kernelize_json_when_the_target_exceeds_the_pairs(tmp_path, capsys):
+    text = "p cnc 3 1\ne 1 2\nk 1\ny 10\n"
+    assert main(["kernelize", write(tmp_path, "a.cnc", text), "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"answer": "NO", "reason": "the removal target exceeds the pairs present"}
+
+
 def test_kernelize_writes_instance(tmp_path, capsys):
     text = "p cnc 8 8\n" + "".join(f"e 1 {v}\n" for v in range(2, 9)) + "e 2 3\nk 2\nx 0\n"
     out = str(tmp_path / "kernel.cnc")
@@ -275,6 +282,16 @@ def test_generate_bad_source_spec(tmp_path, capsys):
     out = str(tmp_path / "a.cnc")
     assert main(["generate", "clique", "-o", out, "--source", "grid:3", "--ell", "2"]) == 2
     assert "source spec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, reason", [
+    ("cycle:2", "cycle needs at least 3 vertices"),
+    ("random:5:100", "cannot place 100 edges on 5 vertices"),
+])
+def test_generate_source_spec_keeps_the_builders_reason(tmp_path, capsys, spec, reason):
+    out = str(tmp_path / "a.cnc")
+    assert main(["generate", "clique", "-o", out, "--source", spec, "--ell", "2"]) == 2
+    assert reason in capsys.readouterr().err
 
 
 def test_bench_writes_csv(tmp_path, capsys):
@@ -408,6 +425,20 @@ def test_package_keeps_only_what_runs():
     assert unused == []
 
 
+def test_only_certify_and_cnc_verify_call_verify_solution():
+    # Each YES is verified once, by graph.certify; `cnc verify` checks a user's cut.
+    package = Path(cncut.__file__).resolve().parent
+    callers = set()
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "verify_solution" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)
+                ):
+                    callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert callers == {"graph.certify", "cli.cmd_verify"}
+
+
 STAR17 = "p cnc 17 16\n" + "".join(f"e 1 {v}\n" for v in range(2, 18)) + "k 1\nx 0\n"
 SOLVE_BASE = ["cncut", "cncut.cli", "cncut.graph", "cncut.harness", "cncut.instance_io"]
 
@@ -485,14 +516,15 @@ def test_usage_error_exits_two():
 
 
 def test_public_names_are_stable():
-    # Exported names change only with a stated reason.
+    # Exported names change only with a stated reason. BranchDecision,
+    # WxDecision and YDecision became the one engine result, graph.Decision.
     assert cncut.__all__ == [
-        "BranchDecision",
         "BranchStats",
         "CapExceeded",
         "CliqueInstance",
         "CncInstance",
         "Cut",
+        "Decision",
         "GadgetSizes",
         "Graph",
         "HarnessConfig",
@@ -508,8 +540,6 @@ def test_public_names_are_stable():
         "RunReport",
         "TreeDecomposition",
         "VerifyReport",
-        "WxDecision",
-        "YDecision",
         "build_mcc_instance",
         "connected_components",
         "connected_pairs",

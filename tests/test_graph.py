@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cncut.graph import (
+    Cut,
     Graph,
     InputError,
+    certify,
     complete_graph,
     connected_components,
     connected_pairs,
@@ -123,6 +125,16 @@ def test_verify_solution_examples(g, cut, k, x, ok):
     report = verify_solution(g, cut, k, x)
     assert bool(report) is ok
     assert report.cut_size == len(cut)
+
+
+def test_certify_checks_the_claimed_residual():
+    g, cut = path_graph(5), frozenset({2})  # leaves two edges: 4 ordered pairs
+    assert certify(g, Cut(cut, 4), 1, 10, "test") == Cut(cut, 4)
+    # Within k and x, but the engine claims 6 pairs where 4 remain.
+    with pytest.raises(AssertionError, match="engine test"):
+        certify(g, Cut(cut, 6), 1, 10, "test")
+    with pytest.raises(AssertionError, match="engine test"):
+        certify(g, Cut(cut, 4), 1, 3, "test")
 
 
 def test_verify_solution_rejects_unknown_vertex():

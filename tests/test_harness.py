@@ -119,13 +119,13 @@ def test_run_report_to_dict_uses_one_based_ids():
 def test_wall_ms_covers_verification(monkeypatch):
     import time
 
-    import cncut.harness as harness_mod
+    import cncut.graph as graph_mod
 
     def slow_verify(*args):
         time.sleep(0.02)
         return verify_solution(*args)
 
-    monkeypatch.setattr(harness_mod, "verify_solution", slow_verify)
+    monkeypatch.setattr(graph_mod, "verify_solution", slow_verify)
     report = run_instance(CncInstance(path_graph(5), 1, x=4), algo="oracle")
     assert report.answer == "YES" and report.wall_ms >= 20
 
@@ -137,6 +137,41 @@ def test_run_instance_accepts_supplied_decomposition():
     ntd = make_nice(heuristic_decomposition(g))
     report = run_instance(CncInstance(g, 1, x=8), algo="dp-wx", ntd=ntd)
     assert report.answer == "YES"
+
+
+@pytest.mark.parametrize("algo, x", [(e, 12) for e in ENGINES] + [("auto", 42)],
+                         ids=[*ENGINES, "trivial"])
+def test_each_yes_is_verified_once(monkeypatch, algo, x):
+    # path_graph(7) has 42 pairs; deleting its middle vertex leaves 12. With
+    # x = 12 every engine takes its main path (dp-y needs y = 30 > 2k); with
+    # x = 42 the bound is already met.
+    import cncut.graph as graph_mod
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return verify_solution(*args)
+
+    monkeypatch.setattr(graph_mod, "verify_solution", counted)
+    report = run_instance(CncInstance(path_graph(7), 1, x=x), algo=algo)
+    assert report.answer == "YES" and len(calls) == 1
+
+
+def test_direct_engine_yes_paths_are_certified(monkeypatch):
+    # An overcounting verifier must reject the YES of dp-y's greedy-2k
+    # shortcut and of dp-wx's bound-met return.
+    import cncut.graph as graph_mod
+    from cncut.component_dp import solve_y
+    from cncut.treewidth_dp import solve_wx
+
+    assert solve_y(complete_graph(3), 2, 3).stats.shortcut == "greedy-2k"
+    pairs_by_edges = graph_mod.pairs_by_edges
+    monkeypatch.setattr(graph_mod, "pairs_by_edges", lambda *a: pairs_by_edges(*a) + 2)
+    with pytest.raises(AssertionError, match="engine dp-y"):
+        solve_y(complete_graph(3), 2, 3)
+    with pytest.raises(AssertionError, match="engine dp-wx"):
+        solve_wx(complete_graph(3), 0, connected_pairs(complete_graph(3)))
 
 
 @settings(max_examples=60, deadline=None)
