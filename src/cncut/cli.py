@@ -82,17 +82,20 @@ def cmd_solve(args) -> int:
     ntd = None
     algo = args.algo
     if args.td:
-        from .decomposition import make_nice, parse_td, validate_decomposition
+        from .decomposition import StructuralError, make_nice, parse_td, validate_decomposition
 
         if algo not in ("auto", "dp-wx"):
-            print("error: --td only applies to the dp-wx engine", file=sys.stderr)
-            return 2
+            raise InputError("--td only applies to the dp-wx engine")
         algo = "dp-wx"
-        td, _ = parse_td(_read_text(args.td))
+        td, declared_n = parse_td(_read_text(args.td))
+        if declared_n != inst.graph.n:
+            raise StructuralError(
+                f"supplied decomposition invalid: its header declares {declared_n} "
+                f"vertices, the instance has {inst.graph.n}"
+            )
         report = validate_decomposition(inst.graph, td)
         if not report.ok:
-            print(f"error: supplied decomposition invalid: {report.message}", file=sys.stderr)
-            return 2
+            raise StructuralError(f"supplied decomposition invalid: {report.message}")
         ntd = make_nice(td)
 
     result = run_instance(inst, algo=algo, config=config, ntd=ntd)
@@ -232,8 +235,8 @@ def cmd_generate(args) -> int:
         src = CliqueInstance(g, args.ell, colors=colors)
         if args.sizes:
             vals = _int_list(args.sizes, "--sizes")
-            if len(vals) != 7:
-                raise InputError("--sizes needs 7 comma-separated values A,B,Cv,L3,X,Y,Z")
+            if len(vals) != 6:
+                raise InputError("--sizes needs 6 comma-separated values A,B,Cv,X,Y,Z")
             sizes = GadgetSizes(*vals)
         else:
             sizes = GadgetSizes.reference(g.n, args.ell)
@@ -397,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="complete:N | path:N | cycle:N | star:N | random:N:M")
     p.add_argument("--ell", type=int, help="clique size")
     p.add_argument("--colors", help="comma-separated vertex colors (mcc)")
-    p.add_argument("--sizes", help="A,B,Cv,L3,X,Y,Z gadget sizes (mcc)")
+    p.add_argument("--sizes", help="A,B,Cv,X,Y,Z gadget sizes (mcc)")
     p.add_argument("--cap", type=_positive,
                    help="mcc vertex cap (default 100000)")
     p.set_defaults(func=cmd_generate)

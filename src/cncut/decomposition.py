@@ -138,82 +138,38 @@ def validate_decomposition(g, td: TreeDecomposition) -> ValidationReport:
         return ValidationReport(True)
     if not td.bags:
         return ValidationReport(False, "1", None, "no bags")
-    shape = _check_tree_shape(len(td.bags), td.tree_edges)
-    if shape is not None:
-        return ValidationReport(False, "shape", None, shape)
-    return _check_bags(g, td.bags, td.tree_edges)
+    return _check_tree(g, td.bags, td.tree_edges)
 
 
-def _check_tree_shape(count: int, edges: tuple[tuple[int, int], ...]) -> str | None:
-    if count == 0:
-        return None
-    if len(edges) != count - 1:
-        return f"{len(edges)} tree edges for {count} bags"
-    parent = list(range(count))
+def _check_tree(g, bags, tree_edges) -> ValidationReport:
+    """Tree shape, then conditions 1-3, for a nonempty list of bags in one walk.
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in edges:
-        if not (0 <= a < count and 0 <= b < count):
-            return f"tree edge ({a},{b}) out of range"
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return "tree edges contain a cycle"
-        parent[ra] = rb
-    return None
-
-
-def _check_bags(g, bags, tree_edges) -> ValidationReport:
-    """Conditions 1-3 for bags joined by tree edges that already form a tree.
-
-    Each vertex's holding set (the indices of the bags that hold it) is built
-    once; an edge lies in some bag exactly when its ends' holding sets meet.
+    Walk the tree edges from bag 0 and call a bag a top for v when it holds v
+    and its walk parent does not (bag 0 is a top for each of its vertices).
+    - Shape: count - 1 in-range edges that leave a bag unreached close a cycle.
+    - Each connected piece of the bags holding v has exactly one top, its bag
+      closest to bag 0: the parent of any other bag of the piece holds v and
+      lies in the same piece, and the parent of the top does not hold v.
+    - Condition 1: a vertex lies in some bag exactly when it has a top.
+    - Condition 2: u and v share a bag exactly when a top of u holds v or a
+      top of v holds u. If bag B holds both, the tops of the two pieces that
+      contain B both lie on the path from B to bag 0, so the lower top lies
+      between B and the upper one, inside the upper one's piece.
+    - Condition 3: the bags holding v are connected exactly when v has one top.
+    So one walk checks every vertex in O(sum of bag sizes), plus O(m) lookups.
     """
-    holding: dict[int, set[int]] = {}
-    for i, bag in enumerate(bags):
-        for v in bag:
-            held = holding.get(v)
-            if held is None:
-                holding[v] = {i}
-            else:
-                held.add(i)
-    if holding.keys() != set(range(g.n)):
-        return ValidationReport(False, "1", None, "bags do not cover the vertex set")
-    for u, v in g.edges:
-        if holding[u].isdisjoint(holding[v]):
-            return ValidationReport(False, "2", None, f"edge ({u},{v}) in no bag")
-    msg = _check_running_intersection(g.n, bags, tree_edges)
-    if msg is not None:
-        return ValidationReport(False, "3", None, msg)
-    return ValidationReport(True)
-
-
-def _check_running_intersection(
-    n: int, bags, edges: tuple[tuple[int, int], ...]
-) -> str | None:
-    """First vertex below n whose holding bags are not connected in the tree.
-
-    `edges` must form a tree over the bags. Root it at bag 0 and call a bag a
-    top for v when it holds v and its parent does not (the root has no
-    parent, so it is a top for each of its vertices). Each connected piece of
-    the bags holding v has exactly one top, its bag closest to the root: the
-    parent of any other bag of the piece holds v and lies in the same piece,
-    and the parent of the top does not hold v. So the bags holding v are
-    connected exactly when v has one top, and one walk over the tree that
-    lists every bag's tops checks all vertices in O(sum of bag sizes).
-    """
-    if not bags:
-        return None
+    count = len(bags)
+    if len(tree_edges) != count - 1:
+        msg = f"{len(tree_edges)} tree edges for {count} bags"
+        return ValidationReport(False, "shape", None, msg)
     adjacency: list[list[int]] = [[] for _ in bags]
-    for a, b in edges:
+    for a, b in tree_edges:
+        if not (0 <= a < count and 0 <= b < count):
+            return ValidationReport(False, "shape", None, f"tree edge ({a},{b}) out of range")
         adjacency[a].append(b)
         adjacency[b].append(a)
-    tops: list[int] = list(bags[0])
-    seen = [False] * len(bags)
+    tops: dict[int, list[int]] = {v: [0] for v in bags[0]}
+    seen = [False] * count
     seen[0] = True
     stack = [0]
     while stack:
@@ -222,18 +178,23 @@ def _check_running_intersection(
         for c in adjacency[i]:
             if not seen[c]:
                 seen[c] = True
-                tops.extend(bags[c] - bag)
+                for v in bags[c] - bag:
+                    tops.setdefault(v, []).append(c)
                 stack.append(c)
-    if len(tops) == len(set(tops)):
-        return None
-    once: set[int] = set()
-    twice: set[int] = set()
-    for v in tops:
-        (twice if v in once else once).add(v)
-    for v in sorted(twice):
-        if v < n:
-            return f"bags holding vertex {v} are not connected in the tree"
-    return None
+    if not all(seen):
+        return ValidationReport(False, "shape", None, "tree edges contain a cycle")
+    if tops.keys() != set(range(g.n)):
+        return ValidationReport(False, "1", None, "bags do not cover the vertex set")
+    for u, v in g.edges:
+        if v in bags[tops[u][0]] or u in bags[tops[v][0]]:
+            continue  # the common case: most vertices have one top
+        if not (any(v in bags[t] for t in tops[u]) or any(u in bags[t] for t in tops[v])):
+            return ValidationReport(False, "2", None, f"edge ({u},{v}) in no bag")
+    split = [v for v, held in tops.items() if len(held) > 1]
+    if split:
+        msg = f"bags holding vertex {min(split)} are not connected in the tree"
+        return ValidationReport(False, "3", None, msg)
+    return ValidationReport(True)
 
 
 def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
@@ -258,15 +219,6 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
     def emit(kind: str, bag: set[int], vertex: int | None, children: tuple[int, ...]) -> int:
         nodes.append(NiceNode(kind, frozenset(bag), vertex, children))
         return len(nodes) - 1
-
-    def leaf_chain(bag: set[int]) -> int:
-        vs = sorted(bag)
-        top = emit("leaf", {vs[0]}, vs[0], ())
-        cur = {vs[0]}
-        for v in vs[1:]:
-            cur = cur | {v}
-            top = emit("introduce", cur, v, (top,))
-        return top
 
     def pad(top: int, have: set[int], want: set[int]) -> int:
         cur = set(have)
@@ -293,7 +245,8 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
         children = [nb for nb in sorted(adjacency[node]) if nb != parent]
         tops = [pad(built[c], bags[c], bags[node]) for c in children]
         if not tops:
-            built[node] = leaf_chain(bags[node])
+            v = min(bags[node])
+            built[node] = pad(emit("leaf", {v}, v, ()), {v}, bags[node])
         else:
             acc = tops[0]
             for nxt in tops[1:]:
@@ -301,11 +254,7 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
             built[node] = acc
 
     # Forget everything above the root bag so the root is empty.
-    top = built[root]
-    cur = set(bags[root])
-    for v in sorted(bags[root]):
-        cur = cur - {v}
-        top = emit("forget", cur, v, (top,))
+    pad(built[root], bags[root], set())
     return NiceTreeDecomposition(tuple(nodes))
 
 
@@ -371,7 +320,7 @@ def validate_nice(g, ntd: NiceTreeDecomposition) -> ValidationReport:
             return ValidationReport(False, "4", i, f"unknown kind {nd.kind!r}")
 
     tree_edges = tuple((i, c) for i, nd in enumerate(nodes) for c in nd.children)
-    return _check_bags(g, [nd.bag for nd in nodes], tree_edges)
+    return _check_tree(g, [nd.bag for nd in nodes], tree_edges)
 
 
 def serialize_td(td: TreeDecomposition, n_graph: int) -> str:

@@ -314,6 +314,8 @@ def cycle_graph(n: int) -> Graph:
 
 
 def star_graph(leaves: int) -> Graph:
+    if leaves < 0:
+        raise InputError(f"leaf count must be nonnegative, got {leaves}")
     return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 

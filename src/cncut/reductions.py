@@ -180,30 +180,24 @@ def cross_compose(sources: list[CliqueInstance], ell: int) -> ReductionOutput:
 class GadgetSizes:
     """Free size knobs of the multicolored construction.
 
-    L3 records the selection-budget constant of the reference parameter
-    choice (ell cubed there); the budget formula itself always charges
-    ell * A for the selected core cliques, which coincides at the reference
-    sizes.
+    The selection budget charges ell * A for the selected core cliques.
     """
 
     A: int
     B: int
     Cv: int
-    L3: int
     X: int
     Y: int
     Z: int
 
     def __post_init__(self) -> None:
-        for name in ("A", "B", "Cv", "L3", "X", "Y", "Z"):
+        for name in ("A", "B", "Cv", "X", "Y", "Z"):
             if getattr(self, name) <= 0:
                 raise InputError(f"gadget size {name} must be strictly positive")
 
     @staticmethod
     def reference(n: int, ell: int) -> GadgetSizes:
-        return GadgetSizes(
-            A=ell**2, B=ell**4, Cv=ell**7, L3=ell**3, X=n**4, Y=n**9, Z=n**16
-        )
+        return GadgetSizes(A=ell**2, B=ell**4, Cv=ell**7, X=n**4, Y=n**9, Z=n**16)
 
 
 @dataclass(frozen=True)

@@ -239,7 +239,7 @@ def test_mcc_forward_accounting():
     for source in (edge, path):
         g = source.graph
         for _ in range(50):
-            sizes = GadgetSizes(*(rng.randint(1, 5) for _ in range(7)))
+            sizes = GadgetSizes(*(rng.randint(1, 5) for _ in range(6)))
             out, layout = build_mcc_instance(source, sizes)
             cut = forward_solution_cut(layout, [0, 1])
             built += 1

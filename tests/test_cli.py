@@ -121,11 +121,16 @@ def test_td_flag_runs_width_engine(tmp_path, capsys):
     assert "algorithm: dp-wx" in capsys.readouterr().out
 
 
-def test_td_flag_rejects_bad_decomposition(tmp_path, capsys):
+@pytest.mark.parametrize("text,reason", [
+    ("s td 1 2 3\nb 1 1 2\n", "bags do not cover the vertex set"),
+    ("s td 1 3 5\nb 1 1 2 3\n", "declares 5 vertices, the instance has 3"),
+], ids=["uncovered", "header-count"])
+def test_td_flag_rejects_bad_decomposition(tmp_path, capsys, text, reason):
     path = write(tmp_path, "a.cnc", K3)
-    td = write(tmp_path, "bad.td", "s td 1 2 3\nb 1 1 2\n")  # edge {2,3} uncovered
+    td = write(tmp_path, "bad.td", text)
     assert main(["solve", path, "--td", td]) == 2
-    assert "decomposition invalid" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "decomposition invalid" in err and reason in err
 
 
 def test_td_flag_rejects_malformed_file(tmp_path, capsys):
@@ -246,7 +251,7 @@ def test_generate_mcc(tmp_path, capsys):
     out = str(tmp_path / "a.cnc")
     assert main([
         "generate", "mcc", "-o", out, "--source", "path:2", "--ell", "2",
-        "--colors", "0,1", "--sizes", "2,3,4,2,5,6,7",
+        "--colors", "0,1", "--sizes", "2,3,4,5,6,7",
     ]) == 0
     inst = parse_instance((tmp_path / "a.cnc").read_text())
     assert inst.graph.n == 138 and inst.k == 5 and inst.x == 3248
@@ -256,7 +261,7 @@ def test_generate_mcc(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "colors,sizes,flag",
-    [("0,1,x", "2,3,4,2,5,6,7", "--colors"), ("0,1", "a,1,1,1,1,1,1", "--sizes")],
+    [("0,1,x", "2,3,4,5,6,7", "--colors"), ("0,1", "a,1,1,1,1,1,1", "--sizes")],
 )
 def test_generate_mcc_rejects_non_integer_lists(tmp_path, capsys, colors, sizes, flag):
     out = str(tmp_path / "a.cnc")
@@ -272,7 +277,7 @@ def test_generate_mcc_cap_refuses(tmp_path, capsys):
     out = str(tmp_path / "a.cnc")
     assert main([
         "generate", "mcc", "-o", out, "--source", "path:2", "--ell", "2",
-        "--colors", "0,1", "--sizes", "2,3,4,2,5,6,7", "--cap", "100",
+        "--colors", "0,1", "--sizes", "2,3,4,5,6,7", "--cap", "100",
     ]) == 3
     assert "refused:" in capsys.readouterr().err
     assert not (tmp_path / "a.cnc").exists()
@@ -287,6 +292,7 @@ def test_generate_bad_source_spec(tmp_path, capsys):
 @pytest.mark.parametrize("spec, reason", [
     ("cycle:2", "cycle needs at least 3 vertices"),
     ("random:5:100", "cannot place 100 edges on 5 vertices"),
+    ("star:-1", "leaf count must be nonnegative"),
 ])
 def test_generate_source_spec_keeps_the_builders_reason(tmp_path, capsys, spec, reason):
     out = str(tmp_path / "a.cnc")
@@ -468,7 +474,7 @@ GENERATE_MODULES = ["cncut", "cncut.cli", "cncut.families", "cncut.graph", "cncu
 
 @pytest.mark.parametrize("args", [
     ["clique", "--source", "complete:3", "--ell", "3"],
-    ["mcc", "--source", "path:2", "--ell", "2", "--colors", "0,1", "--sizes", "2,3,4,2,5,6,7"],
+    ["mcc", "--source", "path:2", "--ell", "2", "--colors", "0,1", "--sizes", "2,3,4,5,6,7"],
 ], ids=["clique", "mcc"])
 def test_generate_loads_no_engine(tmp_path, args):
     # The reductions build instances without any decomposition or engine.

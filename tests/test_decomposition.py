@@ -13,7 +13,6 @@ from cncut.decomposition import (
     NiceTreeDecomposition,
     StructuralError,
     TreeDecomposition,
-    _check_running_intersection,
     heuristic_decomposition,
     make_nice,
     nice_annotations,
@@ -76,6 +75,14 @@ def test_validation_failures():
         ((0, 1), (1, 2)),
     )
     report = validate_decomposition(path_graph(3), bad_ri)
+    assert not report.ok and report.condition == "3"
+
+    # Edge {0, 1} lies only under vertex 0's second top, bag 2.
+    second_top = TreeDecomposition(
+        (frozenset({0}), frozenset({1}), frozenset({0, 1})),
+        ((0, 1), (1, 2)),
+    )
+    report = validate_decomposition(g, second_top)
     assert not report.ok and report.condition == "3"
 
     report = validate_decomposition(
@@ -308,8 +315,6 @@ def _conditions_reference(g, bags, edges):
 @given(bag_trees(), st.data())
 def test_linear_checks_match_quadratic_reference(tree, data):
     n, td = tree
-    expected = _running_intersection_reference(n, [set(b) for b in td.bags], td.tree_edges)
-    assert _check_running_intersection(n, td.bags, td.tree_edges) == expected
     g = data.draw(graphs(min_n=n, max_n=n))
     report = validate_decomposition(g, td)
     assert (report.condition, report.message) == _conditions_reference(
@@ -323,12 +328,9 @@ def test_nice_bag_trees_match_quadratic_reference(g):
     ntd = make_nice(heuristic_decomposition(g))
     bags = [nd.bag for nd in ntd.nodes]
     edges = tuple((i, c) for i, nd in enumerate(ntd.nodes) for c in nd.children)
-    assert _check_running_intersection(g.n, bags, edges) is None
     # Dropping one vertex from one bag can break condition 1, 2 or 3.
     for i, bag in enumerate(bags):
         for v in sorted(bag):
             cut = bags[:i] + [bag - {v}] + bags[i + 1:]
-            expected = _running_intersection_reference(g.n, [set(b) for b in cut], edges)
-            assert _check_running_intersection(g.n, cut, edges) == expected
             report = validate_decomposition(g, TreeDecomposition(tuple(cut), edges))
             assert (report.condition, report.message) == _conditions_reference(g, cut, edges)

@@ -39,7 +39,7 @@ from .reference import (
     mcc_direct_decomposition,
 )
 
-SMALL_SIZES = GadgetSizes(A=2, B=3, Cv=4, L3=2, X=5, Y=6, Z=7)
+SMALL_SIZES = GadgetSizes(A=2, B=3, Cv=4, X=5, Y=6, Z=7)
 
 
 def decide(out):
@@ -243,7 +243,7 @@ def test_has_clique():
 
 def test_mcc_reference_parameters():
     sizes = GadgetSizes.reference(2, 2)
-    assert (sizes.A, sizes.B, sizes.Cv, sizes.L3) == (4, 16, 128, 8)
+    assert (sizes.A, sizes.B, sizes.Cv) == (4, 16, 128)
     assert (sizes.X, sizes.Y, sizes.Z) == (16, 512, 65536)
     params = mcc_parameters(2, 1, 2, sizes)
     assert params.k == 9
@@ -334,4 +334,4 @@ def test_mcc_requires_colored_source():
 
 def test_gadget_sizes_must_be_positive():
     with pytest.raises(InputError):
-        GadgetSizes(A=0, B=1, Cv=1, L3=1, X=1, Y=1, Z=1)
+        GadgetSizes(A=0, B=1, Cv=1, X=1, Y=1, Z=1)
