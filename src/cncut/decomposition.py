@@ -200,7 +200,8 @@ def _check_tree(g, bags, tree_edges) -> ValidationReport:
 def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
     """Normalize to Leaf/Introduce/Forget/Join nodes, ending in an empty root bag.
 
-    Width is preserved exactly; the node count is O(width * bags).
+    Width is preserved exactly; the node count is O(width * bags). Raises
+    StructuralError when the tree edges contain a cycle.
     """
     bags = [set(b) for b in td.bags]
     adjacency = {i: set() for i in range(len(bags))}
@@ -230,11 +231,16 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
             top = emit("introduce", cur, v, (top,))
         return top
 
-    # Iterative post-order over the bag tree.
+    # Iterative post-order over the bag tree. In a tree each bag is reached
+    # once; a bag reached twice closes a cycle, which would be walked forever.
     order: list[tuple[int, int]] = []
+    seen: set[int] = set()
     stack = [(root, -1)]
     while stack:
         node, parent = stack.pop()
+        if node in seen:
+            raise StructuralError(f"tree edges contain a cycle through bag {node}")
+        seen.add(node)
         order.append((node, parent))
         for nb in sorted(adjacency[node]):
             if nb != parent:

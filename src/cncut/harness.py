@@ -2,6 +2,21 @@
 
 Each engine's module, and the decomposition module, is imported the first
 time a run needs it, so a process loads only the engines it runs.
+
+Under auto, and when no decomposition is supplied, the k + x high-degree
+rule of `cncut.kernel` runs once before an engine is picked. Each vertex it
+forces (the set F) is in every solution, so it is deleted and the budget
+drops by one; the vertices left isolated are dropped too. The residual is
+preserved: a forced vertex is deleted and an isolated one has no neighbour
+in g - F, so neither adds a pair. For every cut C' of the kernel,
+g - (F | image of C') therefore has exactly the pairs of kernel - C', and
+the kernel instance keeps the input's pair bound x with budget k - |F|.
+Since every solution contains F and deleting an isolated vertex removes no
+pair, the kernel has a solution exactly when the input does. A YES maps
+back as F plus the image of the engine's cut, which `certify` checks
+against the input graph. A named engine and a supplied decomposition skip
+the rule: the former is the engine under test, and the latter describes
+the input graph.
 """
 
 from __future__ import annotations
@@ -19,6 +34,7 @@ from .instance_io import CncInstance
 
 if TYPE_CHECKING:
     from .decomposition import NiceTreeDecomposition
+    from .kernel import KernelTrace
 
 
 def _lazy(module: str):
@@ -91,11 +107,12 @@ BRANCH_KX_MAX = 24
 
 
 def _auto(plan: _Plan) -> str:
+    # `_route` calls this only when 0 <= x_eff < total.
     if plan.g.n <= ORACLE_MAX_N:
         return "oracle"
     if plan.y is not None and plan.y <= DP_Y_MAX:
         return "dp-y"
-    x_eff = max(plan.x_eff, 0)
+    x_eff = plan.x_eff
     width = plan.td.width
     if width + x_eff <= DP_WX_MAX:
         return "dp-wx"
@@ -109,6 +126,29 @@ def _auto(plan: _Plan) -> str:
     raise EngineRefusal("instance outside every engine envelope: " + "; ".join(reasons))
 
 
+def _route(plan: _Plan, algo: str) -> tuple[str, _Plan, KernelTrace | None]:
+    """The one place an instance's solve path is decided.
+
+    Returns what settles the instance ("trivial", "kernel" or an engine),
+    the plan it runs on, and the kernel trace when the rule forced a vertex.
+    """
+    if plan.x_eff < 0 or plan.x_eff >= plan.total:
+        return "trivial", plan, None
+    if algo != "auto":
+        return algo, plan, None
+    if plan._given_ntd is not None or not _lazy("kernel").rule_fires(plan.g, plan.k, plan.x_eff):
+        return _auto(plan), plan, None
+    trace = _lazy("kernel").kernelize_kx(plan.g, plan.k, plan.x_eff)
+    if trace.infeasible:
+        return "kernel", plan, trace
+    sub = _Plan(trace.kernel_graph, trace.k_out, plan.x_eff, None)
+    if plan.y is not None:  # the same target, over the kernel's pair total
+        sub.y = sub.total - sub.x_eff
+    if sub.x_eff >= sub.total:
+        return "kernel", sub, trace
+    return _auto(sub), sub, trace
+
+
 def select_algorithm(
     g: Graph,
     k: int,
@@ -116,9 +156,13 @@ def select_algorithm(
     y: int | None,
     user_choice: str = "auto",
 ) -> str:
-    """Pick an engine. An explicit choice wins; auto walks the thresholds.
+    """What `run_instance` runs: "trivial", "kernel" or an engine.
 
-    Auto order: oracle by vertex count, then dp-y when the instance is
+    A target that is unsatisfiable or already met is trivial. An explicit
+    choice wins otherwise. Auto runs the high-degree rule first; it settles
+    the instance as "kernel" when it forces more than k vertices or when the
+    forced ones alone meet the bound. Then auto walks the thresholds on the
+    kernel instance: oracle by vertex count, then dp-y when the instance is
     y-shaped and small, then dp-wx when heuristic width keeps w+x small,
     then branch-kx on x+k. Structure is consulted before branching so that
     near-tree graphs with moderate x go to the width engine. The target and
@@ -127,9 +171,7 @@ def select_algorithm(
     """
     _check_engine(user_choice)
     CncInstance(g, k, x=x, y=y)
-    if user_choice != "auto":
-        return user_choice
-    return _auto(_Plan(g, k, x, y))
+    return _route(_Plan(g, k, x, y), user_choice)[0]
 
 
 def _solve_oracle(plan: _Plan, config: HarnessConfig) -> Decision:
@@ -167,17 +209,30 @@ def run_instance(
     start = time.perf_counter()
     _check_engine(algo)
     plan = _Plan(inst.graph, inst.k, inst.x, inst.y, ntd)
+    engine, sub, trace = _route(plan, algo)
 
-    # Degenerate targets never reach an engine.
-    engine = "trivial"
-    if plan.x_eff < 0:
-        d = Decision(False, None, {"reason": "x-equivalent below zero"})
-    elif plan.x_eff >= plan.total:
-        cut = certify(plan.g, Cut(frozenset(), plan.total), plan.k, plan.x_eff, engine)
-        d = Decision(True, cut, {"reason": "bound already met"})
+    if engine == "trivial":
+        if plan.x_eff < 0:
+            d = Decision(False, None, {"reason": "x-equivalent below zero"})
+        else:
+            cut = certify(plan.g, Cut(frozenset(), plan.total), plan.k, plan.x_eff, engine)
+            d = Decision(True, cut, {"reason": "bound already met"})
+    elif engine != "kernel":
+        d = _SOLVERS[engine](sub, config)
+    elif trace.infeasible:
+        d = Decision(False, None, {"reason": "the high-degree rule forces more than k vertices"})
     else:
-        engine = algo if algo != "auto" else _auto(plan)
-        d = _SOLVERS[engine](plan, config)
+        d = Decision(True, Cut(frozenset(), sub.total), {"reason": "forced vertices meet the bound"})
+    stats = d.stats if isinstance(d.stats, dict) else dict(vars(d.stats))
+    if trace is not None:
+        # An infeasible trace stops at the vertex that would take k + 1.
+        forced = len(trace.forced_vertices) + trace.infeasible
+        stats["kernel"] = {"forced": forced, "k_out": trace.k_out, "n_out": trace.kernel_graph.n}
+        if d.answer:
+            lift = trace.kernel_to_original
+            cut = Cut(frozenset(trace.forced_vertices).union(lift[v] for v in d.cut.vertices),
+                      d.cut.residual_pairs)
+            d = Decision(True, certify(plan.g, cut, plan.k, plan.x_eff, engine), stats)
 
     cut_out = residual = removed = None
     if d.answer:
@@ -190,7 +245,7 @@ def run_instance(
         residual_pairs=residual,
         pairs_removed=removed,
         algorithm=engine,
-        stats=d.stats if isinstance(d.stats, dict) else dict(vars(d.stats)),
+        stats=stats,
         wall_ms=(time.perf_counter() - start) * 1e3,
         config=dict(vars(config)),
     )

@@ -39,6 +39,11 @@ def _forced_vertex(masks: tuple[int, ...], alive: int, k_cur: int, x: int) -> in
     return None
 
 
+def rule_fires(g: Graph, k: int, x: int) -> bool:
+    """Whether the high-degree rule forces any vertex of g; no graph is built."""
+    return _forced_vertex(g.adjacency_masks, (1 << g.n) - 1, k, x) is not None
+
+
 def kernelize_kx(g: Graph, k: int, x: int) -> KernelTrace:
     """Apply the high-degree rule to exhaustion, then drop isolated vertices."""
     check_parameters(k, x)

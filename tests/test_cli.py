@@ -36,6 +36,14 @@ def test_solve_no(tmp_path, capsys):
     assert "answer: NO" in capsys.readouterr().out
 
 
+def test_solve_json_names_the_kernel(tmp_path, capsys):
+    # The rule forces the star's centre, which alone meets x = 0.
+    assert main(["solve", write(tmp_path, "a.cnc", STAR17), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["algorithm"] == "kernel" and payload["cut"] == [1]
+    assert payload["stats"]["kernel"] == {"forced": 1, "k_out": 0, "n_out": 0}
+
+
 def test_solve_parse_error(tmp_path, capsys):
     bad = "p cnc 2 1\ne 1 1\nk 0\nx 0\n"
     assert main(["solve", write(tmp_path, "a.cnc", bad)]) == 2
@@ -446,26 +454,51 @@ def test_only_certify_and_cnc_verify_call_verify_solution():
 
 
 STAR17 = "p cnc 17 16\n" + "".join(f"e 1 {v}\n" for v in range(2, 18)) + "k 1\nx 0\n"
-SOLVE_BASE = ["cncut", "cncut.cli", "cncut.graph", "cncut.harness", "cncut.instance_io"]
+PATH17 = "p cnc 17 16\n" + "".join(f"e {v} {v + 1}\n" for v in range(1, 17)) + "k 5\nx 12\n"
+SOLVE_BASE = ["cncut", "cncut.cli", "cncut.graph", "cncut.harness", "cncut.instance_io",
+              "cncut.kernel"]
 
 
-@pytest.mark.parametrize("text, algorithm, engine_modules", [
-    (K3, "oracle", ["cncut.oracle"]),
-    (STAR17, "dp-wx", ["cncut.decomposition", "cncut.treewidth_dp"]),
-], ids=["oracle", "dp-wx"])
-def test_solve_loads_only_its_engine(tmp_path, text, algorithm, engine_modules):
-    # A cold `cnc solve` loads the harness and the engine that runs; never the
-    # generators (reductions, families), the kernel or the bench.
+def loaded_after_solve(tmp_path, text, *args):
+    """`cnc solve` in a fresh interpreter: its output lines, then the cncut modules loaded."""
     path = write(tmp_path, "a.cnc", text)
     code = (
         "import sys\n"
         "from cncut.cli import main\n"
-        f"assert main(['solve', {path!r}]) == 0\n"
+        f"assert main(['solve', {path!r}, *{list(args)!r}]) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'cncut'))\n"
     )
-    out = run_child(code).splitlines()
+    return run_child(code).splitlines()
+
+
+@pytest.mark.parametrize("text, algorithm, engine_modules", [
+    (K3, "oracle", ["cncut.oracle"]),
+    (PATH17, "dp-wx", ["cncut.decomposition", "cncut.treewidth_dp"]),
+    (STAR17, "kernel", []),
+], ids=["oracle", "dp-wx", "kernel"])
+def test_solve_loads_only_its_engine(tmp_path, text, algorithm, engine_modules):
+    # A cold `cnc solve` loads the harness, the kernel rule that auto runs
+    # first and the engine that runs; never the generators (reductions,
+    # families) or the bench. The kernel settles STAR17: its centre is forced.
+    out = loaded_after_solve(tmp_path, text)
     assert f"algorithm: {algorithm}" in out
     assert out[-1] == str(sorted(SOLVE_BASE + engine_modules))
+
+
+# A path of 16 bags, bag i holding the centre and leaf i + 1.
+STAR17_TD = ("s td 16 2 17\n" + "".join(f"b {i} 1 {i + 1}\n" for i in range(1, 17))
+             + "".join(f"{i} {i + 1}\n" for i in range(1, 16)))
+
+
+@pytest.mark.parametrize("td", [False, True], ids=["algo", "td"])
+def test_named_engine_and_supplied_decomposition_skip_the_kernel(tmp_path, td):
+    # Under auto the rule would settle STAR17; a named engine, or a
+    # decomposition of the input graph, goes to dp-wx on the raw instance.
+    args = ["--td", write(tmp_path, "a.td", STAR17_TD)] if td else ["--algo", "dp-wx"]
+    out = loaded_after_solve(tmp_path, STAR17, *args)
+    assert "algorithm: dp-wx" in out
+    modules = ast.literal_eval(out[-1])
+    assert "cncut.treewidth_dp" in modules and "cncut.kernel" not in modules
 
 
 GENERATE_MODULES = ["cncut", "cncut.cli", "cncut.families", "cncut.graph", "cncut.harness",

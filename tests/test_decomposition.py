@@ -111,6 +111,15 @@ def test_nice_single_bag_is_one_leaf():
     assert ntd.nodes[ntd.root].bag == frozenset()
 
 
+def test_nice_rejects_cyclic_tree_edges():
+    td = TreeDecomposition(
+        (frozenset({0}), frozenset({0, 1}), frozenset({1})),
+        ((0, 1), (1, 2), (2, 0)),
+    )
+    with pytest.raises(StructuralError, match="cycle"):
+        make_nice(td)
+
+
 def test_nice_chain_two_bags():
     ntd = make_nice(P3_BAGS)
     kinds = [nd.kind for nd in ntd.nodes]

@@ -1,4 +1,5 @@
 import dataclasses
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,16 @@ from cncut.bench import (
     run_bench,
 )
 from cncut.decomposition import StructuralError, TreeDecomposition, make_nice
-from cncut.graph import InputError, complete_graph, connected_pairs, path_graph, verify_solution
+from cncut.graph import (
+    Graph,
+    InputError,
+    complete_graph,
+    connected_pairs,
+    disjoint_union,
+    path_graph,
+    star_graph,
+    verify_solution,
+)
 from cncut.harness import (
     BRANCH_KX_MAX,
     DP_WX_MAX,
@@ -52,7 +62,7 @@ def test_select_large_y_falls_through_to_width_engine():
 
 def test_select_refusal_names_every_threshold():
     with pytest.raises(EngineRefusal) as exc:
-        select_algorithm(complete_graph(60), 5, 10**6, None)
+        select_algorithm(complete_graph(60), 5, 3000, None)
     msg = str(exc.value)
     assert "n=60" in msg and "w+x=" in msg and "x+k=" in msg
 
@@ -79,10 +89,41 @@ def test_unknown_engine_rejected_on_trivial_instance():
 
 
 def test_select_dense_graph_goes_to_branching():
-    # K20: n > ORACLE_MAX_N and heuristic width 19 + x 4 > DP_WX_MAX, but x + k = 6.
-    assert select_algorithm(complete_graph(20), 2, 4, None) == "branch-kx"
-    report = run_instance(CncInstance(complete_graph(20), 2, x=4))
+    # Three disjoint K6: n > ORACLE_MAX_N and heuristic width 5 + x 14 >
+    # DP_WX_MAX, but x + k = 16. Degree 5 with k = 2 gives (5 - 2)^2 = 9 <= 14,
+    # so the high-degree rule forces nothing.
+    g, _ = disjoint_union([complete_graph(6)] * 3)
+    assert select_algorithm(g, 2, 14, None) == "branch-kx"
+    report = run_instance(CncInstance(g, 2, x=14))
     assert report.algorithm == "branch-kx" and report.answer == "NO"
+    assert "kernel" not in report.stats
+
+
+def test_select_dense_graph_the_rule_settles_goes_to_kernel():
+    # K20 with k = 2, x = 4: every vertex has degree 19 and (19 - 2)^2 > 4, so
+    # the rule forces more than k vertices and answers NO before any engine.
+    assert select_algorithm(complete_graph(20), 2, 4, None) == "kernel"
+    report = run_instance(CncInstance(complete_graph(20), 2, x=4))
+    assert report.algorithm == "kernel" and report.answer == "NO"
+    assert report.stats["kernel"] == {"forced": 3, "k_out": 0, "n_out": 18}
+
+
+def test_select_names_trivial_targets():
+    assert select_algorithm(complete_graph(3), 1, 6, None) == "trivial"
+    assert select_algorithm(complete_graph(3), 1, None, 7, "dp-wx") == "trivial"
+
+
+def test_y_target_is_reexpressed_over_the_kernel():
+    # A star with 16 leaves beside five P4s, k = 2 and y = 282: x = 50 of the
+    # 332 pairs. Unkernelized, y, w + x and x + k are all past auto's
+    # thresholds. The rule forces the centre; the kernel is the five P4s with
+    # 60 pairs, the same x = 50 makes its y 10, and dp-y takes it.
+    g, _ = disjoint_union([star_graph(16)] + [path_graph(4)] * 5)
+    assert select_algorithm(g, 2, None, 282) == "dp-y"
+    report = run_instance(CncInstance(g, 2, y=282))
+    assert report.algorithm == "dp-y" and report.answer == "YES"
+    assert report.stats["kernel"] == {"forced": 1, "k_out": 1, "n_out": 20}
+    assert 0 in report.cut and report.pairs_removed >= 282
 
 
 # --- config ----------------------------------------------------------------
@@ -139,12 +180,33 @@ def test_run_instance_accepts_supplied_decomposition():
     assert report.answer == "YES"
 
 
-@pytest.mark.parametrize("algo, x", [(e, 12) for e in ENGINES] + [("auto", 42)],
-                         ids=[*ENGINES, "trivial"])
-def test_each_yes_is_verified_once(monkeypatch, algo, x):
+def test_supplied_decomposition_skips_the_kernel():
+    # Auto would force the star's centre; a decomposition of the input graph
+    # sends the raw instance to dp-wx instead.
+    from cncut.decomposition import heuristic_decomposition
+
+    g = star_graph(16)
+    report = run_instance(CncInstance(g, 1, x=0), ntd=make_nice(heuristic_decomposition(g)))
+    assert report.algorithm == "dp-wx" and report.cut == (0,)
+    assert "kernel" not in report.stats
+
+
+# A hub joined to six leaves, beside a path on five vertices. With k = 2 and
+# x = 4 the rule forces the hub, and the oracle cuts the path with k = 1.
+HUB_AND_P5 = Graph.from_edges(12, [(0, v) for v in range(1, 7)] + [(v, v + 1) for v in range(7, 11)])
+
+
+@pytest.mark.parametrize(
+    "algo, g, k, x",
+    [(e, path_graph(7), 1, 12) for e in ENGINES]
+    + [("auto", path_graph(7), 1, 42), ("auto", HUB_AND_P5, 2, 4), ("auto", star_graph(16), 1, 0)],
+    ids=[*ENGINES, "trivial", "kernel-then-oracle", "kernel"],
+)
+def test_each_yes_is_verified_once(monkeypatch, algo, g, k, x):
     # path_graph(7) has 42 pairs; deleting its middle vertex leaves 12. With
     # x = 12 every engine takes its main path (dp-y needs y = 30 > 2k); with
-    # x = 42 the bound is already met.
+    # x = 42 the bound is already met. The rule forces HUB_AND_P5's hub and
+    # the star's centre; the centre alone settles the star.
     import cncut.graph as graph_mod
 
     calls = []
@@ -154,8 +216,10 @@ def test_each_yes_is_verified_once(monkeypatch, algo, x):
         return verify_solution(*args)
 
     monkeypatch.setattr(graph_mod, "verify_solution", counted)
-    report = run_instance(CncInstance(path_graph(7), 1, x=x), algo=algo)
-    assert report.answer == "YES" and len(calls) == 1
+    report = run_instance(CncInstance(g, k, x=x), algo=algo)
+    assert report.answer == "YES" and [args[0] is g for args in calls].count(True) == 1
+    # An engine that runs after the kernel also certifies its cut on the kernel graph.
+    assert len(calls) == 1 + (report.algorithm in ENGINES and "kernel" in report.stats)
 
 
 def test_direct_engine_yes_paths_are_certified(monkeypatch):
@@ -185,6 +249,33 @@ def test_engines_agree_and_yes_cuts_verify(g, k, x):
         if report.answer == "YES":
             assert verify_solution(g, report.cut, k, x)
             assert report.pairs_removed == connected_pairs(g) - report.residual_pairs
+
+
+@st.composite
+def instances_the_rule_reduces(draw):
+    """(g, k, x) with n <= 10, k <= 3 and x <= 12, where vertex 0's degree is
+    at least the least one the high-degree rule forces."""
+    k, x = draw(st.integers(0, 3)), draw(st.integers(0, 12))
+    hub = k + isqrt(x) + 1  # least d with d > k and (d - k)^2 > x
+    g = draw(graphs(min_n=hub + 1, max_n=10))
+    leaves = draw(st.sets(st.integers(1, g.n - 1), min_size=hub))
+    return Graph(g.n, g.edges | {(0, v) for v in leaves}), k, x
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances_the_rule_reduces())
+def test_kernel_path_agrees_with_oracle(instance):
+    g, k, x = instance
+    expected, total = oracle_decides(g, k, x), connected_pairs(g)
+    forms = [CncInstance(g, k, x=x)] + ([CncInstance(g, k, y=total - x)] if x <= total else [])
+    for inst in forms:
+        report = run_instance(inst)
+        assert (report.answer == "YES") == expected
+        if x < total:
+            assert report.stats["kernel"]["forced"] >= 1
+        if report.answer == "YES":
+            check = verify_solution(g, report.cut, k, x)
+            assert check and check.residual_pairs == report.residual_pairs
 
 
 @settings(max_examples=40, deadline=None)
