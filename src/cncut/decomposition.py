@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .graph import InputError
+from .graph import InputError, bits
 
 
 class StructuralError(InputError):
@@ -66,68 +66,66 @@ def heuristic_decomposition(g) -> TreeDecomposition:
     """Min-fill elimination; ties by min degree, then smallest id.
 
     Disconnected graphs get one subtree per component stitched under a
-    synthetic empty root bag. Each vertex's (fill, degree, id) key sits in a
-    heap and is recounted only when an elimination can change it.
+    synthetic empty root bag. Elimination runs on a copy of the graph's
+    adjacency masks. Each vertex's (fill, degree, id) key sits in a heap and
+    is recounted only when an elimination can change it.
     """
     n = g.n
     if n == 0:
         return TreeDecomposition((), ())
 
-    adj: dict[int, set[int]] = {v: set(g.neighbors(v)) for v in range(n)}
+    adj = list(g.adjacency_masks)
     bags: list[frozenset[int]] = []
-    position: dict[int, int] = {}
-    elim_neighbors: list[set[int]] = []
-    key = {v: (_fill_in(adj, adj[v]), len(adj[v]), v) for v in adj}
-    heap = list(key.values())
+    position = [0] * n
+    elim_neighbors: list[int] = []
+    key: list[tuple[int, int, int] | None] = [
+        (_fill_in(adj, adj[v]), adj[v].bit_count(), v) for v in range(n)
+    ]
+    heap = list(key)
     heapq.heapify(heap)
 
     for step in range(n):
         while True:
             best = heapq.heappop(heap)
             v = best[2]
-            if key.get(v) == best:
+            if key[v] == best:
                 break
-        nbrs = adj.pop(v)
-        del key[v]
-        bags.append(frozenset({v} | nbrs))
+        key[v] = None
+        nbrs = adj[v]
+        bags.append(frozenset(bits(nbrs | 1 << v)))
         position[v] = step
         elim_neighbors.append(nbrs)
-        fill_edges = []
-        for a in nbrs:
-            new = nbrs - adj[a]
-            new.discard(a)
-            fill_edges.extend((a, b) for b in new if a < b)
-            adj[a] |= new
-            adj[a].discard(v)
         # A key can change only for a vertex whose neighbourhood changed (v's
-        # neighbours) or that sees both ends of a fill-in edge.
-        touched = set(nbrs)
-        for a, b in fill_edges:
-            touched |= adj[a] & adj[b]
-        for u in touched:
-            key[u] = (_fill_in(adj, adj[u]), len(adj[u]), u)
+        # neighbours) or that sees both ends of a fill-in edge (a, b). Read
+        # before a's update, adj[a] & adj[b] differs from the common
+        # neighbours after it only inside v's neighbourhood and in v itself,
+        # which the recount drops.
+        touched = nbrs
+        for a in bits(nbrs):
+            new = nbrs & ~adj[a] & ~(1 << a)
+            for b in bits(new):
+                touched |= adj[a] & adj[b]
+            adj[a] = (adj[a] | new) & ~(1 << v)
+        for u in bits(touched & ~(1 << v)):
+            key[u] = (_fill_in(adj, adj[u]), adj[u].bit_count(), u)
             heapq.heappush(heap, key[u])
 
-    edges: list[tuple[int, int]] = []
-    roots: list[int] = []
-    for step, nbrs in enumerate(elim_neighbors):
-        if nbrs:
-            parent_vertex = min(nbrs, key=lambda u: position[u])
-            edges.append((step, position[parent_vertex]))
-        else:
-            roots.append(step)
-
-    bag_list = list(bags)
+    # Each bag hangs from the bag of its earliest-eliminated neighbour.
+    edges = [
+        (step, min(position[u] for u in bits(nbrs)))
+        for step, nbrs in enumerate(elim_neighbors)
+        if nbrs
+    ]
+    roots = [step for step, nbrs in enumerate(elim_neighbors) if not nbrs]
     if len(roots) > 1:
-        hub = len(bag_list)
-        bag_list.append(frozenset())
-        edges.extend((hub, r) for r in roots)
-    return TreeDecomposition(tuple(bag_list), tuple(edges))
+        edges.extend((len(bags), r) for r in roots)
+        bags.append(frozenset())
+    return TreeDecomposition(tuple(bags), tuple(edges))
 
 
-def _fill_in(adj: dict[int, set[int]], nbrs: set[int]) -> int:
-    """Non-adjacent pairs among nbrs: each a in nbrs misses nbrs - adj[a] - {a}."""
-    return sum(len(nbrs - adj[a]) - 1 for a in nbrs) // 2
+def _fill_in(adj: list[int], nbrs: int) -> int:
+    """Non-adjacent pairs in the vertex mask nbrs: a misses nbrs & ~adj[a], itself included."""
+    return sum((nbrs & ~adj[a]).bit_count() - 1 for a in bits(nbrs)) // 2
 
 
 def validate_decomposition(g, td: TreeDecomposition) -> ValidationReport:
@@ -201,11 +199,14 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
     """Normalize to Leaf/Introduce/Forget/Join nodes, ending in an empty root bag.
 
     Width is preserved exactly; the node count is O(width * bags). Raises
-    StructuralError when the tree edges contain a cycle.
+    StructuralError when a tree edge is out of range, or when, once empty
+    bags are spliced out, the tree edges close a cycle or leave a bag unreached.
     """
     bags = [set(b) for b in td.bags]
     adjacency = {i: set() for i in range(len(bags))}
     for a, b in td.tree_edges:
+        if not (a in adjacency and b in adjacency):
+            raise StructuralError(f"tree edge ({a},{b}) out of range")
         adjacency[a].add(b)
         adjacency[b].add(a)
 
@@ -245,6 +246,9 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
         for nb in sorted(adjacency[node]):
             if nb != parent:
                 stack.append((nb, node))
+    if len(seen) != len(live):
+        missed = min(set(live) - seen)
+        raise StructuralError(f"tree edges leave bag {missed} unreached")
 
     built: dict[int, int] = {}
     for node, parent in reversed(order):
@@ -280,7 +284,10 @@ def _splice_empty_bags(bags: list[set[int]], adjacency: dict[int, set[int]]) -> 
 
 
 def validate_nice(g, ntd: NiceTreeDecomposition) -> ValidationReport:
-    """Conditions 1-3 plus the per-kind structure of every node."""
+    """Conditions 1-3 plus condition 4: each node's bag is the one its kind
+    derives from its children and vertex. A leaf derives {v}, an introduce
+    child + {v} with v not in child, a forget child - {v} with v in child,
+    and a join the common bag of two children."""
     nodes = ntd.nodes
     if g.n == 0:
         if nodes:
@@ -290,6 +297,7 @@ def validate_nice(g, ntd: NiceTreeDecomposition) -> ValidationReport:
         return ValidationReport(False, "1", None, "no nodes")
 
     seen_as_child: set[int] = set()
+    tree_edges: list[tuple[int, int]] = []
     for i, nd in enumerate(nodes):
         for c in nd.children:
             if not (0 <= c < i):
@@ -297,35 +305,25 @@ def validate_nice(g, ntd: NiceTreeDecomposition) -> ValidationReport:
             if c in seen_as_child:
                 return ValidationReport(False, "shape", i, f"node {c} has two parents")
             seen_as_child.add(c)
+            tree_edges.append((i, c))
     if len(seen_as_child) != len(nodes) - 1 or ntd.root in seen_as_child:
         return ValidationReport(False, "shape", None, "not a single-rooted tree")
 
     for i, nd in enumerate(nodes):
-        if nd.kind == "leaf":
-            if nd.children or len(nd.bag) != 1:
-                return ValidationReport(False, "4", i, "leaf must have a single-vertex bag")
-        elif nd.kind == "introduce":
-            if len(nd.children) != 1 or nd.vertex is None:
-                return ValidationReport(False, "4", i, "introduce needs one child and a vertex")
-            child = nodes[nd.children[0]]
-            if nd.vertex in child.bag or nd.bag != child.bag | {nd.vertex}:
-                return ValidationReport(False, "4", i, "introduce bag mismatch")
-        elif nd.kind == "forget":
-            if len(nd.children) != 1 or nd.vertex is None:
-                return ValidationReport(False, "4", i, "forget needs one child and a vertex")
-            child = nodes[nd.children[0]]
-            if nd.vertex not in child.bag or nd.bag != child.bag - {nd.vertex}:
-                return ValidationReport(False, "4", i, "forget bag mismatch")
-        elif nd.kind == "join":
-            if len(nd.children) != 2:
-                return ValidationReport(False, "4", i, "join needs two children")
-            left, right = (nodes[c] for c in nd.children)
-            if nd.bag != left.bag or nd.bag != right.bag:
-                return ValidationReport(False, "4", i, "join bags must match both children")
+        kids, v = nd.children, nd.vertex
+        if nd.kind in ("introduce", "forget") and len(kids) == 1 and v is not None:
+            child = nodes[kids[0]].bag
+            derived = child ^ {v} if (v in child) == (nd.kind == "forget") else None
+        elif nd.kind == "join" and len(kids) == 2 and nodes[kids[0]].bag == nodes[kids[1]].bag:
+            derived = nodes[kids[0]].bag
+        elif nd.kind == "leaf" and not kids:
+            derived = {v}
         else:
-            return ValidationReport(False, "4", i, f"unknown kind {nd.kind!r}")
+            derived = None
+        if nd.bag != derived:
+            msg = f"{nd.kind!r} node's bag is not the bag its children and vertex derive"
+            return ValidationReport(False, "4", i, msg)
 
-    tree_edges = tuple((i, c) for i, nd in enumerate(nodes) for c in nd.children)
     return _check_tree(g, [nd.bag for nd in nodes], tree_edges)
 
 

@@ -1,7 +1,13 @@
+import dataclasses
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cncut.families import enumerate_graphs, random_graph
 from cncut.graph import (
+    Graph,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -21,6 +27,9 @@ from cncut.decomposition import (
     validate_decomposition,
     validate_nice,
 )
+from cncut.harness import run_instance
+from cncut.instance_io import CncInstance
+from cncut.oracle import oracle_decides
 
 from .reference import empty_graph
 from .strategies import bag_trees, graphs
@@ -120,6 +129,19 @@ def test_nice_rejects_cyclic_tree_edges():
         make_nice(td)
 
 
+@pytest.mark.parametrize(
+    "td,fragment",
+    [
+        (TreeDecomposition((frozenset({0}),), ((0, 5),)), "tree edge (0,5) out of range"),
+        (TreeDecomposition((frozenset({0}), frozenset({1})), ()), "bag 1 unreached"),
+    ],
+)
+def test_nice_rejects_out_of_range_edges_and_unreached_bags(td, fragment):
+    with pytest.raises(StructuralError) as exc:
+        make_nice(td)
+    assert fragment in str(exc.value)
+
+
 def test_nice_chain_two_bags():
     ntd = make_nice(P3_BAGS)
     kinds = [nd.kind for nd in ntd.nodes]
@@ -174,6 +196,23 @@ def test_validate_nice_failures():
     report = validate_nice(g, bad_join)
     assert not report.ok and report.condition == "4"
 
+    leaf0 = NiceNode("leaf", frozenset({0}), 0, ())
+    for top in (
+        NiceNode("introduce", frozenset({0, 1}), None, (0,)),
+        NiceNode("forget", frozenset(), None, (0,)),
+        NiceNode("introduce", frozenset({0}), 0, (0,)),  # 0 is already in the child
+        NiceNode("introduce", frozenset(), 0, (0,)),  # a forget of 0, labelled introduce
+        NiceNode("forget", frozenset({0, 1}), 1, (0,)),  # an introduce of 1, labelled forget
+        NiceNode("join", frozenset({0}), None, (0,)),
+    ):
+        report = validate_nice(g, NiceTreeDecomposition((leaf0, top)))
+        assert (report.ok, report.condition, report.node) == (False, "4", 1)
+    three_way = NiceTreeDecomposition(
+        (leaf0, leaf0, leaf0, NiceNode("join", frozenset({0}), None, (0, 1, 2)))
+    )
+    report = validate_nice(g, three_way)
+    assert (report.ok, report.condition, report.node) == (False, "4", 3)
+
     two_roots = NiceTreeDecomposition(
         (
             NiceNode("leaf", frozenset({0}), 0, ()),
@@ -189,6 +228,23 @@ def test_validate_nice_failures():
     report = validate_nice(empty_graph(0), unknown)
     assert not report.ok and report.condition == "shape"
     assert validate_nice(empty_graph(0), NiceTreeDecomposition(())).ok
+
+
+@pytest.mark.parametrize("vertex", [2, None])
+def test_mislabeled_leaf_is_rejected(vertex):
+    # The leaf holding vertex 3 names another vertex. Read as given, the
+    # form introduces 3 nowhere and dp-wx answers NO where the oracle says YES.
+    g = Graph.from_edges(4, [(0, 1)])
+    nodes = make_nice(heuristic_decomposition(g)).nodes
+    i = next(i for i, nd in enumerate(nodes) if nd.kind == "leaf" and nd.bag == {3})
+    bad = NiceTreeDecomposition(
+        nodes[:i] + (dataclasses.replace(nodes[i], vertex=vertex),) + nodes[i + 1:]
+    )
+    report = validate_nice(g, bad)
+    assert (report.ok, report.condition, report.node) == (False, "4", i)
+    assert oracle_decides(g, 1, 0)
+    with pytest.raises(StructuralError, match="condition 4"):
+        run_instance(CncInstance(g, 1, x=0), algo="dp-wx", ntd=bad)
 
 
 def test_serialize_format():
@@ -253,10 +309,12 @@ def test_heuristic_always_validates(g):
         assert len(ntd.nodes) <= 6 * (td.width + 2) * (len(td.bags) + 2)
 
 
-def _min_fill_bags_reference(g):
-    """Elimination bags with every vertex's fill-in recounted at every step."""
+def _min_fill_reference(g):
+    """Elimination with every vertex's fill-in recounted at every step. Each
+    bag hangs from the bag of its earliest-eliminated neighbour, and several
+    roots hang from one empty hub bag."""
     adj = {v: set(g.neighbors(v)) for v in range(g.n)}
-    bags = []
+    bags, order, elim_neighbors = [], [], []
     while adj:
         def key(v):
             nb = sorted(adj[v])
@@ -265,17 +323,38 @@ def _min_fill_bags_reference(g):
         v = min(adj, key=key)
         nbrs = adj.pop(v)
         bags.append(frozenset(nbrs | {v}))
+        order.append(v)
+        elim_neighbors.append(nbrs)
         for a in nbrs:
             adj[a] |= nbrs - {a}
             adj[a].discard(v)
-    return bags
+    edges = [(s, min(map(order.index, nbrs))) for s, nbrs in enumerate(elim_neighbors) if nbrs]
+    roots = [s for s, nbrs in enumerate(elim_neighbors) if not nbrs]
+    if len(roots) > 1:
+        edges += [(len(bags), r) for r in roots]
+        bags.append(frozenset())
+    return TreeDecomposition(tuple(bags), tuple(edges))
 
 
 @settings(max_examples=60, deadline=None)
 @given(graphs(max_n=12, max_m=30))
 def test_heuristic_matches_full_recount(g):
-    td = heuristic_decomposition(g)
-    assert list(td.bags[:g.n]) == _min_fill_bags_reference(g)
+    assert heuristic_decomposition(g) == _min_fill_reference(g)
+
+
+# sha256 of the concatenated .td texts of the heuristic decompositions below,
+# as the dict-of-sets elimination computed them before it moved to bitmasks.
+HEURISTIC_SHA256 = "30d13a928d815b69f2146525c0f0bdb10a2323624da722c40ebd527697f5fcbb"
+
+
+def test_heuristic_output_is_pinned():
+    gs = [g for n in range(7) for g in enumerate_graphs(n)]
+    for seed in range(50):
+        rng = random.Random(seed)
+        n = rng.randint(1, 40)
+        gs.append(random_graph(n, rng.randint(0, min(n * (n - 1) // 2, 3 * n)), rng))
+    text = "".join(serialize_td(heuristic_decomposition(g), g.n) for g in gs)
+    assert hashlib.sha256(text.encode()).hexdigest() == HEURISTIC_SHA256
 
 
 @given(graphs(max_n=8))
