@@ -18,8 +18,20 @@ whenever one exists. Extending a leaf that is not minimal is sound too, since
 each extension is checked, which is why `solve_branch_kx` may stop at the
 first YES without waiting for the minimal covers to be known.
 
-The adjacency is held as one int bitmask per vertex, so a branch copies a
-list of ints.
+No adjacency is copied: a search node is the tuple (alive, u, kept, chosen,
+k_rem, x_rem). alive masks the undeleted vertices, u is the smallest vertex
+that can still have a live edge, and kept masks the neighbours v of u whose
+edge {u, v} the search chose to keep. An edge is live when both ends are
+alive and it was not kept. The smallest live edge is the low bit of
+up[u] & alive & ~kept, where up[u] holds u's neighbours above u and is built
+once per search. This is sound because no vertex below u has a live edge:
+u moves past a vertex only once that vertex has none, and later branches
+only remove live edges. A live neighbour of u below u would be such a
+vertex, so neighbours below u can be ignored. A kept edge {u, v} has u as
+its lower end, so it is never looked at again once u moves on, and kept
+starts empty at each new u. Deleting u moves to u + 1, deleting v clears
+v's bit in alive, and keeping {u, v} sets v's bit in kept and spends one
+unit of the edge budget.
 """
 
 from __future__ import annotations
@@ -41,45 +53,44 @@ class BranchStats:
     extensions_tested: int = 0
 
 
-def _without(adj: list[int], w: int) -> list[int]:
-    sub = adj[:]
-    nbrs = sub[w]
-    sub[w] = 0
-    keep = ~(1 << w)
-    while nbrs:
-        low = nbrs & -nbrs
-        nbrs ^= low
-        sub[low.bit_length() - 1] &= keep
-    return sub
-
-
 def _covers(masks: tuple[int, ...], k: int, budget: int, stats: BranchStats) -> Iterator[int]:
     """Yield, as vertex bitmasks, the search leaves: <= k vertices leaving <= budget edges.
 
     Depth first, each node trying delete u, delete v, keep {u, v} in that
-    order. Vertices below u stay edgeless in every descendant, so the next
-    smallest edge is searched from u on. A cover may be yielded more than once.
+    order. A cover may be yielded more than once. Nodes are counted in a
+    local and added to stats.nodes_visited before each yield and at the end,
+    so a caller that stops at a leaf reads the count up to that leaf.
     """
     n = len(masks)
-    stack = [(list(masks), 0, 0, k, budget)]
+    # up[n] = 0 ends the scan for u when the graph has no vertices.
+    up = [m >> u + 1 << u + 1 for u, m in enumerate(masks)] + [0]
+    nodes = 0
+    stack = [((1 << n) - 1, 0, 0, 0, k, budget)]
+    pop, push = stack.pop, stack.append
     while stack:
-        adj, u, chosen, k_rem, x_rem = stack.pop()
-        stats.nodes_visited += 1
-        while u < n and not adj[u]:
+        alive, u, kept, chosen, k_rem, x_rem = pop()
+        nodes += 1
+        live = up[u] & alive & ~kept
+        if not (live and alive >> u & 1):
             u += 1
-        if u == n:
-            yield chosen
-            continue
-        low = adj[u] & -adj[u]
-        v = low.bit_length() - 1
-        if x_rem > 0:
-            kept = adj[:]
-            kept[u] ^= low
-            kept[v] ^= 1 << u
-            stack.append((kept, u, chosen, k_rem, x_rem - 1))
-        if k_rem > 0:
-            stack.append((_without(adj, v), u, chosen | low, k_rem - 1, x_rem))
-            stack.append((_without(adj, u), u, chosen | 1 << u, k_rem - 1, x_rem))
+            while u < n and not (alive >> u & 1 and up[u] & alive):
+                u += 1
+            if u >= n:
+                stats.nodes_visited += nodes
+                nodes = 0
+                yield chosen
+                continue
+            kept = 0
+            live = up[u] & alive
+        low = live & -live
+        if x_rem:
+            push((alive, u, kept | low, chosen, k_rem, x_rem - 1))
+        if k_rem:
+            k_rem -= 1
+            push((alive ^ low, u, kept, chosen | low, k_rem, x_rem))
+            bit = 1 << u
+            push((alive ^ bit, u + 1, 0, chosen | bit, k_rem, x_rem))
+    stats.nodes_visited += nodes
 
 
 def enumerate_minimal_covers(

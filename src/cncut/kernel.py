@@ -8,13 +8,12 @@ degree > k'  and  (degree - k')^2 > x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Graph, bits, check_parameters, remove_isolated, remove_vertices
 
 
-@dataclass(frozen=True)
-class KernelTrace:
+class KernelTrace(NamedTuple):
     """What the kernel pass did, in order, plus the reduced instance.
 
     When infeasible is True the rule forced more than k deletions, which

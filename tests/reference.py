@@ -3,12 +3,15 @@
 Each is a plain check, independent of the engines and of the reductions'
 own bookkeeping, so a test can hold a construction's structural claims
 (bipartite, degenerate, clique, component census, treewidth witness)
-against it.
+against it. `reference_covers` is the branch-kx search written the plain
+way, copying the adjacency at every node, so the mask-based search can be
+held to the same leaves, order and node count.
 """
 
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
+from cncut.branching import BranchStats
 from cncut.decomposition import TreeDecomposition
 from cncut.graph import Graph, bits, remove_vertices
 from cncut.reductions import HIGH, LOW, MccLayout
@@ -57,6 +60,50 @@ def degeneracy(g: Graph) -> tuple[int, tuple[int, ...]]:
         order.append(v)
         alive ^= 1 << v
     return best, tuple(order)
+
+
+def _without(adj: list[int], w: int) -> list[int]:
+    sub = adj[:]
+    nbrs = sub[w]
+    sub[w] = 0
+    keep = ~(1 << w)
+    while nbrs:
+        low = nbrs & -nbrs
+        nbrs ^= low
+        sub[low.bit_length() - 1] &= keep
+    return sub
+
+
+def reference_covers(
+    masks: tuple[int, ...], k: int, budget: int, stats: BranchStats
+) -> Iterator[int]:
+    """The search leaves of `branching._covers`, each node holding its own adjacency copy.
+
+    Depth first, each node trying delete u, delete v, keep {u, v} in that
+    order, on the smallest remaining edge {u, v}. Vertices below u stay
+    edgeless in every descendant, so the next smallest edge is searched
+    from u on.
+    """
+    n = len(masks)
+    stack = [(list(masks), 0, 0, k, budget)]
+    while stack:
+        adj, u, chosen, k_rem, x_rem = stack.pop()
+        stats.nodes_visited += 1
+        while u < n and not adj[u]:
+            u += 1
+        if u == n:
+            yield chosen
+            continue
+        low = adj[u] & -adj[u]
+        v = low.bit_length() - 1
+        if x_rem > 0:
+            kept = adj[:]
+            kept[u] ^= low
+            kept[v] ^= 1 << u
+            stack.append((kept, u, chosen, k_rem, x_rem - 1))
+        if k_rem > 0:
+            stack.append((_without(adj, v), u, chosen | low, k_rem - 1, x_rem))
+            stack.append((_without(adj, u), u, chosen | 1 << u, k_rem - 1, x_rem))
 
 
 def has_clique(g: Graph, size: int) -> bool:

@@ -6,7 +6,9 @@ from hypothesis import given, strategies as st
 
 from cncut.families import random_graph
 from cncut.graph import (
+    Graph,
     InputError,
+    bits,
     complete_graph,
     connected_pairs,
     path_graph,
@@ -16,18 +18,77 @@ from cncut.graph import (
 )
 from cncut.branching import (
     BranchStats,
+    _covers,
     enumerate_minimal_covers,
     extend_minimal_cover,
     solve_branch_kx,
 )
+from cncut.kernel import kernelize_kx
 from cncut.oracle import oracle_decides
 
-from .reference import empty_graph
+from .reference import empty_graph, reference_covers
 from .strategies import graphs, graphs_with_subset
 
 
 def edges_left(g, cut):
     return sum(1 for u, v in g.edges if u not in cut and v not in cut)
+
+
+def search(covers, g, k, budget):
+    """All leaves a search yields, in order, and the nodes it visited."""
+    stats = BranchStats()
+    return list(covers(g.adjacency_masks, k, budget, stats)), stats.nodes_visited
+
+
+def reference_first_yes(g, k, x):
+    """solve_branch_kx's loop run on reference_covers: the answer and nodes visited."""
+    stats = BranchStats()
+    extended = set()
+    for cover in reference_covers(g.adjacency_masks, k, x // 2, stats):
+        if cover not in extended:
+            extended.add(cover)
+            if extend_minimal_cover(g, frozenset(bits(cover)), k, x) is not None:
+                return True, stats.nodes_visited
+    return False, stats.nodes_visited
+
+
+def planted_graph(k, pieces, rng):
+    """k hubs on a path, plus pieces of two adjacent vertices each joined to
+    two hubs; labels are shuffled so the hubs are not the smallest ids.
+    Deleting the hubs leaves 2 * pieces ordered pairs."""
+    n = k + 2 * pieces
+    edges = {(h, h + 1) for h in range(k - 1)}
+    for v in range(k, n, 2):
+        edges.add((v, v + 1))
+        for w in (v, v + 1):
+            edges.update((h, w) for h in rng.sample(range(k), 2))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph.from_edges(n, [(perm[a], perm[b]) for a, b in edges])
+
+
+@given(graphs(max_n=8), st.integers(0, 3), st.integers(0, 4))
+def test_covers_match_reference_search(g, k, budget):
+    assert search(_covers, g, k, budget) == search(reference_covers, g, k, budget)
+
+
+def test_covers_match_reference_on_baseline_graph():
+    g = random_graph(40, 60, Random(0))
+    covers, nodes = search(_covers, g, 6, 4)
+    assert (covers, nodes) == search(reference_covers, g, 6, 4)
+    assert nodes == 30_591
+
+
+@pytest.mark.parametrize("g, k, x", [
+    (complete_graph(3), 1, 2),
+    (planted_graph(3, 5, Random(1)), 3, 10),
+])
+def test_solve_counts_nodes_up_to_first_yes(g, k, x):
+    dec = solve_branch_kx(g, k, x)
+    assert dec.answer
+    assert (True, dec.stats.nodes_visited) == reference_first_yes(g, k, x)
+    # The search stopped before its end, so the count is that of a prefix.
+    assert dec.stats.nodes_visited < search(_covers, g, k, x // 2)[1]
 
 
 def test_covers_single_edge():
@@ -134,6 +195,13 @@ def test_solve_baseline_graph_node_count():
     dec = solve_branch_kx(random_graph(40, 60, Random(0)), 6, 8)
     assert not dec.answer
     assert dec.stats.nodes_visited <= 30_591
+
+
+def test_kernelized_hang_instance_is_no():
+    trace = kernelize_kx(random_graph(30, 90, Random(3)), 8, 12)
+    dec = solve_branch_kx(trace.kernel_graph, trace.k_out, 12)
+    assert not dec.answer
+    assert dec.stats.nodes_visited <= 533_247
 
 
 def test_solve_stops_at_first_yes():
