@@ -198,89 +198,104 @@ def _check_tree(g, bags, tree_edges) -> ValidationReport:
 def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
     """Normalize to Leaf/Introduce/Forget/Join nodes, ending in an empty root bag.
 
-    Width is preserved exactly; the node count is O(width * bags). Raises
-    StructuralError when a tree edge is out of range, or when, once empty
-    bags are spliced out, the tree edges close a cycle or leave a bag unreached.
+    One breadth-first walk from bag 0 gives each vertex its top, the first
+    bag of the walk that holds it; a bag owns the vertices it is the top of,
+    and a vertex that a second bag holds is shared. Vertices are eliminated
+    deepest top first (the top walked last first), and within one top the
+    shared ones first, then by id. Let L(v) be the part of top(v)
+    eliminated after v. Vertex v gets the bag B(v) = {v} + L(v), hung below
+    p(v), the first-eliminated vertex of L(v); the vertices with L(v) empty
+    are roots. When conditions 1-3 hold:
+
+    - L(v) - {p(v)} lies inside B(p(v)). By condition 3 the bags holding a
+      vertex form a subtree, which the walk enters at its bag nearest bag 0;
+      so the top of a vertex of bag t is t or an ancestor of t. Take u in
+      L(v) other than p = p(v): top(u) and top(p) both lie on the path from
+      top(v) up to bag 0. As u is eliminated after p, top(u) is walked no
+      later than top(p), so it is top(p) or an ancestor of it, and top(p)
+      lies between top(v) and top(u). Both ends hold u, so top(p) does too,
+      and u, eliminated after p, is in L(p).
+    - Each edge lies in the bag of its earlier end: if bag t holds u and v
+      and v is eliminated first, top(v) lies between t and top(u) in the
+      same way, so u is in L(v).
+    - The width is kept exactly. B(v) lies inside top(v), and the
+      first-eliminated vertex a bag owns gets the whole bag as B(v). A
+      nonempty bag that owns nothing lies inside its walk parent, and bag 0
+      owns all it holds, so a largest bag, or an ancestor as large, is some B(v).
+    - There are at most (2w + 3) * n nodes for n vertices and width w. Each
+      vertex has one forget, and one leaf when nothing hangs below it or
+      else one join fewer than hangs below it; the roots take one join fewer
+      than there are roots. That is at most 2n - 1 leaves and joins. Each
+      leaf and each vertex hung below another takes at most w introduces.
+
+    By the first point the nodes holding a vertex run from where it is
+    introduced up to its forget, and what hangs below v reaches B(v) by
+    introduces alone, so every node's bag is the one its kind derives. With
+    the second point, the form passes `validate_nice`. Empty bags own no
+    vertex and so add no node. Shared vertices go first so that a bag's
+    vertices continue the chain hung below them: two bags joined by one tree
+    edge give one leaf and no join.
+
+    Raises StructuralError when a tree edge is out of range, or when the tree
+    edges close a cycle or leave a bag unreached.
     """
-    bags = [set(b) for b in td.bags]
-    adjacency = {i: set() for i in range(len(bags))}
+    bags = td.bags
+    adjacency: list[list[int]] = [[] for _ in bags]
     for a, b in td.tree_edges:
-        if not (a in adjacency and b in adjacency):
+        if not (0 <= a < len(bags) and 0 <= b < len(bags)):
             raise StructuralError(f"tree edge ({a},{b}) out of range")
-        adjacency[a].add(b)
-        adjacency[b].add(a)
+        adjacency[a].append(b)
+        adjacency[b].append(a)
 
-    _splice_empty_bags(bags, adjacency)
-    live = [i for i in sorted(adjacency) if bags[i]]
-    if not live:
-        return NiceTreeDecomposition(())
-    root = live[0]
-
-    nodes: list[NiceNode] = []
-
-    def emit(kind: str, bag: set[int], vertex: int | None, children: tuple[int, ...]) -> int:
-        nodes.append(NiceNode(kind, frozenset(bag), vertex, children))
-        return len(nodes) - 1
-
-    def pad(top: int, have: set[int], want: set[int]) -> int:
-        cur = set(have)
-        for v in sorted(have - want):
-            cur = cur - {v}
-            top = emit("forget", cur, v, (top,))
-        for v in sorted(want - have):
-            cur = cur | {v}
-            top = emit("introduce", cur, v, (top,))
-        return top
-
-    # Iterative post-order over the bag tree. In a tree each bag is reached
-    # once; a bag reached twice closes a cycle, which would be walked forever.
-    order: list[tuple[int, int]] = []
-    seen: set[int] = set()
-    stack = [(root, -1)]
-    while stack:
-        node, parent = stack.pop()
-        if node in seen:
-            raise StructuralError(f"tree edges contain a cycle through bag {node}")
-        seen.add(node)
-        order.append((node, parent))
-        for nb in sorted(adjacency[node]):
-            if nb != parent:
-                stack.append((nb, node))
-    if len(seen) != len(live):
-        missed = min(set(live) - seen)
+    walk = [0] if bags else []
+    parent = {0: -1}
+    top: dict[int, int] = {}  # vertex -> walk position of its top
+    shared: set[int] = set()
+    for j, i in enumerate(walk):  # the walk grows as it reaches bags
+        for v in bags[i]:
+            if v in top:
+                shared.add(v)
+            else:
+                top[v] = j
+        for c in adjacency[i]:
+            if c == parent[i]:
+                continue
+            if c in parent:
+                raise StructuralError(f"tree edges contain a cycle through bag {c}")
+            parent[c] = i
+            walk.append(c)
+    if len(walk) < len(bags):
+        missed = min(set(range(len(bags))) - set(walk))
         raise StructuralError(f"tree edges leave bag {missed} unreached")
 
-    built: dict[int, int] = {}
-    for node, parent in reversed(order):
-        children = [nb for nb in sorted(adjacency[node]) if nb != parent]
-        tops = [pad(built[c], bags[c], bags[node]) for c in children]
-        if not tops:
-            v = min(bags[node])
-            built[node] = pad(emit("leaf", {v}, v, ()), {v}, bags[node])
-        else:
-            acc = tops[0]
-            for nxt in tops[1:]:
-                acc = emit("join", bags[node], None, (acc, nxt))
-            built[node] = acc
+    order = sorted(top, key=lambda v: (-top[v], v not in shared, v))
+    rank = {v: r for r, v in enumerate(order)}
+    nodes: list[NiceNode] = []
 
-    # Forget everything above the root bag so the root is empty.
-    pad(built[root], bags[root], set())
+    def emit(kind: str, bag: frozenset[int], vertex: int | None, children: tuple[int, ...]) -> int:
+        nodes.append(NiceNode(kind, bag, vertex, children))
+        return len(nodes) - 1
+
+    def join(ends: list[int]) -> int:
+        acc = ends[0]
+        for end in ends[1:]:
+            acc = emit("join", nodes[acc].bag, None, (acc, end))
+        return acc
+
+    # The ends hung below each vertex; the roots' ends hang below None.
+    hung: dict[int | None, list[int]] = {}
+    for v in order:
+        later = frozenset(u for u in bags[walk[top[v]]] if rank[u] > rank[v])
+        ends = []
+        for end in hung.pop(v, None) or [emit("leaf", frozenset({v}), v, ())]:
+            for u in sorted(later - nodes[end].bag):
+                end = emit("introduce", nodes[end].bag | {u}, u, (end,))
+            ends.append(end)
+        end = emit("forget", later, v, (join(ends),))
+        hung.setdefault(min(later, key=rank.__getitem__, default=None), []).append(end)
+    if order:
+        join(hung[None])
     return NiceTreeDecomposition(tuple(nodes))
-
-
-def _splice_empty_bags(bags: list[set[int]], adjacency: dict[int, set[int]]) -> None:
-    for i in list(adjacency):
-        if bags[i]:
-            continue
-        nbrs = sorted(adjacency[i])
-        for nb in nbrs:
-            adjacency[nb].discard(i)
-        if len(nbrs) >= 2:
-            hub = nbrs[0]
-            for other in nbrs[1:]:
-                adjacency[hub].add(other)
-                adjacency[other].add(hub)
-        del adjacency[i]
 
 
 def validate_nice(g, ntd: NiceTreeDecomposition) -> ValidationReport:
@@ -385,7 +400,13 @@ def parse_td(text: str) -> tuple[TreeDecomposition, int]:
                 raise StructuralError(f"line {lineno}: duplicate bag {idx + 1}")
             if any(not (0 <= v < header[2]) for v in verts):
                 raise StructuralError(f"line {lineno}: bag vertex out of range")
-            bags[idx] = frozenset(verts)
+            bag = frozenset(verts)
+            if len(bag) > header[1]:
+                raise StructuralError(
+                    f"line {lineno}: bag {idx + 1} holds {len(bag)} vertices, "
+                    f"more than the s-line's {header[1]}"
+                )
+            bags[idx] = bag
         else:
             if header is None or len(parts) != 2:
                 raise StructuralError(f"line {lineno}: malformed tree edge")

@@ -113,7 +113,9 @@ def _auto(plan: _Plan) -> str:
     if plan.y is not None and plan.y <= DP_Y_MAX:
         return "dp-y"
     x_eff = plan.x_eff
-    width = plan.td.width
+    # A supplied form is the one dp-wx would run on, so its width decides.
+    given = plan._given_ntd
+    width = plan.td.width if given is None else given.width
     if width + x_eff <= DP_WX_MAX:
         return "dp-wx"
     if x_eff + plan.k <= BRANCH_KX_MAX:

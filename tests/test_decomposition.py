@@ -3,7 +3,7 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from cncut.families import enumerate_graphs, random_graph
 from cncut.graph import (
@@ -30,6 +30,7 @@ from cncut.decomposition import (
 from cncut.harness import run_instance
 from cncut.instance_io import CncInstance
 from cncut.oracle import oracle_decides
+from cncut.treewidth_dp import solve_wx
 
 from .reference import empty_graph
 from .strategies import bag_trees, graphs
@@ -140,6 +141,24 @@ def test_nice_rejects_out_of_range_edges_and_unreached_bags(td, fragment):
     with pytest.raises(StructuralError) as exc:
         make_nice(td)
     assert fragment in str(exc.value)
+
+
+# About one bag_trees draw in thirteen is a decomposition of its vertex set.
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(bag_trees(), st.integers(0, 3), st.integers(0, 10), st.data())
+def test_nice_form_of_any_valid_decomposition(tree, k, x, data):
+    n, td = tree
+    # Edges drawn from pairs that share a bag keep condition 2, so the
+    # edgeless graph decides validity.
+    assume(validate_decomposition(empty_graph(n), td).ok)
+    pairs = sorted({(u, v) for bag in td.bags for u in bag for v in bag if u < v})
+    g = Graph(n, frozenset(data.draw(st.sets(st.sampled_from(pairs))) if pairs else ()))
+    assert validate_decomposition(g, td).ok
+    ntd = make_nice(td)
+    assert validate_nice(g, ntd).ok
+    assert ntd.width == td.width
+    assert len(ntd.nodes) <= (2 * td.width + 3) * n
+    assert solve_wx(g, k, x, ntd=ntd).answer == oracle_decides(g, k, x)
 
 
 def test_nice_chain_two_bags():
@@ -289,6 +308,7 @@ def test_parse_skips_comments_and_blanks():
         ("s td 1 1 1\nb 1 a\n", "line 2: not an integer in '1 a'"),
         ("s td 1 1 1\nb\n", "line 2: b-line without a bag id"),
         ("s td 2 1 2\nb 1 1\nb 2 2\n1 x\n", "line 4: not an integer in '1 x'"),
+        ("s td 1 1 3\nb 1 1 2 3\n", "line 2: bag 1 holds 3 vertices, more than the s-line's 1"),
     ],
 )
 def test_parse_errors(text, fragment):

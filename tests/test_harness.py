@@ -191,6 +191,28 @@ def test_supplied_decomposition_skips_the_kernel():
     assert "kernel" not in report.stats
 
 
+def test_auto_reads_the_supplied_decomposition_width(monkeypatch):
+    # The heuristic's width is 5, so 5 + x = 15 would pass dp-wx's envelope;
+    # the supplied one-bag form has width 23, and 23 + 10 does not.
+    from random import Random
+
+    from cncut import decomposition
+    from cncut.families import random_graph
+
+    g = random_graph(24, 40, Random(1))
+    assert decomposition.heuristic_decomposition(g).width + 10 <= DP_WX_MAX
+    one_bag = make_nice(TreeDecomposition((frozenset(range(24)),), ()))
+    assert one_bag.width == 23
+
+    def unexpected(g):
+        raise AssertionError("auto built the heuristic despite a supplied decomposition")
+
+    monkeypatch.setattr(decomposition, "heuristic_decomposition", unexpected)
+    report = run_instance(CncInstance(g, 2, x=10), ntd=one_bag)
+    assert report.algorithm == "branch-kx"
+    assert report.answer == ("YES" if oracle_decides(g, 2, 10) else "NO")
+
+
 # A hub joined to six leaves, beside a path on five vertices. With k = 2 and
 # x = 4 the rule forces the hub, and the oracle cuts the path with k = 1.
 HUB_AND_P5 = Graph.from_edges(12, [(0, v) for v in range(1, 7)] + [(v, v + 1) for v in range(7, 11)])

@@ -408,16 +408,17 @@ def _pinned_graphs():
 
 # WxStats of the four graphs above, which are shaped like the benchmark's
 # auto-mix inputs. A change of table representation that adds or loses a
-# structural key changes these counts.
+# structural key changes these counts, and so does a change of the nice
+# form's node list.
 PINNED_STATS = {
-    "sparse": WxStats(node_count=107, width=3, max_table_structs=31,
-                      max_table_expanded=178, total_structs=886),
-    "tree": WxStats(node_count=147, width=2, max_table_structs=29,
-                    max_table_expanded=237, total_structs=1164),
-    "union": WxStats(node_count=48, width=2, max_table_structs=11,
-                     max_table_expanded=62, total_structs=201),
-    "chain": WxStats(node_count=185, width=2, max_table_structs=17,
-                     max_table_expanded=65, total_structs=1042),
+    "sparse": WxStats(node_count=106, width=3, max_table_structs=31,
+                      max_table_expanded=178, total_structs=825),
+    "tree": WxStats(node_count=144, width=2, max_table_structs=38,
+                    max_table_expanded=262, total_structs=1152),
+    "union": WxStats(node_count=47, width=2, max_table_structs=11,
+                     max_table_expanded=62, total_structs=255),
+    "chain": WxStats(node_count=179, width=2, max_table_structs=17,
+                     max_table_expanded=65, total_structs=971),
 }
 
 
