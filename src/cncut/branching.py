@@ -36,16 +36,14 @@ unit of the edge budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
-from .graph import Cut, Decision, Graph, InputError, bits, certify, check_parameters
+from .graph import Counters, Cut, Decision, Graph, InputError, bits, certify, check_parameters
 from .oracle import _scan
 
 
-@dataclass
-class BranchStats:
+class BranchStats(Counters):
     nodes_visited: int = 0
     # enumerate_minimal_covers: the minimal covers returned.
     # solve_branch_kx: the distinct covers extended before the answer.

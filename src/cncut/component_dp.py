@@ -9,25 +9,24 @@ input graph's bitmasks, and a knapsack over components allocates the budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from operator import itemgetter
+from typing import NamedTuple
 
 from .graph import (
-    Cut, Decision, Graph, bits, certify, check_parameters, connected_pairs, pairs_of_alive,
+    Counters, Cut, Decision, Graph, bits, certify, check_parameters, connected_pairs,
+    pairs_of_alive,
 )
 from .oracle import DEFAULT_CAP, CapExceeded, _scan
 
 
-@dataclass
-class SolveYStats:
+class SolveYStats(Counters):
     component_count: int = 0
     subsets_examined: tuple[int, ...] = ()
     shortcut: str | None = None
 
 
-@dataclass(frozen=True)
-class RemovalTable:
+class RemovalTable(NamedTuple):
     """Per component: vertices (original ids) and max pairs removable per budget.
 
     values[i][j] is the most pairs at most j deletions can remove from

@@ -10,7 +10,7 @@ Decompositions serialize to the PACE-style .td text format.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import InputError, bits
 
@@ -19,8 +19,7 @@ class StructuralError(InputError):
     """A decomposition violates its structural contract."""
 
 
-@dataclass(frozen=True)
-class TreeDecomposition:
+class TreeDecomposition(NamedTuple):
     """Raw decomposition: bags plus undirected tree edges between bag indices."""
 
     bags: tuple[frozenset[int], ...]
@@ -31,16 +30,14 @@ class TreeDecomposition:
         return max((len(b) for b in self.bags), default=0) - 1
 
 
-@dataclass(frozen=True)
-class NiceNode:
+class NiceNode(NamedTuple):
     kind: str  # leaf | introduce | forget | join
     bag: frozenset[int]
     vertex: int | None
     children: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class NiceTreeDecomposition:
+class NiceTreeDecomposition(NamedTuple):
     """Nodes in an order where children precede parents; the last node is the root."""
 
     nodes: tuple[NiceNode, ...]
@@ -54,8 +51,7 @@ class NiceTreeDecomposition:
         return max((len(nd.bag) for nd in self.nodes), default=0) - 1
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     condition: str | None = None
     node: int | None = None

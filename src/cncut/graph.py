@@ -4,13 +4,16 @@ Connectivity is always measured in ordered pairs: a component with s vertices
 contributes s*(s-1). All solvers in this package share that convention.
 Vertex sets are int bitmasks: a graph holds its adjacency as one mask per
 vertex and finds its components once, as one mask each.
+
+The records here are `typing.NamedTuple`s and `Graph` is a plain class, not
+dataclasses: every `cnc solve` loads this module, and importing `dataclasses`
+and building its classes would cost more than a small solve itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 
 class InputError(ValueError):
@@ -38,21 +41,84 @@ def bits(mask: int) -> Iterator[int]:
         yield low.bit_length() - 1
 
 
-@dataclass(frozen=True)
-class Graph:
+class FrozenRecord:
+    """Value semantics over the annotated fields, as a frozen dataclass gives them.
+
+    Instances compare equal when their classes and field values are, hash by
+    their field values, print as `Name(field=value, ...)` and refuse
+    assignment; `__init__` sets the fields once, in order, through `_set`.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(type(self).__annotations__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in type(self).__annotations__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in type(self).__annotations__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r} of a frozen {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r} of a frozen {type(self).__name__}")
+
+
+class Counters:
+    """An engine's mutable work counters, declared as annotated class defaults.
+
+    `Name(field=value, ...)` overrides the defaults. Every field lands in the
+    instance `__dict__` in declaration order, the order in which `vars()`
+    reports them. Instances compare equal when their classes and fields are.
+    """
+
+    def __init__(self, **values) -> None:
+        cls = type(self)
+        for name in cls.__annotations__:
+            setattr(self, name, values.pop(name, getattr(cls, name)))
+        if values:
+            raise TypeError(f"{cls.__name__} has no field {next(iter(values))!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    __hash__ = None  # mutable
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__name__}({fields})"
+
+
+class Graph(FrozenRecord):
     """Immutable simple graph on vertices 0..n-1."""
 
     n: int
     edges: frozenset[tuple[int, int]]
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise InputError(f"vertex count must be nonnegative, got {self.n}")
-        for u, v in self.edges:
+    def __init__(self, n: int, edges: frozenset[tuple[int, int]]) -> None:
+        if n < 0:
+            raise InputError(f"vertex count must be nonnegative, got {n}")
+        for u, v in edges:
             if u == v:
                 raise InputError(f"self loop at vertex {u}")
-            if not (0 <= u < v < self.n):
-                raise InputError(f"edge ({u}, {v}) out of range for n={self.n}")
+            if not (0 <= u < v < n):
+                raise InputError(f"edge ({u}, {v}) out of range for n={n}")
+        self._set(n, edges)
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -111,8 +177,7 @@ class Graph:
         return cs
 
 
-@dataclass(frozen=True)
-class ComponentLabeling:
+class ComponentLabeling(NamedTuple):
     """Vertex -> component label plus the size of every component."""
 
     labels: tuple[int, ...]
@@ -123,16 +188,14 @@ class ComponentLabeling:
         return len(self.sizes)
 
 
-@dataclass(frozen=True)
-class Cut:
+class Cut(NamedTuple):
     """A vertex deletion set together with the pairs left behind."""
 
     vertices: frozenset[int]
     residual_pairs: int
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """An engine's answer; a YES carries a cut that has passed `certify`."""
 
     answer: bool
@@ -140,8 +203,7 @@ class Decision:
     stats: object
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     ok: bool
     cut_size: int
     budget: int
@@ -296,7 +358,7 @@ def check_parameters(k: int, x: int = 0) -> None:
         raise InputError(f"parameters must be nonnegative, got k={k}, x={x}")
 
 
-# Builders: `cli._parse_source` reads the first four from a `--source` spec,
+# Builders: `commands._parse_source` reads the first four from a `--source` spec,
 # and `reductions.cross_compose` joins its parts with `disjoint_union`.
 
 def complete_graph(n: int) -> Graph:

@@ -21,13 +21,11 @@ the input graph.
 
 from __future__ import annotations
 
-import dataclasses
 import sys
 import time
-from dataclasses import dataclass
 from functools import cached_property
 from importlib import import_module
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .graph import DEFAULT_CAP, Cut, Decision, Graph, InputError, Refusal, certify, connected_pairs
 from .instance_io import CncInstance
@@ -52,13 +50,11 @@ class EngineRefusal(Refusal):
     """No engine is willing to touch the instance at auto's thresholds."""
 
 
-@dataclass(frozen=True)
-class HarnessConfig:
+class HarnessConfig(NamedTuple):
     oracle_cap: int = DEFAULT_CAP
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     answer: str  # YES or NO
     cut: tuple[int, ...] | None
     residual_pairs: int | None
@@ -69,9 +65,10 @@ class RunReport:
     config: dict
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        if d["cut"] is not None:
-            d["cut"] = [v + 1 for v in d["cut"]]  # 1-indexed outward
+        """The fields in order, the cut 1-based; a dict, which json prints as an object."""
+        d = self._asdict()
+        if self.cut is not None:
+            d["cut"] = [v + 1 for v in self.cut]  # 1-indexed outward
         return d
 
 
@@ -249,5 +246,5 @@ def run_instance(
         algorithm=engine,
         stats=stats,
         wall_ms=(time.perf_counter() - start) * 1e3,
-        config=dict(vars(config)),
+        config=config._asdict(),
     )

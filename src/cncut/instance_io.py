@@ -8,9 +8,7 @@ Serialization is canonical: header, sorted edges, k, then the target line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .graph import Graph, InputError, pairs_by_edges
+from .graph import FrozenRecord, Graph, InputError, pairs_by_edges
 
 
 class ParseError(InputError):
@@ -19,26 +17,27 @@ class ParseError(InputError):
         super().__init__(f"line {line_no}: {message}")
 
 
-@dataclass(frozen=True)
-class CncInstance:
+class CncInstance(FrozenRecord):
     graph: Graph
     k: int
-    x: int | None = None
-    y: int | None = None
-    comments: tuple[str, ...] = ()
+    x: int | None
+    y: int | None
+    comments: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if (self.x is None) == (self.y is None):
+    def __init__(self, graph: Graph, k: int, x: int | None = None, y: int | None = None,
+                 comments: tuple[str, ...] = ()) -> None:
+        if (x is None) == (y is None):
             raise InputError("exactly one of x and y must be set")
-        if self.k < 0:
+        if k < 0:
             raise InputError("budget k must be nonnegative")
-        if self.x is not None and self.x < 0:
+        if x is not None and x < 0:
             raise InputError("pair bound x must be nonnegative")
-        if self.y is not None and self.y < 0:
+        if y is not None and y < 0:
             raise InputError("removal target y must be nonnegative")
-        for text in self.comments:
+        for text in comments:
             if "\n" in text or "\r" in text:
                 raise InputError("comments must be single lines")
+        self._set(graph, k, x, y, comments)
 
     def x_equivalent(self) -> int:
         """The residual-pair bound; negative means unsatisfiable.

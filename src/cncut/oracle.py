@@ -17,10 +17,9 @@ size at most j over one component's vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .graph import (
     DEFAULT_CAP, Cut, Graph, InputError, Refusal, check_parameters, connected_pairs,
@@ -44,15 +43,13 @@ class CapExceeded(Refusal):
         )
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     min_residual_pairs: int
     best_cut: Cut
     explored: int
 
 
-@dataclass(frozen=True)
-class MaxRemovedResult:
+class MaxRemovedResult(NamedTuple):
     max_removed: int
     best_cut: Cut
     explored: int

@@ -38,10 +38,9 @@ the last time by the right block that holds the class's highest vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 
-from .graph import Cut, Decision, Graph, bits, certify, check_parameters, connected_pairs
+from .graph import Counters, Cut, Decision, Graph, bits, certify, check_parameters, connected_pairs
 from .decomposition import (
     NiceTreeDecomposition,
     StructuralError,
@@ -193,8 +192,7 @@ def _join_pair(
     return (k_new, deleted, tuple(groups)), x_new
 
 
-@dataclass
-class WxStats:
+class WxStats(Counters):
     node_count: int = 0
     width: int = 0
     max_table_structs: int = 0

@@ -1,5 +1,6 @@
 import ast
 import csv
+import io
 import json
 import os
 import subprocess
@@ -61,7 +62,27 @@ def test_solve_refusal_exit_code(tmp_path, capsys):
     assert "refused:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("cap", ["0", "-3"])
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_byte_order_mark_is_ignored(tmp_path, capsys, monkeypatch, source):
+    # Editors on some systems save UTF-8 with a leading U+FEFF.
+    assert main(["solve", write(tmp_path, "a.cnc", K3)]) == 0
+    plain = capsys.readouterr().out
+    if source == "file":
+        path = str(tmp_path / "bom.cnc")
+        Path(path).write_bytes(b"\xef\xbb\xbf" + K3.encode())
+    else:
+        path = "-"
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\ufeff" + K3))
+    assert main(["solve", path]) == 0
+    bom = capsys.readouterr().out
+
+    def untimed(out):
+        return [line for line in out.splitlines() if not line.startswith("time:")]
+
+    assert untimed(bom) == untimed(plain)
+
+
+@pytest.mark.parametrize("cap", ["0", "-3", "abc", "1.5"])
 def test_nonpositive_cap_is_a_usage_error(tmp_path, capsys, cap):
     path = write(tmp_path, "a.cnc", K3)
     for argv in (
@@ -72,15 +93,19 @@ def test_nonpositive_cap_is_a_usage_error(tmp_path, capsys, cap):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--cap", cap])
         assert exc.value.code == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: argument --cap: must be a positive integer, got '{cap}'" in err
+        assert "_positive" not in err
 
 
-@pytest.mark.parametrize("reps", ["0", "-1"])
+@pytest.mark.parametrize("reps", ["0", "-1", "abc", "1.5"])
 def test_nonpositive_reps_is_a_usage_error(capsys, reps):
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--family", "all:n=3:k=0:x=0", "--reps", reps])
     assert exc.value.code == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: argument --reps: must be a positive integer, got '{reps}'" in err
+    assert "_positive" not in err
 
 
 @pytest.mark.parametrize(
@@ -450,39 +475,56 @@ def test_only_certify_and_cnc_verify_call_verify_solution():
                     getattr(node.func, "id", None), getattr(node.func, "attr", None)
                 ):
                     callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
-    assert callers == {"graph.certify", "cli.cmd_verify"}
+    assert callers == {"graph.certify", "commands.cmd_verify"}
 
 
 STAR17 = "p cnc 17 16\n" + "".join(f"e 1 {v}\n" for v in range(2, 18)) + "k 1\nx 0\n"
 PATH17 = "p cnc 17 16\n" + "".join(f"e {v} {v + 1}\n" for v in range(1, 17)) + "k 5\nx 12\n"
-SOLVE_BASE = ["cncut", "cncut.cli", "cncut.graph", "cncut.harness", "cncut.instance_io",
-              "cncut.kernel"]
+PATH17_Y = PATH17.replace("k 5\nx 12", "k 1\ny 20")
+# Three disjoint K5s: deleting two vertices of each leaves 18 pairs.
+CLIQUES3 = ("p cnc 15 30\n" + "".join(f"e {b + i} {b + j}\n" for b in (0, 5, 10)
+                                      for i in range(1, 6) for j in range(i + 1, 6))
+            + "k 6\nx 18\n")
+SOLVE_BASE = ["cncut", "cncut.cli", "cncut.graph", "cncut.harness", "cncut.instance_io"]
 
 
 def loaded_after_solve(tmp_path, text, *args):
-    """`cnc solve` in a fresh interpreter: its output lines, then the cncut modules loaded."""
+    """`cnc solve` in a fresh interpreter: its output lines, then the modules loaded.
+
+    The last line lists the cncut modules, and `dataclasses` and `inspect` when loaded.
+    """
     path = write(tmp_path, "a.cnc", text)
     code = (
         "import sys\n"
         "from cncut.cli import main\n"
         f"assert main(['solve', {path!r}, *{list(args)!r}]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'cncut'))\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('cncut', 'dataclasses', 'inspect')))\n"
     )
     return run_child(code).splitlines()
 
 
 @pytest.mark.parametrize("text, algorithm, engine_modules", [
-    (K3, "oracle", ["cncut.oracle"]),
-    (PATH17, "dp-wx", ["cncut.decomposition", "cncut.treewidth_dp"]),
-    (STAR17, "kernel", []),
-], ids=["oracle", "dp-wx", "kernel"])
+    (K3.replace("x 2", "x 6"), "trivial", []),
+    (STAR17, "kernel", ["cncut.kernel"]),
+    (K3, "oracle", ["cncut.kernel", "cncut.oracle"]),
+    (PATH17_Y, "dp-y", ["cncut.component_dp", "cncut.kernel", "cncut.oracle"]),
+    (PATH17, "dp-wx", ["cncut.decomposition", "cncut.kernel", "cncut.treewidth_dp"]),
+    (CLIQUES3, "branch-kx",
+     ["cncut.branching", "cncut.decomposition", "cncut.kernel", "cncut.oracle"]),
+], ids=["trivial", "kernel", "oracle", "dp-y", "dp-wx", "branch-kx"])
 def test_solve_loads_only_its_engine(tmp_path, text, algorithm, engine_modules):
     # A cold `cnc solve` loads the harness, the kernel rule that auto runs
-    # first and the engine that runs; never the generators (reductions,
-    # families) or the bench. The kernel settles STAR17: its centre is forced.
+    # first unless the target settles the instance, and the engine that runs;
+    # never the generators (reductions, families), the bench or the other
+    # subcommands. The kernel settles STAR17: its centre is forced. Branch-kx
+    # loads the decomposition because auto reads the width first. No module
+    # on the path builds a dataclass, so `dataclasses` and `inspect` stay out.
     out = loaded_after_solve(tmp_path, text)
     assert f"algorithm: {algorithm}" in out
-    assert out[-1] == str(sorted(SOLVE_BASE + engine_modules))
+    modules = ast.literal_eval(out[-1])
+    assert "dataclasses" not in modules and "inspect" not in modules
+    assert modules == sorted(SOLVE_BASE + engine_modules)
 
 
 # A path of 16 bags, bag i holding the centre and leaf i + 1.
@@ -501,8 +543,8 @@ def test_named_engine_and_supplied_decomposition_skip_the_kernel(tmp_path, td):
     assert "cncut.treewidth_dp" in modules and "cncut.kernel" not in modules
 
 
-GENERATE_MODULES = ["cncut", "cncut.cli", "cncut.families", "cncut.graph", "cncut.harness",
-                    "cncut.instance_io", "cncut.reductions"]
+GENERATE_MODULES = ["cncut", "cncut.cli", "cncut.commands", "cncut.families", "cncut.graph",
+                    "cncut.harness", "cncut.instance_io", "cncut.reductions"]
 
 
 @pytest.mark.parametrize("args", [

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import random
 
@@ -257,7 +256,7 @@ def test_mislabeled_leaf_is_rejected(vertex):
     nodes = make_nice(heuristic_decomposition(g)).nodes
     i = next(i for i, nd in enumerate(nodes) if nd.kind == "leaf" and nd.bag == {3})
     bad = NiceTreeDecomposition(
-        nodes[:i] + (dataclasses.replace(nodes[i], vertex=vertex),) + nodes[i + 1:]
+        nodes[:i] + (nodes[i]._replace(vertex=vertex),) + nodes[i + 1:]
     )
     report = validate_nice(g, bad)
     assert (report.ok, report.condition, report.node) == (False, "4", i)
