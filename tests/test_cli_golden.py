@@ -1,4 +1,5 @@
-"""`cnc` output pinned byte for byte: solve on one instance per solve path, and help.
+"""`cnc` output pinned byte for byte: solve on one instance per solve path,
+decompose (plain and `--nice`) on two graphs, and help.
 
 `cli_golden.json` holds the outputs with the run-dependent parts removed: the
 `"wall_ms"` line of `--json` and the `time:` line of the plain form. A change
@@ -41,6 +42,12 @@ INSTANCES = {
     "dp-wx": _chain(17) + "k 5\nx 12\n",
     "branch-kx": _cliques(3, 5) + "k 6\nx 18\n",
 }
+# `cnc decompose` input: the dp-wx chain, and two triangles beside an
+# isolated vertex, whose decomposition hangs three subtrees from an empty bag.
+DECOMPOSE = {
+    "chain": INSTANCES["dp-wx"],
+    "two-triangles": "p cnc 7 6\n" + _cliques(2, 3).split("\n", 1)[1] + "k 1\nx 0\n",
+}
 COMMANDS = ["solve", "kernelize", "generate", "decompose", "bench", "verify"]
 
 
@@ -68,6 +75,16 @@ def solve_outputs(tmp_path):
     return found
 
 
+def decompose_outputs(tmp_path):
+    found = {}
+    for name, text in DECOMPOSE.items():
+        path = tmp_path / f"{name}.cnc"
+        path.write_text(text, encoding="utf-8")
+        for flags in ([], ["--nice"]):
+            found[" ".join([name, *flags])] = list(_run(["decompose", str(path), *flags]))
+    return found
+
+
 def help_outputs():
     return {" ".join(cmd): list(_run([*cmd, "--help"]))
             for cmd in [[]] + [[c] for c in COMMANDS]}
@@ -75,6 +92,10 @@ def help_outputs():
 
 def test_solve_output_is_pinned(tmp_path):
     assert solve_outputs(tmp_path) == json.loads(GOLDEN.read_text(encoding="utf-8"))["solve"]
+
+
+def test_decompose_output_is_pinned(tmp_path):
+    assert decompose_outputs(tmp_path) == json.loads(GOLDEN.read_text(encoding="utf-8"))["decompose"]
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
