@@ -33,7 +33,6 @@ _EXPORTS = {
         "InputError",
         "Refusal",
         "VerifyReport",
-        "connected_components",
         "connected_pairs",
         "pairs_removed",
         "remove_isolated",

@@ -135,12 +135,42 @@ def validate_decomposition(g, td: TreeDecomposition) -> ValidationReport:
     return _check_tree(g, td.bags, td.tree_edges)
 
 
+def _walk(bags, tree_edges) -> tuple[list[int], list[int | None]]:
+    """Breadth-first walk of the tree edges from bag 0: (walk order, parent per bag).
+
+    Bag 0's parent is -1. In a walk that returns, every bag is reached and
+    each edge makes the end walked first the parent of the other (a second
+    edge to a bag already reached raises), so there are count - 1 edges and
+    they form a tree. Raises StructuralError when a tree edge is out of
+    range, or when the edges close a cycle or leave a bag unreached.
+    """
+    count = len(bags)
+    adjacency: list[list[int]] = [[] for _ in bags]
+    for a, b in tree_edges:
+        if not (0 <= a < count and 0 <= b < count):
+            raise StructuralError(f"tree edge ({a},{b}) out of range")
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    walk = [0] if bags else []
+    parent: list[int | None] = [-1] + [None] * (count - 1) if bags else []
+    for i in walk:  # the walk grows as it reaches bags
+        for c in adjacency[i]:
+            if c == parent[i]:
+                continue
+            if parent[c] is not None:
+                raise StructuralError(f"tree edges contain a cycle through bag {c}")
+            parent[c] = i
+            walk.append(c)
+    if len(walk) < count:
+        raise StructuralError(f"tree edges leave bag {parent.index(None)} unreached")
+    return walk, parent
+
+
 def _check_tree(g, bags, tree_edges) -> ValidationReport:
     """Tree shape, then conditions 1-3, for a nonempty list of bags in one walk.
 
-    Walk the tree edges from bag 0 and call a bag a top for v when it holds v
-    and its walk parent does not (bag 0 is a top for each of its vertices).
-    - Shape: count - 1 in-range edges that leave a bag unreached close a cycle.
+    `_walk` checks the shape. Call a bag a top for v when it holds v and its
+    walk parent does not (bag 0 is a top for each of its vertices).
     - Each connected piece of the bags holding v has exactly one top, its bag
       closest to bag 0: the parent of any other bag of the piece holds v and
       lies in the same piece, and the parent of the top does not hold v.
@@ -152,31 +182,14 @@ def _check_tree(g, bags, tree_edges) -> ValidationReport:
     - Condition 3: the bags holding v are connected exactly when v has one top.
     So one walk checks every vertex in O(sum of bag sizes), plus O(m) lookups.
     """
-    count = len(bags)
-    if len(tree_edges) != count - 1:
-        msg = f"{len(tree_edges)} tree edges for {count} bags"
-        return ValidationReport(False, "shape", None, msg)
-    adjacency: list[list[int]] = [[] for _ in bags]
-    for a, b in tree_edges:
-        if not (0 <= a < count and 0 <= b < count):
-            return ValidationReport(False, "shape", None, f"tree edge ({a},{b}) out of range")
-        adjacency[a].append(b)
-        adjacency[b].append(a)
+    try:
+        walk, parent = _walk(bags, tree_edges)
+    except StructuralError as exc:
+        return ValidationReport(False, "shape", None, str(exc))
     tops: dict[int, list[int]] = {v: [0] for v in bags[0]}
-    seen = [False] * count
-    seen[0] = True
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        bag = bags[i]
-        for c in adjacency[i]:
-            if not seen[c]:
-                seen[c] = True
-                for v in bags[c] - bag:
-                    tops.setdefault(v, []).append(c)
-                stack.append(c)
-    if not all(seen):
-        return ValidationReport(False, "shape", None, "tree edges contain a cycle")
+    for i in walk[1:]:
+        for v in bags[i] - bags[parent[i]]:
+            tops.setdefault(v, []).append(i)
     if tops.keys() != set(range(g.n)):
         return ValidationReport(False, "1", None, "bags do not cover the vertex set")
     for u, v in g.edges:
@@ -236,33 +249,15 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
     edges close a cycle or leave a bag unreached.
     """
     bags = td.bags
-    adjacency: list[list[int]] = [[] for _ in bags]
-    for a, b in td.tree_edges:
-        if not (0 <= a < len(bags) and 0 <= b < len(bags)):
-            raise StructuralError(f"tree edge ({a},{b}) out of range")
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-
-    walk = [0] if bags else []
-    parent = {0: -1}
+    walk, _ = _walk(bags, td.tree_edges)
     top: dict[int, int] = {}  # vertex -> walk position of its top
     shared: set[int] = set()
-    for j, i in enumerate(walk):  # the walk grows as it reaches bags
+    for j, i in enumerate(walk):
         for v in bags[i]:
             if v in top:
                 shared.add(v)
             else:
                 top[v] = j
-        for c in adjacency[i]:
-            if c == parent[i]:
-                continue
-            if c in parent:
-                raise StructuralError(f"tree edges contain a cycle through bag {c}")
-            parent[c] = i
-            walk.append(c)
-    if len(walk) < len(bags):
-        missed = min(set(range(len(bags))) - set(walk))
-        raise StructuralError(f"tree edges leave bag {missed} unreached")
 
     order = sorted(top, key=lambda v: (-top[v], v not in shared, v))
     rank = {v: r for r, v in enumerate(order)}
@@ -386,12 +381,16 @@ def parse_td(text: str) -> tuple[TreeDecomposition, int]:
             if len(parts) != 5 or parts[1] != "td":
                 raise StructuralError(f"line {lineno}: malformed s-line")
             header = _td_ints(parts[2:], lineno)
+            if header[0] < 0:
+                raise StructuralError(f"line {lineno}: negative bag count")
         elif parts[0] == "b":
             if header is None:
                 raise StructuralError(f"line {lineno}: b-line before s-line")
             if len(parts) < 2:
                 raise StructuralError(f"line {lineno}: b-line without a bag id")
             idx, *verts = (v - 1 for v in _td_ints(parts[1:], lineno))
+            if not (0 <= idx < header[0]):
+                raise StructuralError(f"line {lineno}: bag {idx + 1} outside 1..{header[0]}")
             if idx in bags:
                 raise StructuralError(f"line {lineno}: duplicate bag {idx + 1}")
             if any(not (0 <= v < header[2]) for v in verts):
@@ -411,7 +410,7 @@ def parse_td(text: str) -> tuple[TreeDecomposition, int]:
     if header is None:
         raise StructuralError("missing s-line")
     count = header[0]
-    if set(bags) != set(range(count)):
+    if len(bags) != count:  # each id is in range and unique, so all are present
         raise StructuralError(f"expected bags 1..{count}")
     ordered = tuple(bags[i] for i in range(count))
     for a, b in edges:

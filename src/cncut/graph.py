@@ -177,17 +177,6 @@ class Graph(FrozenRecord):
         return cs
 
 
-class ComponentLabeling(NamedTuple):
-    """Vertex -> component label plus the size of every component."""
-
-    labels: tuple[int, ...]
-    sizes: tuple[int, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.sizes)
-
-
 class Cut(NamedTuple):
     """A vertex deletion set together with the pairs left behind."""
 
@@ -212,15 +201,6 @@ class VerifyReport(NamedTuple):
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def connected_components(g: Graph) -> ComponentLabeling:
-    """Label components with consecutive ints in order of their smallest vertex."""
-    labels = [0] * g.n
-    for label, comp in enumerate(g.components):
-        for v in bits(comp):
-            labels[v] = label
-    return ComponentLabeling(tuple(labels), tuple(c.bit_count() for c in g.components))
 
 
 def connected_pairs(g: Graph) -> int:

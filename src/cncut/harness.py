@@ -73,22 +73,21 @@ class RunReport(NamedTuple):
 
 
 class _Plan:
-    """Shared inputs of one instance; each is built once, the decompositions on first use."""
+    """Shared inputs of one instance, each built once; the heuristic on first use.
+
+    `ntd` is the nice form dp-wx runs on: the supplied one, or the nice form
+    of the heuristic that auto measured when it picks dp-wx. It stays None
+    under a forced dp-wx, which builds its own.
+    """
 
     def __init__(self, g: Graph, k: int, x: int | None, y: int | None, ntd=None):
-        self.g, self.k, self.y, self._given_ntd = g, k, y, ntd
+        self.g, self.k, self.y, self.ntd = g, k, y, ntd
         self.total = connected_pairs(g)
         self.x_eff = x if x is not None else self.total - y
 
     @cached_property
     def td(self):
         return _lazy("decomposition").heuristic_decomposition(self.g)
-
-    @cached_property
-    def ntd(self):
-        if self._given_ntd is not None:
-            return self._given_ntd
-        return _lazy("decomposition").make_nice(self.td)
 
 
 def _check_engine(algo: str) -> None:
@@ -111,9 +110,10 @@ def _auto(plan: _Plan) -> str:
         return "dp-y"
     x_eff = plan.x_eff
     # A supplied form is the one dp-wx would run on, so its width decides.
-    given = plan._given_ntd
-    width = plan.td.width if given is None else given.width
+    width = plan.td.width if plan.ntd is None else plan.ntd.width
     if width + x_eff <= DP_WX_MAX:
+        if plan.ntd is None:
+            plan.ntd = _lazy("decomposition").make_nice(plan.td)
         return "dp-wx"
     if x_eff + plan.k <= BRANCH_KX_MAX:
         return "branch-kx"
@@ -135,7 +135,7 @@ def _route(plan: _Plan, algo: str) -> tuple[str, _Plan, KernelTrace | None]:
         return "trivial", plan, None
     if algo != "auto":
         return algo, plan, None
-    if plan._given_ntd is not None or not _lazy("kernel").rule_fires(plan.g, plan.k, plan.x_eff):
+    if plan.ntd is not None or not _lazy("kernel").rule_fires(plan.g, plan.k, plan.x_eff):
         return _auto(plan), plan, None
     trace = _lazy("kernel").kernelize_kx(plan.g, plan.k, plan.x_eff)
     if trace.infeasible:

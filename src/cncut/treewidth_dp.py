@@ -205,7 +205,9 @@ def compute_tables(
 ) -> list[DpTable]:
     """Bottom-up tables for every node; children precede parents by node order.
 
-    `ntd` must pass `validate_nice` for `g`; `solve_wx` checks this first.
+    `ntd` must pass `validate_nice` for `g`. `solve_wx` checks a supplied
+    form first; the form it builds itself is valid by construction (see
+    `make_nice`).
     Then every neighbor that an introduced vertex v has in its child c's
     subtree lies in bag(c), so the child bag is all `introduce_table` reads.
     Proof: let u be a neighbor of v in the bag of some node t in c's subtree.
@@ -257,7 +259,12 @@ def solve_wx(
     x: int,
     ntd: NiceTreeDecomposition | None = None,
 ) -> Decision:
-    """YES/NO plus certificate, computed over a (supplied or built) decomposition."""
+    """YES/NO plus certificate, computed over a nice tree decomposition of g.
+
+    A supplied `ntd` must pass `validate_nice`, or StructuralError is raised.
+    Without one, the form is `make_nice(heuristic_decomposition(g))`, which
+    is valid by construction and so is not checked again.
+    """
     check_parameters(k, x)
     base = connected_pairs(g)
     if base <= x:
@@ -266,11 +273,12 @@ def solve_wx(
 
     if ntd is None:
         ntd = make_nice(heuristic_decomposition(g))
-    report = validate_nice(g, ntd)
-    if not report.ok:
-        raise StructuralError(
-            f"invalid nice decomposition (condition {report.condition}): {report.message}"
-        )
+    else:
+        report = validate_nice(g, ntd)
+        if not report.ok:
+            raise StructuralError(
+                f"invalid nice decomposition (condition {report.condition}): {report.message}"
+            )
 
     tables = compute_tables(g, ntd, k, x)
     stats = WxStats(

@@ -5,11 +5,12 @@ own bookkeeping, so a test can hold a construction's structural claims
 (bipartite, degenerate, clique, component census, treewidth witness)
 against it. `reference_covers` is the branch-kx search written the plain
 way, copying the adjacency at every node, so the mask-based search can be
-held to the same leaves, order and node count.
+held to the same leaves, order and node count. `connected_components`
+labels `Graph.components` per vertex for the graph tests.
 """
 
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from cncut.branching import BranchStats
 from cncut.decomposition import TreeDecomposition
@@ -19,6 +20,26 @@ from cncut.reductions import HIGH, LOW, MccLayout
 
 def empty_graph(n: int) -> Graph:
     return Graph(n, frozenset())
+
+
+class ComponentLabeling(NamedTuple):
+    """Vertex -> component label plus the size of every component."""
+
+    labels: tuple[int, ...]
+    sizes: tuple[int, ...]
+
+    @property
+    def count(self) -> int:
+        return len(self.sizes)
+
+
+def connected_components(g: Graph) -> ComponentLabeling:
+    """Label components with consecutive ints in order of their smallest vertex."""
+    labels = [0] * g.n
+    for label, comp in enumerate(g.components):
+        for v in bits(comp):
+            labels[v] = label
+    return ComponentLabeling(tuple(labels), tuple(c.bit_count() for c in g.components))
 
 
 def component_size_census(g: Graph, c: Iterable[int] = ()) -> dict[int, int]:

@@ -599,6 +599,9 @@ def test_usage_error_exits_two():
 def test_public_names_are_stable():
     # Exported names change only with a stated reason. BranchDecision,
     # WxDecision and YDecision became the one engine result, graph.Decision.
+    # connected_components moved to tests/reference.py with its
+    # ComponentLabeling: no cnc path called it, since every engine reads
+    # Graph.components.
     assert cncut.__all__ == [
         "BranchStats",
         "CapExceeded",
@@ -622,7 +625,6 @@ def test_public_names_are_stable():
         "TreeDecomposition",
         "VerifyReport",
         "build_mcc_instance",
-        "connected_components",
         "connected_pairs",
         "cross_compose",
         "forward_solution_cut",

@@ -106,6 +106,15 @@ def test_validation_failures():
     report = validate_decomposition(g, cyclic)
     assert not report.ok and "cycle" in report.message
 
+    # Two tree edges for three bags, but a doubled edge leaves bag 0 alone.
+    unreached = TreeDecomposition(
+        (frozenset({0}), frozenset({1}), frozenset({2})),
+        ((1, 2), (1, 2)),
+    )
+    report = validate_decomposition(path_graph(3), unreached)
+    assert not report.ok and report.condition == "shape"
+    assert "bag 1 unreached" in report.message
+
     report = validate_decomposition(empty_graph(0), TreeDecomposition((frozenset(),), ()))
     assert not report.ok and report.condition == "shape"
 
@@ -302,6 +311,11 @@ def test_parse_skips_comments_and_blanks():
         ("s td 2 1 2\nb 1 1\nb 2 2\n1 2 3\n", "line 4: malformed tree edge"),
         ("c nothing here\n", "missing s-line"),
         ("s td 2 1 2\nb 1 1\n", "expected bags 1..2"),
+        # A huge declared count fails at once, without a set of its size.
+        ("s td 1000000000000 1 1\nb 1 1\n", "expected bags 1..1000000000000"),
+        ("s td -1 1 1\n", "line 1: negative bag count"),
+        ("s td 1 1 1\nb 2 1\n", "line 2: bag 2 outside 1..1"),
+        ("s td 1 1 1\nb 0 1\n", "line 2: bag 0 outside 1..1"),
         ("s td 2 1 2\nb 1 1\nb 2 2\n1 3\n", "tree edge (1,3) out of range"),
         ("s td x 2 3\n", "line 1: not an integer in 'x 2 3'"),
         ("s td 1 1 1\nb 1 a\n", "line 2: not an integer in '1 a'"),

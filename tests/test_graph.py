@@ -7,7 +7,6 @@ from cncut.graph import (
     InputError,
     certify,
     complete_graph,
-    connected_components,
     connected_pairs,
     cycle_graph,
     disjoint_union,
@@ -19,7 +18,13 @@ from cncut.graph import (
     verify_solution,
 )
 
-from .reference import component_size_census, degeneracy, empty_graph, is_bipartite
+from .reference import (
+    component_size_census,
+    connected_components,
+    degeneracy,
+    empty_graph,
+    is_bipartite,
+)
 from .strategies import child_peak_rss_mb, graphs, graphs_with_subset
 
 K3 = complete_graph(3)

@@ -402,6 +402,58 @@ def test_run_instance_rejects_invalid_nice_decomposition():
         run_instance(inst, algo="dp-wx", ntd=bad)
 
 
+@pytest.mark.parametrize("algo", ["auto", "dp-wx"])
+def test_supplied_invalid_form_is_rejected(algo):
+    # The edgeless graph's form covers every vertex of the path but none of
+    # its edges. Its width is 0 and n > ORACLE_MAX_N, so auto picks dp-wx too.
+    from cncut.decomposition import heuristic_decomposition
+
+    bad = make_nice(heuristic_decomposition(Graph(16, ())))
+    inst = CncInstance(path_graph(16), 1, x=4)
+    with pytest.raises(StructuralError, match="condition 2"):
+        run_instance(inst, algo=algo, ntd=bad)
+
+
+def test_self_built_forms_skip_validate_nice(monkeypatch):
+    # make_nice's forms are valid by construction, so only a form handed to
+    # solve_wx is checked.
+    from cncut import treewidth_dp
+
+    def unexpected(g, ntd):
+        raise AssertionError("validate_nice ran on a self-built form")
+
+    monkeypatch.setattr(treewidth_dp, "validate_nice", unexpected)
+    g = path_graph(20)
+    report = run_instance(CncInstance(g, 2, x=30), algo="dp-wx")
+    assert report.algorithm == "dp-wx"
+    assert report.answer == ("YES" if oracle_decides(g, 2, 30) else "NO")
+    assert treewidth_dp.solve_wx(g, 2, 30).answer == (report.answer == "YES")
+
+
+def test_auto_builds_one_decomposition_for_dp_wx(monkeypatch):
+    # Auto measures the heuristic's width, then dp-wx runs on its nice form:
+    # one min-fill and one make_nice per run, wherever solve_wx reads them.
+    from cncut import decomposition, treewidth_dp
+
+    calls = []
+
+    def counted(name):
+        fn = getattr(decomposition, name)
+
+        def wrapper(arg):
+            calls.append(name)
+            return fn(arg)
+        return wrapper
+
+    for name in ("heuristic_decomposition", "make_nice"):
+        wrapper = counted(name)
+        monkeypatch.setattr(decomposition, name, wrapper)
+        monkeypatch.setattr(treewidth_dp, name, wrapper)
+    report = run_instance(CncInstance(path_graph(40), 2, x=6))
+    assert report.algorithm == "dp-wx"
+    assert sorted(calls) == ["heuristic_decomposition", "make_nice"]
+
+
 def test_run_bench_rows_name_the_engine_that_ran():
     rows = run_bench("all:n=3:k=0:x=0", engines=("oracle", "dp-wx"))
     edgeless = [r for r in rows if r["m"] == 0]
