@@ -151,6 +151,43 @@ class Graph(FrozenRecord):
             remaining &= ~comp
         return tuple(found)
 
+    @cached_property
+    def dominator_counts(self) -> tuple[int, ...]:
+        """|dom(v)| per vertex: the vertices that dominate v and rank above it.
+
+        u dominates v when u != v and N(v) - {u} is inside N(u). Vertices rank
+        by (degree, -id), so of two twins the smaller id ranks above.
+
+        Swapping v for u in a cut C (v in C, u not) never adds a pair: the
+        map exchanging u and v carries g - (C - v + u) onto a subgraph of
+        g - C, since every neighbour v keeps there is one that u has in
+        g - C. Such a swap raises the cut's rank sum, so among the optimal
+        cuts of size at most k the one with the largest rank sum is closed
+        under dom: v in C implies dom(v) inside C. A vertex with
+        |dom(v)| >= k therefore lies in no such cut, and a solver that
+        never deletes it keeps every answer. Without the rank tie-break
+        each of two twins would count the other, and K2 with k = 1 could
+        delete neither.
+
+        The candidates for v are the AND, over its neighbours w, of
+        N(w) | {w}, less v itself; an isolated vertex is dominated by all.
+        """
+        masks = self.adjacency_masks
+        counts = [0] * self.n
+        above = 0  # the vertices ranked above the current one
+        for v in sorted(range(self.n), key=lambda u: (-masks[u].bit_count(), u)):
+            bit = 1 << v
+            # -1 is every vertex at no cost in bits; the first AND leaves the
+            # first neighbour's closed neighbourhood. v itself always stays.
+            candidates = -1
+            for w in bits(masks[v]):
+                candidates &= masks[w] | 1 << w
+                if candidates == bit:
+                    break
+            counts[v] = (candidates & above).bit_count()
+            above |= bit
+        return tuple(counts)
+
     @property
     def m(self) -> int:
         return len(self.edges)

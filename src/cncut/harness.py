@@ -75,9 +75,10 @@ class RunReport(NamedTuple):
 class _Plan:
     """Shared inputs of one instance, each built once; the heuristic on first use.
 
-    `ntd` is the nice form dp-wx runs on: the supplied one, or the nice form
-    of the heuristic that auto measured when it picks dp-wx. It stays None
-    under a forced dp-wx, which builds its own.
+    `ntd` is a supplied nice form, or None. Without one, dp-wx runs on the
+    nice form of `td`, the heuristic that auto has already built to measure
+    its width; `solve_wx` builds that form unchecked, as it does for a
+    heuristic of its own.
     """
 
     def __init__(self, g: Graph, k: int, x: int | None, y: int | None, ntd=None):
@@ -112,8 +113,6 @@ def _auto(plan: _Plan) -> str:
     # A supplied form is the one dp-wx would run on, so its width decides.
     width = plan.td.width if plan.ntd is None else plan.ntd.width
     if width + x_eff <= DP_WX_MAX:
-        if plan.ntd is None:
-            plan.ntd = _lazy("decomposition").make_nice(plan.td)
         return "dp-wx"
     if x_eff + plan.k <= BRANCH_KX_MAX:
         return "branch-kx"
@@ -173,6 +172,14 @@ def select_algorithm(
     return _route(_Plan(g, k, x, y), user_choice)[0]
 
 
+def _solve_wx(plan: _Plan, config: HarnessConfig) -> Decision:
+    # Only a supplied form is validated; the heuristic's is valid by construction.
+    wx = _lazy("treewidth_dp")
+    if plan.ntd is None:
+        return wx.solve_wx(plan.g, plan.k, plan.x_eff, td=plan.td)
+    return wx.solve_wx(plan.g, plan.k, plan.x_eff, ntd=plan.ntd)
+
+
 def _solve_oracle(plan: _Plan, config: HarnessConfig) -> Decision:
     res = _lazy("oracle").oracle_min_pairs(plan.g, plan.k, cap=config.oracle_cap)
     stats = {"explored": res.explored, "min_residual_pairs": res.min_residual_pairs}
@@ -188,7 +195,7 @@ _SOLVERS = {
     "branch-kx": lambda p, c: _lazy("branching").solve_branch_kx(p.g, p.k, p.x_eff),
     "dp-y": lambda p, c: _lazy("component_dp").solve_y(
         p.g, p.k, p.total - p.x_eff, cap=c.oracle_cap),
-    "dp-wx": lambda p, c: _lazy("treewidth_dp").solve_wx(p.g, p.k, p.x_eff, ntd=p.ntd),
+    "dp-wx": _solve_wx,
 }
 ENGINES = tuple(_SOLVERS)
 

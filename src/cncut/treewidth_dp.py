@@ -34,6 +34,17 @@ both sides counted the class's bag vertices. The groups also end sorted by
 mask, with no sort: the right blocks come in mask order, which for disjoint
 masks is the order of their highest vertices, so each class is appended for
 the last time by the right block that holds the class's highest vertex.
+
+Domination. `compute_tables` gives a vertex v with |dom(v)| >= k no delete
+branch, where dom(v) is the set of vertices that dominate v and rank above
+it (`Graph.dominator_counts`). Swapping v for a vertex u that dominates it
+never adds a pair, so among the optimal cuts of size at most k the one of
+largest rank sum holds dom(v) with every v it holds, and so at least
+|dom(v)| + 1 vertices: it avoids every filtered v. Applied at the least
+budget k* <= k that meets x, the same argument keeps a cut of exactly k*
+vertices with the least residual among them, so the root entry that
+`read_decision` picks has the same k' and x' with or without the rule; only
+the cut kept among equally good ones may differ.
 """
 
 from __future__ import annotations
@@ -44,6 +55,7 @@ from .graph import Counters, Cut, Decision, Graph, bits, certify, check_paramete
 from .decomposition import (
     NiceTreeDecomposition,
     StructuralError,
+    TreeDecomposition,
     heuristic_decomposition,
     make_nice,
     validate_nice,
@@ -80,30 +92,35 @@ class DpTable:
         return len(self.entries)
 
 
-def leaf_table(v: int, k: int, x: int) -> DpTable:
-    """Two families: v kept as a singleton block, or v deleted when k allows."""
+def leaf_table(v: int, k: int, x: int, deletable: bool = True) -> DpTable:
+    """Two families: v kept as a singleton block, or v deleted when k allows.
+
+    A vertex that is not `deletable` (see `compute_tables`) is only kept.
+    """
     table = DpTable(x)
     bit = 1 << v
     table.offer((0, 0, ((bit, 1),)), 0, 0)
-    if k >= 1:
+    if deletable and k >= 1:
         table.offer((1, bit, ()), 0, bit)
     return table
 
 
 def introduce_table(
-    child: DpTable, v: int, bag_neighbors: int, k: int, x: int
+    child: DpTable, v: int, bag_neighbors: int, k: int, x: int, deletable: bool = True
 ) -> DpTable:
     """Add v to the bag: delete it, keep it apart, or keep it merging blocks.
 
     bag_neighbors is the mask of v's graph neighbors inside the child bag; by
     the decomposition's running-intersection property these are all the
     neighbors v has in the subtree graph. Keeping v apart is the merge of no
-    blocks.
+    blocks. A vertex that is not `deletable` (see `compute_tables`) has no
+    delete branch.
     """
     table = DpTable(x)
     bit = 1 << v
+    k_delete = k if deletable else 0  # entries below it may delete v
     for (k_used, deleted, blocks), (min_x, cut) in child.entries.items():
-        if k_used < k:
+        if k_used < k_delete:
             table.offer((k_used + 1, deleted | bit, blocks), min_x, cut | bit)
         # v joins blocks of sizes s_i into one of 1 + m_sum vertices:
         # 2 * m_sum pairs with v, and s_i * s_j for each pair of blocks.
@@ -205,6 +222,9 @@ def compute_tables(
 ) -> list[DpTable]:
     """Bottom-up tables for every node; children precede parents by node order.
 
+    A vertex v with |dom(v)| >= k (`Graph.dominator_counts`) is never
+    deleted; the module docstring says why no answer moves.
+
     `ntd` must pass `validate_nice` for `g`. `solve_wx` checks a supplied
     form first; the form it builds itself is valid by construction (see
     `make_nice`).
@@ -217,16 +237,17 @@ def compute_tables(
     from t to B passes through c, so by condition 3 for u, u is in bag(c).
     """
     tables: list[DpTable] = []
+    dominators = g.dominator_counts
     for nd in ntd.nodes:
         if nd.kind == "leaf":
-            tables.append(leaf_table(nd.vertex, k, x))
+            tables.append(leaf_table(nd.vertex, k, x, dominators[nd.vertex] < k))
         elif nd.kind == "introduce":
             child = nd.children[0]
             bag_mask = sum(1 << u for u in ntd.nodes[child].bag)
             bag_neighbors = g.adjacency_masks[nd.vertex] & bag_mask
-            tables.append(
-                introduce_table(tables[child], nd.vertex, bag_neighbors, k, x)
-            )
+            tables.append(introduce_table(
+                tables[child], nd.vertex, bag_neighbors, k, x, dominators[nd.vertex] < k
+            ))
         elif nd.kind == "forget":
             tables.append(forget_table(tables[nd.children[0]], nd.vertex))
         elif nd.kind == "join":
@@ -258,12 +279,15 @@ def solve_wx(
     k: int,
     x: int,
     ntd: NiceTreeDecomposition | None = None,
+    td: TreeDecomposition | None = None,
 ) -> Decision:
     """YES/NO plus certificate, computed over a nice tree decomposition of g.
 
     A supplied `ntd` must pass `validate_nice`, or StructuralError is raised.
-    Without one, the form is `make_nice(heuristic_decomposition(g))`, which
-    is valid by construction and so is not checked again.
+    Without one, the form is `make_nice(td)`, where `td` is
+    `heuristic_decomposition(g)`: built here, or handed over by a caller
+    that already built it (auto measures its width). `make_nice` of a valid
+    decomposition is valid by construction, so that form is not checked.
     """
     check_parameters(k, x)
     base = connected_pairs(g)
@@ -272,7 +296,7 @@ def solve_wx(
         return Decision(True, certify(g, Cut(frozenset(), base), k, x, "dp-wx"), WxStats())
 
     if ntd is None:
-        ntd = make_nice(heuristic_decomposition(g))
+        ntd = make_nice(heuristic_decomposition(g) if td is None else td)
     else:
         report = validate_nice(g, ntd)
         if not report.ok:

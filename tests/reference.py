@@ -6,7 +6,8 @@ own bookkeeping, so a test can hold a construction's structural claims
 against it. `reference_covers` is the branch-kx search written the plain
 way, copying the adjacency at every node, so the mask-based search can be
 held to the same leaves, order and node count. `connected_components`
-labels `Graph.components` per vertex for the graph tests.
+labels `Graph.components` per vertex for the graph tests, and
+`dominator_counts` is `Graph.dominator_counts` from its definition.
 """
 
 from itertools import combinations
@@ -125,6 +126,24 @@ def reference_covers(
         if k_rem > 0:
             stack.append((_without(adj, v), u, chosen | low, k_rem - 1, x_rem))
             stack.append((_without(adj, u), u, chosen | 1 << u, k_rem - 1, x_rem))
+
+
+def dominator_counts(g: Graph) -> tuple[int, ...]:
+    """|dom(v)| per vertex from the definition, with neighbour sets and no masks.
+
+    u dominates v when u != v and N(v) - {u} is inside N(u); dom(v) keeps
+    the dominators that rank above v by (degree, -id).
+    """
+    nbrs = [g.neighbors(v) for v in range(g.n)]
+
+    def rank(v: int) -> tuple[int, int]:
+        return len(nbrs[v]), -v
+
+    return tuple(
+        sum(1 for u in range(g.n)
+            if u != v and nbrs[v] - {u} <= nbrs[u] and rank(u) > rank(v))
+        for v in range(g.n)
+    )
 
 
 def has_clique(g: Graph, size: int) -> bool:

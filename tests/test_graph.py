@@ -22,6 +22,7 @@ from .reference import (
     component_size_census,
     connected_components,
     degeneracy,
+    dominator_counts,
     empty_graph,
     is_bipartite,
 )
@@ -250,6 +251,20 @@ def test_components_match_edge_reachability(g):
                 labels[w] = count
             count += 1
     assert connected_components(g).labels == tuple(labels)
+
+
+@given(graphs(max_n=8))
+def test_dominator_counts_match_the_definition(g):
+    assert g.dominator_counts == dominator_counts(g)
+
+
+def test_dominator_counts_rank_twins_by_id():
+    # Each end of K2 dominates the other; only vertex 0 ranks above.
+    assert complete_graph(2).dominator_counts == (0, 1)
+    # A star's centre dominates every leaf, and the leaves are twins.
+    assert star_graph(3).dominator_counts == (0, 1, 2, 3)
+    # An isolated vertex is dominated by every vertex ranked above it.
+    assert empty_graph(3).dominator_counts == (0, 1, 2)
 
 
 @given(graphs_with_subset())

@@ -416,7 +416,8 @@ def test_supplied_invalid_form_is_rejected(algo):
 
 def test_self_built_forms_skip_validate_nice(monkeypatch):
     # make_nice's forms are valid by construction, so only a form handed to
-    # solve_wx is checked.
+    # solve_wx is checked: not a forced dp-wx's, and not the nice form of the
+    # heuristic that auto measured.
     from cncut import treewidth_dp
 
     def unexpected(g, ntd):
@@ -428,6 +429,10 @@ def test_self_built_forms_skip_validate_nice(monkeypatch):
     assert report.algorithm == "dp-wx"
     assert report.answer == ("YES" if oracle_decides(g, 2, 30) else "NO")
     assert treewidth_dp.solve_wx(g, 2, 30).answer == (report.answer == "YES")
+    # w + x = 1 + 16 is inside auto's dp-wx envelope.
+    report = run_instance(CncInstance(g, 2, x=16))
+    assert report.algorithm == "dp-wx"
+    assert report.answer == ("YES" if oracle_decides(g, 2, 16) else "NO")
 
 
 def test_auto_builds_one_decomposition_for_dp_wx(monkeypatch):
@@ -452,6 +457,18 @@ def test_auto_builds_one_decomposition_for_dp_wx(monkeypatch):
     report = run_instance(CncInstance(path_graph(40), 2, x=6))
     assert report.algorithm == "dp-wx"
     assert sorted(calls) == ["heuristic_decomposition", "make_nice"]
+
+
+def test_select_algorithm_builds_no_nice_form(monkeypatch):
+    # Auto needs only the heuristic's width; dp-wx builds the nice form.
+    from cncut import decomposition, treewidth_dp
+
+    def unexpected(td):
+        raise AssertionError("select_algorithm built a nice form")
+
+    monkeypatch.setattr(decomposition, "make_nice", unexpected)
+    monkeypatch.setattr(treewidth_dp, "make_nice", unexpected)
+    assert select_algorithm(path_graph(40), 2, 6, None) == "dp-wx"
 
 
 def test_run_bench_rows_name_the_engine_that_ran():

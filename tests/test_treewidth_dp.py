@@ -9,6 +9,7 @@ from cncut.graph import (
     Graph,
     InputError,
     complete_graph,
+    connected_pairs,
     disjoint_union,
     path_graph,
     star_graph,
@@ -65,6 +66,15 @@ def test_leaf_keys():
 def test_leaf_zero_budget_only_keeps():
     t = leaf_table(4, 0, 0)
     assert entry_values(t) == {(0, 0, ((mask(4), 1),)): 0}
+
+
+def test_vertex_that_is_not_deletable_gets_no_delete_branch():
+    assert entry_values(leaf_table(4, 1, 0, deletable=False)) == {(0, 0, ((mask(4), 1),)): 0}
+    t = introduce_table(leaf_table(0, 1, 5), 1, mask(0), 1, 5, deletable=False)
+    assert entry_values(t) == {
+        (0, 0, ((mask(0, 1), 2),)): 2,
+        (1, mask(0), ((mask(1), 1),)): 0,
+    }
 
 
 def test_leaf_larger_x_same_structs():
@@ -193,6 +203,13 @@ def test_solve_path_four():
     assert dec.cut.residual_pairs == 2
     assert dec.stats.width == 1
     assert dec.stats.node_count > 0
+
+
+def test_solve_k2_deletes_the_twin_that_ranks_above():
+    # Each end of K2 dominates the other. The rank tie-break leaves vertex 0
+    # deletable; counting every dominator would filter both and answer NO.
+    dec = solve_wx(complete_graph(2), 1, 0)
+    assert dec.answer and dec.cut.vertices == frozenset({0})
 
 
 def test_solve_k4_no():
@@ -408,17 +425,18 @@ def _pinned_graphs():
 
 # WxStats of the four graphs above, which are shaped like the benchmark's
 # auto-mix inputs. A change of table representation that adds or loses a
-# structural key changes these counts, and so does a change of the nice
-# form's node list.
+# structural key changes these counts, and so do a change of the nice
+# form's node list and one of the vertices dp-wx may delete (the domination
+# rule of `Graph.dominator_counts`).
 PINNED_STATS = {
-    "sparse": WxStats(node_count=106, width=3, max_table_structs=31,
-                      max_table_expanded=178, total_structs=825),
-    "tree": WxStats(node_count=144, width=2, max_table_structs=38,
-                    max_table_expanded=262, total_structs=1152),
-    "union": WxStats(node_count=47, width=2, max_table_structs=11,
-                     max_table_expanded=62, total_structs=255),
+    "sparse": WxStats(node_count=106, width=3, max_table_structs=26,
+                      max_table_expanded=153, total_structs=663),
+    "tree": WxStats(node_count=144, width=2, max_table_structs=29,
+                    max_table_expanded=245, total_structs=899),
+    "union": WxStats(node_count=47, width=2, max_table_structs=6,
+                     max_table_expanded=42, total_structs=148),
     "chain": WxStats(node_count=179, width=2, max_table_structs=17,
-                     max_table_expanded=65, total_structs=971),
+                     max_table_expanded=65, total_structs=770),
 }
 
 
@@ -448,6 +466,29 @@ def test_agrees_with_oracle_small(g, k, x):
 def test_agrees_with_oracle_on_trees(g, k, x):
     dec = solve_wx(g, k, x)
     assert dec.answer == oracle_decides(g, k, x)
+
+
+def _forest(n, rng):
+    return Graph.from_edges(n, [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.8])
+
+
+def test_agrees_with_oracle_on_seeded_graphs():
+    # Larger than the drawn graphs, so that many vertices are dominated and
+    # the budget filters some of them at every k.
+    rng = random.Random(24)
+    checked = 0
+    for n in range(10, 15):
+        for g in (random_graph(n, n + 3, rng), _forest(n, rng),
+                  _tree_with_chords(n, 1, rng), _tree_with_chords(n, 3, rng)):
+            total = connected_pairs(g)
+            for k in range(5):
+                for x in sorted({0, total // 8, total // 3}):
+                    dec = solve_wx(g, k, x)
+                    assert dec.answer == oracle_decides(g, k, x), (g, k, x)
+                    if dec.answer:
+                        assert verify_solution(g, dec.cut.vertices, k, x)
+                    checked += 1
+    assert checked == 300
 
 
 def _check_table_internals(g, k, x):
