@@ -89,7 +89,15 @@ def cmd_solve(args) -> int:
     return 0 if result.answer == "YES" else 1
 
 
-def _solve_arguments(p) -> None:
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="cnc",
+        description="Critical node cut toolkit: delete at most k vertices so that "
+                    "at most x ordered connected pairs remain.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("solve", help="decide one instance")
     p.add_argument("instance", help="instance file, or - for stdin")
     p.add_argument("--algo", choices=("auto",) + ENGINES, default="auto")
     p.add_argument("--td", help="tree decomposition file for dp-wx")
@@ -98,15 +106,13 @@ def _solve_arguments(p) -> None:
     p.add_argument("--cert", help="write the cut, one 1-based id per line")
     p.set_defaults(func=cmd_solve)
 
-
-def _kernelize_arguments(p) -> None:
+    p = sub.add_parser("kernelize", help="apply the high-degree reduction")
     p.add_argument("instance")
     p.add_argument("-o", "--out", help="write the kernel instance here")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func="cmd_kernelize")
 
-
-def _generate_arguments(p) -> None:
+    p = sub.add_parser("generate", help="write a generated instance plus sidecar")
     p.add_argument("kind", choices=("random", "clique", "split", "bipartite",
                                     "compose", "mcc"))
     p.add_argument("-o", "--out", required=True)
@@ -125,16 +131,14 @@ def _generate_arguments(p) -> None:
                    help="mcc vertex cap (default 100000)")
     p.set_defaults(func="cmd_generate")
 
-
-def _decompose_arguments(p) -> None:
+    p = sub.add_parser("decompose", help="emit a tree decomposition")
     p.add_argument("instance")
     p.add_argument("-o", "--out")
     p.add_argument("--nice", action="store_true",
                    help="emit the nice form with node-kind annotations")
     p.set_defaults(func="cmd_decompose")
 
-
-def _bench_arguments(p) -> None:
+    p = sub.add_parser("bench", help="run an instance family across engines")
     p.add_argument("--family", required=True,
                    help="e.g. all:n=6:k=0-3:x=0-8 or random:n=10:m=15:count=20:seed=1:k=2:x=0-6")
     p.add_argument("--engines", help="comma-separated subset of " + ",".join(ENGINES))
@@ -143,50 +147,17 @@ def _bench_arguments(p) -> None:
     p.add_argument("-o", "--out", help="CSV path (default stdout)")
     p.set_defaults(func="cmd_bench")
 
-
-def _verify_arguments(p) -> None:
+    p = sub.add_parser("verify", help="check a cut against an instance")
     p.add_argument("instance")
     p.add_argument("--cut", required=True, help="file with one 1-based id per line")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func="cmd_verify")
 
-
-# Subcommand -> (help line, function that declares its arguments). A func
-# default given as a string names a command in cncut.commands.
-_SUBCOMMANDS = {
-    "solve": ("decide one instance", _solve_arguments),
-    "kernelize": ("apply the high-degree reduction", _kernelize_arguments),
-    "generate": ("write a generated instance plus sidecar", _generate_arguments),
-    "decompose": ("emit a tree decomposition", _decompose_arguments),
-    "bench": ("run an instance family across engines", _bench_arguments),
-    "verify": ("check a cut against an instance", _verify_arguments),
-}
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The `cnc` parser; only `command`'s subparser gets its arguments.
-
-    Every subcommand is listed, so `cnc --help` and the usage line of a
-    top-level error read the same whichever is built. With no command, or
-    one that is not a subcommand, every subparser is complete.
-    """
-    parser = argparse.ArgumentParser(
-        prog="cnc",
-        description="Critical node cut toolkit: delete at most k vertices so that "
-                    "at most x ordered connected pairs remain.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    every = command not in _SUBCOMMANDS
-    for name, (help_line, add_arguments) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_line)
-        if every or name == command:
-            add_arguments(p)
     return parser
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = build_parser().parse_args(argv)
     func = args.func
     if isinstance(func, str):  # the name of a command in cncut.commands
         from . import commands

@@ -176,7 +176,7 @@ def _solve_wx(plan: _Plan, config: HarnessConfig) -> Decision:
     # Only a supplied form is validated; the heuristic's is valid by construction.
     wx = _lazy("treewidth_dp")
     if plan.ntd is None:
-        return wx.solve_wx(plan.g, plan.k, plan.x_eff, td=plan.td)
+        return wx.solve_wx(plan.g, plan.k, plan.x_eff, _td=plan.td)
     return wx.solve_wx(plan.g, plan.k, plan.x_eff, ntd=plan.ntd)
 
 

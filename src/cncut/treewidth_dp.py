@@ -92,35 +92,30 @@ class DpTable:
         return len(self.entries)
 
 
-def leaf_table(v: int, k: int, x: int, deletable: bool = True) -> DpTable:
-    """Two families: v kept as a singleton block, or v deleted when k allows.
-
-    A vertex that is not `deletable` (see `compute_tables`) is only kept.
-    """
+def leaf_table(v: int, k: int, x: int) -> DpTable:
+    """Two families: v kept as a singleton block, or v deleted when k allows."""
     table = DpTable(x)
     bit = 1 << v
     table.offer((0, 0, ((bit, 1),)), 0, 0)
-    if deletable and k >= 1:
+    if k >= 1:
         table.offer((1, bit, ()), 0, bit)
     return table
 
 
 def introduce_table(
-    child: DpTable, v: int, bag_neighbors: int, k: int, x: int, deletable: bool = True
+    child: DpTable, v: int, bag_neighbors: int, k: int, x: int
 ) -> DpTable:
     """Add v to the bag: delete it, keep it apart, or keep it merging blocks.
 
     bag_neighbors is the mask of v's graph neighbors inside the child bag; by
     the decomposition's running-intersection property these are all the
     neighbors v has in the subtree graph. Keeping v apart is the merge of no
-    blocks. A vertex that is not `deletable` (see `compute_tables`) has no
-    delete branch.
+    blocks.
     """
     table = DpTable(x)
     bit = 1 << v
-    k_delete = k if deletable else 0  # entries below it may delete v
     for (k_used, deleted, blocks), (min_x, cut) in child.entries.items():
-        if k_used < k_delete:
+        if k_used < k:
             table.offer((k_used + 1, deleted | bit, blocks), min_x, cut | bit)
         # v joins blocks of sizes s_i into one of 1 + m_sum vertices:
         # 2 * m_sum pairs with v, and s_i * s_j for each pair of blocks.
@@ -223,7 +218,8 @@ def compute_tables(
     """Bottom-up tables for every node; children precede parents by node order.
 
     A vertex v with |dom(v)| >= k (`Graph.dominator_counts`) is never
-    deleted; the module docstring says why no answer moves.
+    deleted: its leaf or introduce table gets budget 0, so no delete
+    branch. The module docstring says why no answer moves.
 
     `ntd` must pass `validate_nice` for `g`. `solve_wx` checks a supplied
     form first; the form it builds itself is valid by construction (see
@@ -240,14 +236,16 @@ def compute_tables(
     dominators = g.dominator_counts
     for nd in ntd.nodes:
         if nd.kind == "leaf":
-            tables.append(leaf_table(nd.vertex, k, x, dominators[nd.vertex] < k))
+            k_v = k if dominators[nd.vertex] < k else 0
+            tables.append(leaf_table(nd.vertex, k_v, x))
         elif nd.kind == "introduce":
             child = nd.children[0]
             bag_mask = sum(1 << u for u in ntd.nodes[child].bag)
             bag_neighbors = g.adjacency_masks[nd.vertex] & bag_mask
-            tables.append(introduce_table(
-                tables[child], nd.vertex, bag_neighbors, k, x, dominators[nd.vertex] < k
-            ))
+            k_v = k if dominators[nd.vertex] < k else 0
+            tables.append(
+                introduce_table(tables[child], nd.vertex, bag_neighbors, k_v, x)
+            )
         elif nd.kind == "forget":
             tables.append(forget_table(tables[nd.children[0]], nd.vertex))
         elif nd.kind == "join":
@@ -279,15 +277,20 @@ def solve_wx(
     k: int,
     x: int,
     ntd: NiceTreeDecomposition | None = None,
-    td: TreeDecomposition | None = None,
+    *,
+    _td: TreeDecomposition | None = None,
 ) -> Decision:
     """YES/NO plus certificate, computed over a nice tree decomposition of g.
 
     A supplied `ntd` must pass `validate_nice`, or StructuralError is raised.
-    Without one, the form is `make_nice(td)`, where `td` is
-    `heuristic_decomposition(g)`: built here, or handed over by a caller
-    that already built it (auto measures its width). `make_nice` of a valid
-    decomposition is valid by construction, so that form is not checked.
+    Without one, the form is `make_nice(heuristic_decomposition(g))`, which
+    is valid by construction and so is not checked.
+
+    `_td` is for the harness alone, which has already built
+    `heuristic_decomposition(g)` to measure its width and hands it over so
+    that min-fill runs once. It must be exactly that decomposition: its nice
+    form is not checked, so any other one can give a wrong answer. Every
+    other caller passes a decomposition as `ntd`.
     """
     check_parameters(k, x)
     base = connected_pairs(g)
@@ -296,7 +299,7 @@ def solve_wx(
         return Decision(True, certify(g, Cut(frozenset(), base), k, x, "dp-wx"), WxStats())
 
     if ntd is None:
-        ntd = make_nice(heuristic_decomposition(g) if td is None else td)
+        ntd = make_nice(heuristic_decomposition(g) if _td is None else _td)
     else:
         report = validate_nice(g, ntd)
         if not report.ok:

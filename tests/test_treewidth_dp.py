@@ -68,15 +68,6 @@ def test_leaf_zero_budget_only_keeps():
     assert entry_values(t) == {(0, 0, ((mask(4), 1),)): 0}
 
 
-def test_vertex_that_is_not_deletable_gets_no_delete_branch():
-    assert entry_values(leaf_table(4, 1, 0, deletable=False)) == {(0, 0, ((mask(4), 1),)): 0}
-    t = introduce_table(leaf_table(0, 1, 5), 1, mask(0), 1, 5, deletable=False)
-    assert entry_values(t) == {
-        (0, 0, ((mask(0, 1), 2),)): 2,
-        (1, mask(0), ((mask(1), 1),)): 0,
-    }
-
-
 def test_leaf_larger_x_same_structs():
     tight = leaf_table(4, 1, 0)
     loose = leaf_table(4, 1, 5)
@@ -102,6 +93,13 @@ def test_introduce_with_edge_charges_pairs():
     assert entry_values(t) == {
         (0, 0, ((mask(0, 1), 2),)): 2,
         (1, mask(1), ((mask(0), 1),)): 0,
+        (1, mask(0), ((mask(1), 1),)): 0,
+    }
+    # Budget 0, as compute_tables gives a vertex the domination rule filters:
+    # the child may have deleted, but vertex 1 is not deleted.
+    t = introduce_table(child, 1, mask(0), 0, 4)
+    assert entry_values(t) == {
+        (0, 0, ((mask(0, 1), 2),)): 2,
         (1, mask(0), ((mask(1), 1),)): 0,
     }
 
@@ -239,6 +237,19 @@ def test_solve_rejects_invalid_decomposition():
     ntd = make_nice(TreeDecomposition((frozenset({0}),), ()))
     with pytest.raises(StructuralError, match="condition 1"):
         solve_wx(path_graph(3), 1, 1, ntd=ntd)
+
+
+def test_solve_takes_a_decomposition_only_as_a_checked_nice_form():
+    # The heuristic the harness hands over is used unchecked, so it is a
+    # private keyword: a plain tree decomposition cannot be passed by name or
+    # by position, and one that misses an edge is rejected once made nice.
+    bad = heuristic_decomposition(Graph(3, ()))
+    with pytest.raises(TypeError):
+        solve_wx(path_graph(3), 1, 1, td=bad)
+    with pytest.raises(TypeError):
+        solve_wx(path_graph(3), 1, 1, None, bad)
+    with pytest.raises(StructuralError, match="condition 2"):
+        solve_wx(path_graph(3), 1, 1, ntd=make_nice(bad))
 
 
 def test_compute_tables_rejects_stale_introduce():
