@@ -18,6 +18,17 @@ whenever one exists. Extending a leaf that is not minimal is sound too, since
 each extension is checked, which is why `solve_branch_kx` may stop at the
 first YES without waiting for the minimal covers to be known.
 
+At every node the search also applies the high-degree rule of the k + x
+kernel. Let d be the number of live edges at u, those to alive neighbours
+above u that were not kept (u has no live edge below it, see below). If
+d > k_rem + x_rem, the node pushes only "delete u", and nothing when k_rem
+is 0. This is sound because keeping u means each of those d edges is later
+either kept, spending one unit of x_rem, or loses its other end, spending
+one unit of k_rem; so no leaf below the node keeps u, and every cover that
+reaches the node contains u. An inclusion-minimal cover still reaches its
+leaf by choosing "delete u" here. The leaves yielded are therefore a
+subsequence of the unpruned search's, with the same minimal covers.
+
 No adjacency is copied: a search node is the tuple (alive, u, kept, chosen,
 k_rem, x_rem). alive masks the undeleted vertices, u is the smallest vertex
 that can still have a live edge, and kept masks the neighbours v of u whose
@@ -55,7 +66,9 @@ def _covers(masks: tuple[int, ...], k: int, budget: int, stats: BranchStats) -> 
     """Yield, as vertex bitmasks, the search leaves: <= k vertices leaving <= budget edges.
 
     Depth first, each node trying delete u, delete v, keep {u, v} in that
-    order. A cover may be yielded more than once. Nodes are counted in a
+    order; a node whose u has more than k_rem + x_rem live edges tries only
+    delete u. A cover may be yielded more than once, and a leaf that is not
+    minimal may be skipped. Nodes are counted in a
     local and added to stats.nodes_visited before each yield and at the end,
     so a caller that stops at a leaf reads the count up to that leaf.
     """
@@ -80,14 +93,15 @@ def _covers(masks: tuple[int, ...], k: int, budget: int, stats: BranchStats) -> 
                 continue
             kept = 0
             live = up[u] & alive
-        low = live & -live
-        if x_rem:
-            push((alive, u, kept | low, chosen, k_rem, x_rem - 1))
+        if live.bit_count() <= k_rem + x_rem:
+            low = live & -live
+            if x_rem:
+                push((alive, u, kept | low, chosen, k_rem, x_rem - 1))
+            if k_rem:
+                push((alive ^ low, u, kept, chosen | low, k_rem - 1, x_rem))
         if k_rem:
-            k_rem -= 1
-            push((alive ^ low, u, kept, chosen | low, k_rem, x_rem))
             bit = 1 << u
-            push((alive ^ bit, u + 1, 0, chosen | bit, k_rem, x_rem))
+            push((alive ^ bit, u + 1, 0, chosen | bit, k_rem - 1, x_rem))
     stats.nodes_visited += nodes
 
 

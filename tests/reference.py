@@ -4,8 +4,9 @@ Each is a plain check, independent of the engines and of the reductions'
 own bookkeeping, so a test can hold a construction's structural claims
 (bipartite, degenerate, clique, component census, treewidth witness)
 against it. `reference_covers` is the branch-kx search written the plain
-way, copying the adjacency at every node, so the mask-based search can be
-held to the same leaves, order and node count. `connected_components`
+way, copying the adjacency at every node and without the per-node
+high-degree rule, so the mask-based search can be held to a subsequence of
+its leaves with the same minimal covers, in no more nodes. `connected_components`
 labels `Graph.components` per vertex for the graph tests, and
 `dominator_counts` is `Graph.dominator_counts` from its definition.
 """
@@ -99,7 +100,8 @@ def _without(adj: list[int], w: int) -> list[int]:
 def reference_covers(
     masks: tuple[int, ...], k: int, budget: int, stats: BranchStats
 ) -> Iterator[int]:
-    """The search leaves of `branching._covers`, each node holding its own adjacency copy.
+    """The search leaves of `branching._covers` before its high-degree rule,
+    each node holding its own adjacency copy.
 
     Depth first, each node trying delete u, delete v, keep {u, v} in that
     order, on the smallest remaining edge {u, v}. Vertices below u stay

@@ -24,7 +24,7 @@ from cncut.branching import (
     solve_branch_kx,
 )
 from cncut.kernel import kernelize_kx
-from cncut.oracle import oracle_decides
+from cncut.oracle import oracle_decides, oracle_min_pairs
 
 from .reference import empty_graph, reference_covers
 from .strategies import graphs, graphs_with_subset
@@ -38,6 +38,22 @@ def search(covers, g, k, budget):
     """All leaves a search yields, in order, and the nodes it visited."""
     stats = BranchStats()
     return list(covers(g.adjacency_masks, k, budget, stats)), stats.nodes_visited
+
+
+def minimal_masks(covers):
+    return {c for c in covers if not any(o != c and o & c == o for o in covers)}
+
+
+def assert_pruned_reference(g, k, budget):
+    """_covers' leaves are a subsequence of reference_covers', with the same
+    minimal covers, in no more nodes; returns _covers' node count."""
+    covers, nodes = search(_covers, g, k, budget)
+    ref_covers, ref_nodes = search(reference_covers, g, k, budget)
+    rest = iter(ref_covers)
+    assert all(c in rest for c in covers)
+    assert minimal_masks(set(covers)) == minimal_masks(set(ref_covers))
+    assert nodes <= ref_nodes
+    return nodes
 
 
 def reference_first_yes(g, k, x):
@@ -69,14 +85,20 @@ def planted_graph(k, pieces, rng):
 
 @given(graphs(max_n=8), st.integers(0, 3), st.integers(0, 4))
 def test_covers_match_reference_search(g, k, budget):
-    assert search(_covers, g, k, budget) == search(reference_covers, g, k, budget)
+    assert_pruned_reference(g, k, budget)
+
+
+def test_covers_drop_a_leaf_that_keeps_the_hub():
+    # The hub's 3 live edges exceed k + budget = 2, so only "delete 0" is
+    # tried; the reference also reaches the non-minimal leaf {0, 1}.
+    assert search(_covers, star_graph(3), 2, 0) == ([0b1], 2)
+    assert search(reference_covers, star_graph(3), 2, 0) == ([0b1, 0b11], 5)
 
 
 def test_covers_match_reference_on_baseline_graph():
     g = random_graph(40, 60, Random(0))
-    covers, nodes = search(_covers, g, 6, 4)
-    assert (covers, nodes) == search(reference_covers, g, 6, 4)
-    assert nodes == 30_591
+    assert assert_pruned_reference(g, 6, 4) == 24_566
+    assert search(reference_covers, g, 6, 4)[1] == 30_591
 
 
 @pytest.mark.parametrize("g, k, x", [
@@ -86,7 +108,8 @@ def test_covers_match_reference_on_baseline_graph():
 def test_solve_counts_nodes_up_to_first_yes(g, k, x):
     dec = solve_branch_kx(g, k, x)
     assert dec.answer
-    assert (True, dec.stats.nodes_visited) == reference_first_yes(g, k, x)
+    ref_answer, ref_nodes = reference_first_yes(g, k, x)
+    assert ref_answer and dec.stats.nodes_visited <= ref_nodes
     # The search stopped before its end, so the count is that of a prefix.
     assert dec.stats.nodes_visited < search(_covers, g, k, x // 2)[1]
 
@@ -189,19 +212,40 @@ def test_solve_odd_x_at_the_boundary():
     assert not solve_branch_kx(complete_graph(3), 0, 5).answer
     # Two edges fit the budget 5 // 2, but their 6 pairs fail the extension.
     assert not solve_branch_kx(path_graph(3), 0, 5).answer
+    # K2's one live edge exactly meets the budget 3 // 2, so it may be kept.
+    assert solve_branch_kx(path_graph(2), 0, 3).answer
+
+
+def test_solver_agrees_with_oracle_where_the_degree_rule_fires():
+    # Dense graphs, x at the optimum, one below it, and one drawn at random.
+    answers = []
+    for seed in range(100):
+        rng = Random(seed)
+        n = rng.randint(9, 13)
+        g = random_graph(n, rng.randint(2 * n, 2 * n + 4), rng)
+        k = rng.randint(2, 4)
+        opt = oracle_min_pairs(g, k).min_residual_pairs
+        for x in sorted({opt - 1, opt, rng.randint(0, 14)}):
+            if 0 <= x <= 14:
+                dec = solve_branch_kx(g, k, x)
+                assert dec.answer == oracle_decides(g, k, x), (seed, x)
+                # The rule fired: the search beat the unpruned one.
+                assert dec.stats.nodes_visited < reference_first_yes(g, k, x)[1]
+                answers.append(dec.answer)
+    assert 0 < sum(answers) < len(answers)
 
 
 def test_solve_baseline_graph_node_count():
     dec = solve_branch_kx(random_graph(40, 60, Random(0)), 6, 8)
     assert not dec.answer
-    assert dec.stats.nodes_visited <= 30_591
+    assert dec.stats.nodes_visited == 24_566
 
 
 def test_kernelized_hang_instance_is_no():
     trace = kernelize_kx(random_graph(30, 90, Random(3)), 8, 12)
     dec = solve_branch_kx(trace.kernel_graph, trace.k_out, 12)
     assert not dec.answer
-    assert dec.stats.nodes_visited <= 533_247
+    assert dec.stats.nodes_visited == 276_934
 
 
 def test_solve_stops_at_first_yes():
