@@ -45,6 +45,17 @@ budget k* <= k that meets x, the same argument keeps a cut of exactly k*
 vertices with the least residual among them, so the root entry that
 `read_decision` picks has the same k' and x' with or without the rule; only
 the cut kept among equally good ones may differ.
+
+Early NO. `compute_tables` stops after the first table with no entry, and a
+list that ends before the root reads as NO. For each node t the subtree
+graph G_t is an induced subgraph of G. On a YES instance take a solution
+C that avoids every filtered vertex: the optimal cut of largest rank sum
+in the domination argument above. C restricted to G_t deletes at most k
+vertices of G_t, avoids every filtered vertex, and leaves at most x pairs
+there: each component of G_t - C lies inside one of G - C. So it gives an
+entry in t's table, and a YES instance never has an empty table. And every
+rule builds its table only from its children's entries, so an empty table
+empties each ancestor, the root included.
 """
 
 from __future__ import annotations
@@ -206,6 +217,7 @@ def _join_pair(
 
 class WxStats(Counters):
     node_count: int = 0
+    tables_built: int = 0  # below node_count when a table came out empty
     width: int = 0
     max_table_structs: int = 0
     max_table_expanded: int = 0
@@ -215,7 +227,17 @@ class WxStats(Counters):
 def compute_tables(
     g: Graph, ntd: NiceTreeDecomposition, k: int, x: int
 ) -> list[DpTable]:
-    """Bottom-up tables for every node; children precede parents by node order.
+    """Bottom-up tables, children before parents in node order, up to the
+    first empty one.
+
+    The list stops after the first table with no entry, so it is shorter
+    than `ntd.nodes` exactly when that table is not the root's. Every rule
+    builds its table only from its children's entries, so each ancestor's
+    table, the root's included, would be empty too. And a YES instance has
+    no empty table: some solution avoids every filtered vertex, and
+    restricted to a node's subtree graph G_t (an induced subgraph of g) it
+    deletes at most k vertices there and leaves at most x pairs, so it gives
+    that node an entry (see the module docstring).
 
     A vertex v with |dom(v)| >= k (`Graph.dominator_counts`) is never
     deleted: its leaf or introduce table gets budget 0, so no delete
@@ -253,13 +275,23 @@ def compute_tables(
             tables.append(join_table(tables[a], tables[b], k, x))
         else:
             raise StructuralError(f"unknown node kind {nd.kind!r}")
+        if not tables[-1].entries:
+            break
     return tables
 
 
 def read_decision(
     tables: list[DpTable], ntd: NiceTreeDecomposition, k: int, x: int
 ) -> Struct | None:
-    """Smallest accepting root entry for budgets k' <= k and bound x' <= x."""
+    """Smallest accepting root entry for budgets k' <= k and bound x' <= x.
+
+    `tables` comes from `compute_tables` at some budgets K >= k and X >= x.
+    A list that ends before the root means a table came out empty, so the
+    root's would have been empty too: no cut of at most K vertices leaves at
+    most X pairs, and None is the answer for every smaller k and x as well.
+    """
+    if len(tables) <= ntd.root:
+        return None
     root = tables[ntd.root].entries
     fits = [struct for struct, (min_x, _) in root.items() if struct[0] <= k and min_x <= x]
     return min(fits, key=lambda struct: (struct[0], root[struct][0]), default=None)
@@ -310,6 +342,7 @@ def solve_wx(
     tables = compute_tables(g, ntd, k, x)
     stats = WxStats(
         node_count=len(ntd.nodes),
+        tables_built=len(tables),
         width=ntd.width,
         max_table_structs=max((len(t) for t in tables), default=0),
         max_table_expanded=max((t.expanded_count() for t in tables), default=0),

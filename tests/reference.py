@@ -7,17 +7,20 @@ against it. `reference_covers` is the branch-kx search written the plain
 way, copying the adjacency at every node and without the per-node
 high-degree rule, so the mask-based search can be held to a subsequence of
 its leaves with the same minimal covers, in no more nodes. `connected_components`
-labels `Graph.components` per vertex for the graph tests, and
-`dominator_counts` is `Graph.dominator_counts` from its definition.
+labels `Graph.components` per vertex for the graph tests,
+`dominator_counts` is `Graph.dominator_counts` from its definition, and
+`reference_tables` is dp-wx's table loop with neither the domination rule
+nor the stop at the first empty table.
 """
 
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple
 
 from cncut.branching import BranchStats
-from cncut.decomposition import TreeDecomposition
+from cncut.decomposition import NiceTreeDecomposition, TreeDecomposition
 from cncut.graph import Graph, bits, remove_vertices
 from cncut.reductions import HIGH, LOW, MccLayout
+from cncut.treewidth_dp import DpTable, forget_table, introduce_table, join_table, leaf_table
 
 
 def empty_graph(n: int) -> Graph:
@@ -146,6 +149,30 @@ def dominator_counts(g: Graph) -> tuple[int, ...]:
             if u != v and nbrs[v] - {u} <= nbrs[u] and rank(u) > rank(v))
         for v in range(g.n)
     )
+
+
+def reference_tables(
+    g: Graph, ntd: NiceTreeDecomposition, k: int, x: int
+) -> list[DpTable]:
+    """One table per node of a valid nice form, every vertex deletable.
+
+    The plain DP of the w + x algorithm: each table holds every structure
+    of at most k deletions and at most x pairs in its subtree graph.
+    """
+    tables: list[DpTable] = []
+    for nd in ntd.nodes:
+        if nd.kind == "leaf":
+            tables.append(leaf_table(nd.vertex, k, x))
+        elif nd.kind == "introduce":
+            child = nd.children[0]
+            bag_neighbors = sum(1 << u for u in g.neighbors(nd.vertex) & ntd.nodes[child].bag)
+            tables.append(introduce_table(tables[child], nd.vertex, bag_neighbors, k, x))
+        elif nd.kind == "forget":
+            tables.append(forget_table(tables[nd.children[0]], nd.vertex))
+        else:
+            a, b = nd.children
+            tables.append(join_table(tables[a], tables[b], k, x))
+    return tables
 
 
 def has_clique(g: Graph, size: int) -> bool:

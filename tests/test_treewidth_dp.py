@@ -37,7 +37,7 @@ from cncut.treewidth_dp import (
     solve_wx,
 )
 
-from .reference import empty_graph
+from .reference import empty_graph, reference_tables
 from .strategies import bag_trees, graphs
 
 EMPTY = frozenset()
@@ -311,7 +311,9 @@ def test_compute_tables_rejects_unknown_kind():
 
 def test_root_entries_are_certificates():
     # Every root entry, not only the one read_decision picks, carries a cut
-    # of exactly k_used vertices that leaves exactly its x' pairs.
+    # of exactly k_used vertices that leaves exactly its x' pairs. Only the
+    # lists that reach the root have one; the quarter-of-all-pairs cell of
+    # each random graph always does.
     cases = [(g, k, x) for n in range(1, 7) for g in enumerate_graphs(n)
              for k, x in ((1, 2), (2, 5), (3, 10))]
     rng = random.Random(11)
@@ -319,10 +321,14 @@ def test_root_entries_are_certificates():
         n = rng.randrange(8, 20)
         g = random_graph(n, rng.randrange(n - 4, n + 2), rng)
         cases.append((g, rng.randrange(1, 4), rng.randrange(10, 40)))
+        cases.append((g, 3, connected_pairs(g) // 4))
     checked = 0
     for g, k, x in cases:
         ntd = make_nice(heuristic_decomposition(g))
-        root = compute_tables(g, ntd, k, x)[ntd.root]
+        tables = compute_tables(g, ntd, k, x)
+        if len(tables) <= ntd.root:
+            continue
+        root = tables[ntd.root]
         for (k_used, deleted, blocks), (min_x, cut) in root.entries.items():
             assert (deleted, blocks) == (0, ())
             assert cut.bit_count() == k_used
@@ -339,6 +345,39 @@ def test_read_decision_thresholds():
     assert read_decision(tables, ntd, 1, 2) is not None
     assert read_decision(tables, ntd, 0, 2) is None
     assert read_decision(tables, ntd, 1, 1) is None
+
+
+def test_tables_stop_at_the_first_empty_one():
+    # K4 with k = 1 and x = 2 is NO: a table below the root comes out empty,
+    # the list ends with it, and read_decision answers NO at every smaller
+    # budget too.
+    g = complete_graph(4)
+    ntd = make_nice(heuristic_decomposition(g))
+    tables = compute_tables(g, ntd, 1, 2)
+    assert len(tables) < len(ntd.nodes)
+    assert not tables[-1] and all(tables[:-1])
+    assert read_decision(tables, ntd, 1, 2) is None
+    assert read_decision(tables, ntd, 0, 0) is None
+    stats = solve_wx(g, 1, 2).stats
+    assert (stats.tables_built, stats.node_count) == (len(tables), len(ntd.nodes))
+    # A YES instance builds every table.
+    stats = solve_wx(path_graph(4), 1, 2).stats
+    assert stats.tables_built == stats.node_count
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(max_n=8), st.integers(0, 3), st.integers(0, 12))
+def test_early_stop_matches_oracle_and_full_tables(g, k, x):
+    # The early NO is the oracle's answer, and the list stops early only
+    # where the full tables, with every vertex deletable and no stop, hold
+    # no root entry within the budgets.
+    dec = solve_wx(g, k, x)
+    assert dec.answer == oracle_decides(g, k, x)
+    ntd = make_nice(heuristic_decomposition(g))
+    if len(compute_tables(g, ntd, k, x)) < len(ntd.nodes):
+        root = reference_tables(g, ntd, k, x)[ntd.root]
+        assert not [struct for struct, (min_x, _) in root.entries.items()
+                    if struct[0] <= k and min_x <= x]
 
 
 def _join_pair_reference(l_struct, l_min, r_struct, r_min, k, x):
@@ -401,11 +440,11 @@ def _join_reference(left, right, k, x):
 def test_join_matches_union_find_reference(g, k, x):
     ntd = make_nice(heuristic_decomposition(g))
     tables = compute_tables(g, ntd, k, x)
-    # Any two tables over one bag can be joined: both children of every join
-    # node, in both orders, and a few more same-bag pairs.
+    # Any two built tables over one bag can be joined: both children of every
+    # join node, in both orders, and a few more same-bag pairs.
     pairs = set()
     by_bag: dict = {}
-    for i, nd in enumerate(ntd.nodes):
+    for i, nd in enumerate(ntd.nodes[:len(tables)]):
         if nd.kind == "join":
             a, b = nd.children
             pairs |= {(a, b), (b, a)}
@@ -438,23 +477,27 @@ def _pinned_graphs():
 # auto-mix inputs. A change of table representation that adds or loses a
 # structural key changes these counts, and so do a change of the nice
 # form's node list and one of the vertices dp-wx may delete (the domination
-# rule of `Graph.dominator_counts`).
+# rule of `Graph.dominator_counts`). All four are NO, so the tables stop at
+# the first empty one: `tables_built` is where, and the other counts cover
+# only the tables built.
 PINNED_STATS = {
-    "sparse": WxStats(node_count=106, width=3, max_table_structs=26,
-                      max_table_expanded=153, total_structs=663),
-    "tree": WxStats(node_count=144, width=2, max_table_structs=29,
-                    max_table_expanded=245, total_structs=899),
-    "union": WxStats(node_count=47, width=2, max_table_structs=6,
+    "sparse": WxStats(node_count=106, tables_built=66, width=3, max_table_structs=26,
+                      max_table_expanded=153, total_structs=486),
+    "tree": WxStats(node_count=144, tables_built=72, width=2, max_table_structs=22,
+                    max_table_expanded=210, total_structs=539),
+    "union": WxStats(node_count=47, tables_built=45, width=2, max_table_structs=6,
                      max_table_expanded=42, total_structs=148),
-    "chain": WxStats(node_count=179, width=2, max_table_structs=17,
-                     max_table_expanded=65, total_structs=770),
+    "chain": WxStats(node_count=179, tables_built=72, width=2, max_table_structs=17,
+                     max_table_expanded=65, total_structs=371),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_STATS))
 def test_pinned_table_stats(name):
     g, k, x = _pinned_graphs()[name]
-    assert solve_wx(g, k, x).stats == PINNED_STATS[name]
+    dec = solve_wx(g, k, x)
+    assert not dec.answer
+    assert dec.stats == PINNED_STATS[name]
 
 
 @st.composite
