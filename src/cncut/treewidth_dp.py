@@ -46,8 +46,8 @@ vertices with the least residual among them, so the root entry that
 `read_decision` picks has the same k' and x' with or without the rule; only
 the cut kept among equally good ones may differ.
 
-Early NO. `compute_tables` stops after the first table with no entry, and a
-list that ends before the root reads as NO. For each node t the subtree
+Early NO. `compute_tables` stops after the first table with no entry, and
+tables that stop before the root read as NO. For each node t the subtree
 graph G_t is an induced subgraph of G. On a YES instance take a solution
 C that avoids every filtered vertex: the optimal cut of largest rank sum
 in the domination argument above. C restricted to G_t deletes at most k
@@ -56,6 +56,17 @@ there: each component of G_t - C lies inside one of G - C. So it gives an
 entry in t's table, and a YES instance never has an empty table. And every
 rule builds its table only from its children's entries, so an empty table
 empties each ancestor, the root included.
+
+Walk order. Each table is a function of its children's tables alone, so
+any order that builds children before parents gives every node the same
+table, cuts included, and builds the root exactly when no table is empty.
+The order only decides how soon a NO meets its first empty table.
+`compute_tables` walks the tree in post-order and, at a join, builds first
+the child with more forget nodes below it. A forgotten vertex is deleted or
+kept for good, and its deletion or its finished component already counts
+against k or x, so the side that forgets more has settled more of the graph
+and is the likelier to run out of entries. Index order, which `make_nice`
+emits, interleaves the branches of every join.
 """
 
 from __future__ import annotations
@@ -224,20 +235,69 @@ class WxStats(Counters):
     total_structs: int = 0
 
 
-def compute_tables(
-    g: Graph, ntd: NiceTreeDecomposition, k: int, x: int
-) -> list[DpTable]:
-    """Bottom-up tables, children before parents in node order, up to the
-    first empty one.
+def _heavier_first(nodes: tuple) -> list[int] | range:
+    """Node ids children first, the child with more forgets below it first at a join.
 
-    The list stops after the first table with no entry, so it is shorter
-    than `ntd.nodes` exactly when that table is not the root's. Every rule
-    builds its table only from its children's entries, so each ancestor's
-    table, the root's included, would be empty too. And a YES instance has
-    no empty table: some solution avoids every filtered vertex, and
-    restricted to a node's subtree graph G_t (an induced subgraph of g) it
-    deletes at most k vertices there and leaves at most x pairs, so it gives
-    that node an entry (see the module docstring).
+    Without a join the nice form is one chain, which index order already
+    walks leaf first. Ties go to the first child.
+    """
+    forgets: list[int] = []  # forget nodes in each node's subtree
+    joined = False
+    for kind, _, _, children in nodes:
+        if len(children) == 2:
+            a, b = children
+            forgets.append(forgets[a] + forgets[b])
+            joined = True
+        elif children:
+            forgets.append(forgets[children[0]] + (kind == "forget"))
+        else:
+            forgets.append(0)
+    if not joined:
+        return range(len(nodes))
+    # A pre-order that visits the heavier child last, reversed: each subtree
+    # stays contiguous, and the heavier one comes first.
+    order: list[int] = []
+    stack = [len(nodes) - 1]
+    while stack:
+        i = stack.pop()
+        order.append(i)
+        children = nodes[i].children
+        if len(children) == 2:
+            a, b = children
+            stack += (a, b) if forgets[a] >= forgets[b] else (b, a)
+        else:
+            stack += children
+    order.reverse()
+    return order
+
+
+def compute_tables(
+    g: Graph, ntd: NiceTreeDecomposition, k: int, x: int, stats: WxStats | None = None
+) -> dict[int, DpTable]:
+    """Bottom-up tables by node id, children first and the heavier subtree
+    first, up to the first empty one.
+
+    The walk is a post-order of the nice tree that, at a join, builds first
+    the child with more forget nodes below it (ties: the first child); a
+    form without a join is one chain, walked in index order. Any
+    children-first order builds the same table at every node it reaches, as
+    each rule reads only its children's tables; the heavier side goes first
+    because it has settled more of the graph and so is the likelier to come
+    out empty (see "Walk order" in the module docstring).
+
+    Returns the tables built, keyed by node id in build order. They stop
+    after the first table with no entry, and lack the root exactly when
+    that table is not the root's. Every rule builds its table only from its
+    children's entries, so each ancestor's table, the root's included,
+    would be empty too. And a YES instance has no empty table: some
+    solution avoids every filtered vertex, and restricted to a node's
+    subtree graph G_t (an induced subgraph of g) it deletes at most k
+    vertices there and leaves at most x pairs, so it gives that node an
+    entry (see the module docstring). So the walk reaches the root exactly
+    when the index-order loop does, with the same root entries.
+
+    `stats`, when given, gets `tables_built` and the struct counts of the
+    tables built; its other fields are left alone.
 
     A vertex v with |dom(v)| >= k (`Graph.dominator_counts`) is never
     deleted: its leaf or introduce table gets budget 0, so no delete
@@ -254,43 +314,58 @@ def compute_tables(
     bag(c), so none lies in c's subtree, and B is outside it. The tree path
     from t to B passes through c, so by condition 3 for u, u is in bag(c).
     """
-    tables: list[DpTable] = []
+    nodes = ntd.nodes
+    tables: dict[int, DpTable] = {}
     dominators = g.dominator_counts
-    for nd in ntd.nodes:
+    total = max_structs = max_expanded = 0
+    for i in _heavier_first(nodes):
+        nd = nodes[i]
         if nd.kind == "leaf":
             k_v = k if dominators[nd.vertex] < k else 0
-            tables.append(leaf_table(nd.vertex, k_v, x))
+            table = leaf_table(nd.vertex, k_v, x)
         elif nd.kind == "introduce":
             child = nd.children[0]
-            bag_mask = sum(1 << u for u in ntd.nodes[child].bag)
+            bag_mask = sum(1 << u for u in nodes[child].bag)
             bag_neighbors = g.adjacency_masks[nd.vertex] & bag_mask
             k_v = k if dominators[nd.vertex] < k else 0
-            tables.append(
-                introduce_table(tables[child], nd.vertex, bag_neighbors, k_v, x)
-            )
+            table = introduce_table(tables[child], nd.vertex, bag_neighbors, k_v, x)
         elif nd.kind == "forget":
-            tables.append(forget_table(tables[nd.children[0]], nd.vertex))
+            table = forget_table(tables[nd.children[0]], nd.vertex)
         elif nd.kind == "join":
             a, b = nd.children
-            tables.append(join_table(tables[a], tables[b], k, x))
+            table = join_table(tables[a], tables[b], k, x)
         else:
             raise StructuralError(f"unknown node kind {nd.kind!r}")
-        if not tables[-1].entries:
+        tables[i] = table
+        size = len(table.entries)
+        total += size
+        if size > max_structs:
+            max_structs = size
+        # size * (x_cap + 1) bounds expanded_count, so most tables skip its sum.
+        if size * (table.x_cap + 1) > max_expanded:
+            max_expanded = max(max_expanded, table.expanded_count())
+        if not size:
             break
+    if stats is not None:
+        stats.tables_built = len(tables)
+        stats.max_table_structs = max_structs
+        stats.max_table_expanded = max_expanded
+        stats.total_structs = total
     return tables
 
 
 def read_decision(
-    tables: list[DpTable], ntd: NiceTreeDecomposition, k: int, x: int
+    tables: dict[int, DpTable], ntd: NiceTreeDecomposition, k: int, x: int
 ) -> Struct | None:
     """Smallest accepting root entry for budgets k' <= k and bound x' <= x.
 
     `tables` comes from `compute_tables` at some budgets K >= k and X >= x.
-    A list that ends before the root means a table came out empty, so the
-    root's would have been empty too: no cut of at most K vertices leaves at
-    most X pairs, and None is the answer for every smaller k and x as well.
+    Fewer tables than nodes mean the walk stopped at an empty table before
+    the root, so the root's would have been empty too: no cut of at most K
+    vertices leaves at most X pairs, and None is the answer for every
+    smaller k and x as well.
     """
-    if len(tables) <= ntd.root:
+    if len(tables) < len(ntd.nodes):
         return None
     root = tables[ntd.root].entries
     fits = [struct for struct, (min_x, _) in root.items() if struct[0] <= k and min_x <= x]
@@ -298,7 +373,7 @@ def read_decision(
 
 
 def extract_cut(
-    tables: list[DpTable], ntd: NiceTreeDecomposition, root_struct: Struct
+    tables: dict[int, DpTable], ntd: NiceTreeDecomposition, root_struct: Struct
 ) -> frozenset[int]:
     """The cut a root entry carries; it leaves x' = connected_pairs(g - cut) pairs."""
     return frozenset(bits(tables[ntd.root].entries[root_struct][1]))
@@ -339,15 +414,8 @@ def solve_wx(
                 f"invalid nice decomposition (condition {report.condition}): {report.message}"
             )
 
-    tables = compute_tables(g, ntd, k, x)
-    stats = WxStats(
-        node_count=len(ntd.nodes),
-        tables_built=len(tables),
-        width=ntd.width,
-        max_table_structs=max((len(t) for t in tables), default=0),
-        max_table_expanded=max((t.expanded_count() for t in tables), default=0),
-        total_structs=sum(len(t) for t in tables),
-    )
+    stats = WxStats(node_count=len(ntd.nodes), width=ntd.width)
+    tables = compute_tables(g, ntd, k, x, stats)
     accept = read_decision(tables, ntd, k, x)
     if accept is None:
         return Decision(False, None, stats)

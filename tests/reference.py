@@ -9,8 +9,9 @@ high-degree rule, so the mask-based search can be held to a subsequence of
 its leaves with the same minimal covers, in no more nodes. `connected_components`
 labels `Graph.components` per vertex for the graph tests,
 `dominator_counts` is `Graph.dominator_counts` from its definition, and
-`reference_tables` is dp-wx's table loop with neither the domination rule
-nor the stop at the first empty table.
+`reference_tables` is dp-wx's table loop in node index order, with the
+domination rule and the stop at the first empty table as options, so the
+heavier-subtree-first walk can be held to it table for table.
 """
 
 from itertools import combinations
@@ -152,26 +153,35 @@ def dominator_counts(g: Graph) -> tuple[int, ...]:
 
 
 def reference_tables(
-    g: Graph, ntd: NiceTreeDecomposition, k: int, x: int
+    g: Graph, ntd: NiceTreeDecomposition, k: int, x: int,
+    *, dominated: bool = False, stop: bool = False,
 ) -> list[DpTable]:
-    """One table per node of a valid nice form, every vertex deletable.
+    """dp-wx's table loop in node index order, one table per node of a valid nice form.
 
-    The plain DP of the w + x algorithm: each table holds every structure
-    of at most k deletions and at most x pairs in its subtree graph.
+    With neither option this is the plain DP of the w + x algorithm: each
+    table holds every structure of at most k deletions and at most x pairs
+    in its subtree graph, every vertex deletable. `dominated` gives a vertex
+    with |dom(v)| >= k budget 0, as `compute_tables` does, and `stop` ends
+    the list after the first empty table. With both it is the loop
+    `compute_tables` ran before it walked the heavier subtree first.
     """
+    budget = [k if not dominated or d < k else 0 for d in g.dominator_counts]
     tables: list[DpTable] = []
     for nd in ntd.nodes:
         if nd.kind == "leaf":
-            tables.append(leaf_table(nd.vertex, k, x))
+            tables.append(leaf_table(nd.vertex, budget[nd.vertex], x))
         elif nd.kind == "introduce":
             child = nd.children[0]
-            bag_neighbors = sum(1 << u for u in g.neighbors(nd.vertex) & ntd.nodes[child].bag)
-            tables.append(introduce_table(tables[child], nd.vertex, bag_neighbors, k, x))
+            v = nd.vertex
+            bag_neighbors = sum(1 << u for u in g.neighbors(v) & ntd.nodes[child].bag)
+            tables.append(introduce_table(tables[child], v, bag_neighbors, budget[v], x))
         elif nd.kind == "forget":
             tables.append(forget_table(tables[nd.children[0]], nd.vertex))
         else:
             a, b = nd.children
             tables.append(join_table(tables[a], tables[b], k, x))
+        if stop and not tables[-1].entries:
+            break
     return tables
 
 

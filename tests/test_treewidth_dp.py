@@ -312,7 +312,7 @@ def test_compute_tables_rejects_unknown_kind():
 def test_root_entries_are_certificates():
     # Every root entry, not only the one read_decision picks, carries a cut
     # of exactly k_used vertices that leaves exactly its x' pairs. Only the
-    # lists that reach the root have one; the quarter-of-all-pairs cell of
+    # walks that reach the root have one; the quarter-of-all-pairs cell of
     # each random graph always does.
     cases = [(g, k, x) for n in range(1, 7) for g in enumerate_graphs(n)
              for k, x in ((1, 2), (2, 5), (3, 10))]
@@ -326,7 +326,7 @@ def test_root_entries_are_certificates():
     for g, k, x in cases:
         ntd = make_nice(heuristic_decomposition(g))
         tables = compute_tables(g, ntd, k, x)
-        if len(tables) <= ntd.root:
+        if ntd.root not in tables:
             continue
         root = tables[ntd.root]
         for (k_used, deleted, blocks), (min_x, cut) in root.entries.items():
@@ -349,13 +349,14 @@ def test_read_decision_thresholds():
 
 def test_tables_stop_at_the_first_empty_one():
     # K4 with k = 1 and x = 2 is NO: a table below the root comes out empty,
-    # the list ends with it, and read_decision answers NO at every smaller
+    # the walk ends with it, and read_decision answers NO at every smaller
     # budget too.
     g = complete_graph(4)
     ntd = make_nice(heuristic_decomposition(g))
     tables = compute_tables(g, ntd, 1, 2)
-    assert len(tables) < len(ntd.nodes)
-    assert not tables[-1] and all(tables[:-1])
+    built = list(tables.values())
+    assert ntd.root not in tables
+    assert not built[-1] and all(built[:-1])
     assert read_decision(tables, ntd, 1, 2) is None
     assert read_decision(tables, ntd, 0, 0) is None
     stats = solve_wx(g, 1, 2).stats
@@ -368,9 +369,9 @@ def test_tables_stop_at_the_first_empty_one():
 @settings(max_examples=200, deadline=None)
 @given(graphs(max_n=8), st.integers(0, 3), st.integers(0, 12))
 def test_early_stop_matches_oracle_and_full_tables(g, k, x):
-    # The early NO is the oracle's answer, and the list stops early only
-    # where the full tables, with every vertex deletable and no stop, hold
-    # no root entry within the budgets.
+    # The early NO is the oracle's answer, and the walk stops before the
+    # root only where the full tables, with every vertex deletable and no
+    # stop, hold no root entry within the budgets.
     dec = solve_wx(g, k, x)
     assert dec.answer == oracle_decides(g, k, x)
     ntd = make_nice(heuristic_decomposition(g))
@@ -378,6 +379,70 @@ def test_early_stop_matches_oracle_and_full_tables(g, k, x):
         root = reference_tables(g, ntd, k, x)[ntd.root]
         assert not [struct for struct, (min_x, _) in root.entries.items()
                     if struct[0] <= k and min_x <= x]
+
+
+def _forgets_below(ntd):
+    """Forget nodes in each node's subtree, the node itself included."""
+    below = []
+    for nd in ntd.nodes:
+        below.append((nd.kind == "forget") + sum(below[c] for c in nd.children))
+    return below
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(max_n=8), st.integers(0, 3), st.integers(0, 12))
+def test_walk_builds_the_index_order_tables(g, k, x):
+    # A rule reads only its children's tables, so the heavier-first walk
+    # builds, at each node it reaches, the table dp-wx's former index-order
+    # loop built there, carried cuts included, and it reaches the root
+    # exactly when that loop does.
+    ntd = make_nice(heuristic_decomposition(g))
+    assume(ntd.nodes)  # the empty graph's form has no root
+    stats = WxStats()
+    tables = compute_tables(g, ntd, k, x, stats)
+    full = reference_tables(g, ntd, k, x, dominated=True)
+    for i, t in tables.items():
+        assert t.entries == full[i].entries, i
+    index_order = reference_tables(g, ntd, k, x, dominated=True, stop=True)
+    assert (ntd.root in tables) == (ntd.root < len(index_order))
+    if ntd.root in tables:
+        assert tables[ntd.root].entries == index_order[ntd.root].entries
+    # Children first, and at a join the child with more forgets below it
+    # first.
+    seen = set()
+    for i in tables:
+        assert set(ntd.nodes[i].children) <= seen, i
+        seen.add(i)
+    position = {i: p for p, i in enumerate(tables)}
+    below = _forgets_below(ntd)
+    for i in tables:
+        if ntd.nodes[i].kind == "join":
+            a, b = ntd.nodes[i].children
+            if below[a] != below[b]:
+                heavy, light = (a, b) if below[a] > below[b] else (b, a)
+                assert position[heavy] < position[light], i
+    # Only the last table built may be empty, and the stats count the
+    # tables built.
+    built = list(tables.values())
+    assert all(built[:-1])
+    assert stats == WxStats(
+        tables_built=len(built),
+        max_table_structs=max(map(len, built), default=0),
+        max_table_expanded=max((t.expanded_count() for t in built), default=0),
+        total_structs=sum(map(len, built)),
+    )
+
+
+def test_walk_stops_sooner_than_index_order():
+    # A NO instance whose index-order loop built 18 of 36 tables before the
+    # first empty one; the heavier subtree empties after 5.
+    g = random_graph(10, 12, random.Random(17))
+    ntd = make_nice(heuristic_decomposition(g))
+    tables = compute_tables(g, ntd, 1, 4)
+    assert len(reference_tables(g, ntd, 1, 4, dominated=True, stop=True)) == 18
+    assert (len(ntd.nodes), len(tables)) == (36, 5)
+    assert not list(tables.values())[-1]
+    assert not solve_wx(g, 1, 4).answer
 
 
 def _join_pair_reference(l_struct, l_min, r_struct, r_min, k, x):
@@ -444,7 +509,8 @@ def test_join_matches_union_find_reference(g, k, x):
     # join node, in both orders, and a few more same-bag pairs.
     pairs = set()
     by_bag: dict = {}
-    for i, nd in enumerate(ntd.nodes[:len(tables)]):
+    for i in tables:
+        nd = ntd.nodes[i]
         if nd.kind == "join":
             a, b = nd.children
             pairs |= {(a, b), (b, a)}
@@ -479,16 +545,17 @@ def _pinned_graphs():
 # form's node list and one of the vertices dp-wx may delete (the domination
 # rule of `Graph.dominator_counts`). All four are NO, so the tables stop at
 # the first empty one: `tables_built` is where, and the other counts cover
-# only the tables built.
+# only the tables built. So a change of the order `compute_tables` walks the
+# nodes in moves them too.
 PINNED_STATS = {
-    "sparse": WxStats(node_count=106, tables_built=66, width=3, max_table_structs=26,
-                      max_table_expanded=153, total_structs=486),
-    "tree": WxStats(node_count=144, tables_built=72, width=2, max_table_structs=22,
-                    max_table_expanded=210, total_structs=539),
-    "union": WxStats(node_count=47, tables_built=45, width=2, max_table_structs=6,
-                     max_table_expanded=42, total_structs=148),
-    "chain": WxStats(node_count=179, tables_built=72, width=2, max_table_structs=17,
-                     max_table_expanded=65, total_structs=371),
+    "sparse": WxStats(node_count=106, tables_built=35, width=3, max_table_structs=23,
+                      max_table_expanded=153, total_structs=303),
+    "tree": WxStats(node_count=144, tables_built=53, width=2, max_table_structs=22,
+                    max_table_expanded=210, total_structs=469),
+    "union": WxStats(node_count=47, tables_built=27, width=2, max_table_structs=6,
+                     max_table_expanded=42, total_structs=91),
+    "chain": WxStats(node_count=179, tables_built=39, width=2, max_table_structs=17,
+                     max_table_expanded=65, total_structs=240),
 }
 
 
@@ -550,7 +617,8 @@ def _check_table_internals(g, k, x):
     tables = compute_tables(g, ntd, k, x)
     w = ntd.width
     bound = 10 * max(g.n, 1) * max(x, 1) * (w + x + 2) ** (w + 1)
-    for t, nd in zip(tables, ntd.nodes):
+    for i, t in tables.items():
+        nd = ntd.nodes[i]
         assert t.expanded_count() <= bound
         bag = mask(*nd.bag)
         for (k_used, deleted, blocks), (min_x, cut) in t.entries.items():
