@@ -235,29 +235,25 @@ class WxStats(Counters):
     total_structs: int = 0
 
 
-def _heavier_first(nodes: tuple) -> list[int] | range:
+def _heavier_first(nodes: tuple) -> list[int]:
     """Node ids children first, the child with more forgets below it first at a join.
 
-    Without a join the nice form is one chain, which index order already
-    walks leaf first. Ties go to the first child.
+    Ties go to the first child. A form without a join is one chain, and its
+    walk is index order.
     """
     forgets: list[int] = []  # forget nodes in each node's subtree
-    joined = False
     for kind, _, _, children in nodes:
         if len(children) == 2:
             a, b = children
             forgets.append(forgets[a] + forgets[b])
-            joined = True
         elif children:
             forgets.append(forgets[children[0]] + (kind == "forget"))
         else:
             forgets.append(0)
-    if not joined:
-        return range(len(nodes))
     # A pre-order that visits the heavier child last, reversed: each subtree
     # stays contiguous, and the heavier one comes first.
     order: list[int] = []
-    stack = [len(nodes) - 1]
+    stack = [len(nodes) - 1] if nodes else []
     while stack:
         i = stack.pop()
         order.append(i)
@@ -278,8 +274,7 @@ def compute_tables(
     first, up to the first empty one.
 
     The walk is a post-order of the nice tree that, at a join, builds first
-    the child with more forget nodes below it (ties: the first child); a
-    form without a join is one chain, walked in index order. Any
+    the child with more forget nodes below it (ties: the first child). Any
     children-first order builds the same table at every node it reaches, as
     each rule reads only its children's tables; the heavier side goes first
     because it has settled more of the graph and so is the likelier to come
@@ -339,11 +334,8 @@ def compute_tables(
         tables[i] = table
         size = len(table.entries)
         total += size
-        if size > max_structs:
-            max_structs = size
-        # size * (x_cap + 1) bounds expanded_count, so most tables skip its sum.
-        if size * (table.x_cap + 1) > max_expanded:
-            max_expanded = max(max_expanded, table.expanded_count())
+        max_structs = max(max_structs, size)
+        max_expanded = max(max_expanded, table.expanded_count())
         if not size:
             break
     if stats is not None:
@@ -360,12 +352,12 @@ def read_decision(
     """Smallest accepting root entry for budgets k' <= k and bound x' <= x.
 
     `tables` comes from `compute_tables` at some budgets K >= k and X >= x.
-    Fewer tables than nodes mean the walk stopped at an empty table before
-    the root, so the root's would have been empty too: no cut of at most K
-    vertices leaves at most X pairs, and None is the answer for every
-    smaller k and x as well.
+    Without the root's table the walk stopped at an empty table below it,
+    so the root's would have been empty too: no cut of at most K vertices
+    leaves at most X pairs, and None is the answer for every smaller k and
+    x as well.
     """
-    if len(tables) < len(ntd.nodes):
+    if ntd.root not in tables:
         return None
     root = tables[ntd.root].entries
     fits = [struct for struct, (min_x, _) in root.items() if struct[0] <= k and min_x <= x]
