@@ -9,10 +9,10 @@ Decompositions serialize to the PACE-style .td text format.
 
 from __future__ import annotations
 
-import heapq
-from typing import NamedTuple
+from heapq import heappop, heappush
+from typing import Iterator, NamedTuple
 
-from .graph import InputError, bits
+from .graph import InputError
 
 
 class StructuralError(InputError):
@@ -64,7 +64,9 @@ def heuristic_decomposition(g) -> TreeDecomposition:
     Disconnected graphs get one subtree per component stitched under a
     synthetic empty root bag. Elimination runs on a copy of the graph's
     adjacency masks. Each vertex's (fill, degree, id) key sits in a heap and
-    is recounted only when an elimination can change it.
+    is recounted only when an elimination can change it. The keys are
+    distinct, so the heap yields the same vertex whatever its layout. Masks
+    are walked inline, lowest bit first, with no generator per mask.
     """
     n = g.n
     if n == 0:
@@ -74,21 +76,34 @@ def heuristic_decomposition(g) -> TreeDecomposition:
     bags: list[frozenset[int]] = []
     position = [0] * n
     elim_neighbors: list[int] = []
-    key: list[tuple[int, int, int] | None] = [
-        (_fill_in(adj, adj[v]), adj[v].bit_count(), v) for v in range(n)
-    ]
-    heap = list(key)
-    heapq.heapify(heap)
+    key: list[tuple[int, int, int] | None] = [None] * n
+    heap: list[tuple[int, int, int]] = []
+    touched = (1 << n) - 1  # the vertices whose key needs a count
 
     for step in range(n):
+        # Count a key as the non-adjacent pairs among u's neighbours: each
+        # neighbour a misses nbrs & ~adj[a], a itself included.
+        while touched:
+            low = touched & -touched
+            touched ^= low
+            u = low.bit_length() - 1
+            nbrs = adj[u]
+            missed = 0
+            rest = nbrs
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                missed += (nbrs & ~adj[bit.bit_length() - 1]).bit_count()
+            degree = nbrs.bit_count()
+            key[u] = entry = ((missed - degree) // 2, degree, u)
+            heappush(heap, entry)
         while True:
-            best = heapq.heappop(heap)
+            best = heappop(heap)
             v = best[2]
             if key[v] == best:
                 break
         key[v] = None
         nbrs = adj[v]
-        bags.append(frozenset(bits(nbrs | 1 << v)))
         position[v] = step
         elim_neighbors.append(nbrs)
         # A key can change only for a vertex whose neighbourhood changed (v's
@@ -96,32 +111,44 @@ def heuristic_decomposition(g) -> TreeDecomposition:
         # before a's update, adj[a] & adj[b] differs from the common
         # neighbours after it only inside v's neighbourhood and in v itself,
         # which the recount drops.
+        bag = []
+        vbit = 1 << v
         touched = nbrs
-        for a in bits(nbrs):
-            new = nbrs & ~adj[a] & ~(1 << a)
-            for b in bits(new):
-                touched |= adj[a] & adj[b]
-            adj[a] = (adj[a] | new) & ~(1 << v)
-        for u in bits(touched & ~(1 << v)):
-            key[u] = (_fill_in(adj, adj[u]), adj[u].bit_count(), u)
-            heapq.heappush(heap, key[u])
+        rest = nbrs | vbit
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            a = low.bit_length() - 1
+            bag.append(a)
+            if a == v:
+                continue
+            adj_a = adj[a]
+            new = nbrs & ~adj_a & ~low
+            adj[a] = (adj_a | new) & ~vbit
+            while new:
+                bit = new & -new
+                new ^= bit
+                touched |= adj_a & adj[bit.bit_length() - 1]
+        bags.append(frozenset(bag))
+        touched &= ~vbit
 
     # Each bag hangs from the bag of its earliest-eliminated neighbour.
-    edges = [
-        (step, min(position[u] for u in bits(nbrs)))
-        for step, nbrs in enumerate(elim_neighbors)
-        if nbrs
-    ]
-    roots = [step for step, nbrs in enumerate(elim_neighbors) if not nbrs]
+    edges = []
+    roots = []
+    for step, nbrs in enumerate(elim_neighbors):
+        if not nbrs:
+            roots.append(step)
+            continue
+        parent = n
+        while nbrs:
+            low = nbrs & -nbrs
+            nbrs ^= low
+            parent = min(parent, position[low.bit_length() - 1])
+        edges.append((step, parent))
     if len(roots) > 1:
         edges.extend((len(bags), r) for r in roots)
         bags.append(frozenset())
     return TreeDecomposition(tuple(bags), tuple(edges))
-
-
-def _fill_in(adj: list[int], nbrs: int) -> int:
-    """Non-adjacent pairs in the vertex mask nbrs: a misses nbrs & ~adj[a], itself included."""
-    return sum((nbrs & ~adj[a]).bit_count() - 1 for a in bits(nbrs)) // 2
 
 
 def validate_decomposition(g, td: TreeDecomposition) -> ValidationReport:
@@ -237,16 +264,77 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
       than there are roots. That is at most 2n - 1 leaves and joins. Each
       leaf and each vertex hung below another takes at most w introduces.
 
-    By the first point the nodes holding a vertex run from where it is
-    introduced up to its forget, and what hangs below v reaches B(v) by
-    introduces alone, so every node's bag is the one its kind derives. With
-    the second point, the form passes `validate_nice`. Empty bags own no
-    vertex and so add no node. Shared vertices go first so that a bag's
-    vertices continue the chain hung below them: two bags joined by one tree
-    edge give one leaf and no join.
+    Below v's forget, each vertex c hung below v brings its forget up to
+    B(v) by introduces (v lies in L(c)), or a leaf of v does when nothing
+    hangs below v, and a chain of joins, each the one before and the next
+    end in hanging order, takes these ends together. By the first point the
+    nodes holding a vertex run from where it is introduced up to its
+    forget, so every node's bag is the one its kind derives. With the
+    second point, the form passes `validate_nice`. Empty bags own no vertex
+    and so add no node. Shared vertices go first so that a bag's vertices
+    continue the chain hung below them: two bags joined by one tree edge
+    give one leaf and no join.
+
+    Walk order. Node ids are the order dp-wx builds its tables in: a
+    post-order that, at each join, puts first the child with more forget
+    nodes below it (ties: the first child). Each table is a function of its
+    children's tables alone, so any order that builds children before
+    parents gives every node the same table, cuts included, and builds the
+    root exactly when no table is empty; the order only decides how soon a
+    NO meets its first empty table. A forgotten vertex is deleted or kept
+    for good, and its deletion or its finished component already counts
+    against k or x, so the side that forgets more has settled more of the
+    graph and is the likelier to run out of entries. The forgets below the
+    forget of v are those of the vertices hung below v, directly or not,
+    and v's own. One iterative generator emits the nodes (`stream_nice`
+    hands it out unmaterialised), so a deep form needs no recursion.
 
     Raises StructuralError when a tree edge is out of range, or when the tree
     edges close a cycle or leave a bag unreached.
+    """
+    return NiceTreeDecomposition(tuple(_emit(*_skeleton(td))))
+
+
+class NiceStream(NamedTuple):
+    """A nice form about to be emitted: its node count, its width and its nodes.
+
+    `nodes` yields the nodes of `make_nice` one at a time, in index order,
+    so a consumer that stops early builds none of the rest.
+    """
+
+    node_count: int
+    width: int
+    nodes: Iterator[NiceNode]
+
+
+def stream_nice(td: TreeDecomposition) -> NiceStream:
+    """`make_nice(td)` with the count and the width now and the nodes on demand.
+
+    Both come from the elimination skeleton in O(n), and a bad tree edge
+    raises StructuralError here, before any node. Take a vertex v with
+    s = |L(v)| and m vertices c hung below it. It has one forget, and
+    either one leaf and s introduces when m = 0, or m - 1 joins and
+    s - |L(c)| + 1 introduces above each c: (s + 2) * max(m, 1) nodes less
+    the sum of |L(c)|. Each vertex but a root hangs below one other, and a
+    root's L is empty, so over all v those sums add up to the sum of
+    |L(v)|. The roots take one join fewer than there are roots. Every bag
+    lies inside some B(v), which the joins and introduces below v's forget
+    reach, so the width is the largest |L(v)|.
+    """
+    order, later, hung, roots = _skeleton(td)
+    sizes = [len(lr) for lr in later]
+    count = sum((s + 2) * (len(below) or 1) for s, below in zip(sizes, hung)) - sum(sizes)
+    if roots:
+        count += len(roots) - 1
+    return NiceStream(count, max(sizes, default=-1), _emit(order, later, hung, roots))
+
+
+def _skeleton(td: TreeDecomposition) -> tuple[list, list, list, list]:
+    """The elimination of `make_nice`: (order, L per rank, ranks hung below
+    each rank, roots).
+
+    Ranks are positions in the elimination order; what hangs below a rank,
+    and the roots, come in rank order.
     """
     bags = td.bags
     walk, _ = _walk(bags, td.tree_edges)
@@ -261,32 +349,104 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
 
     order = sorted(top, key=lambda v: (-top[v], v not in shared, v))
     rank = {v: r for r, v in enumerate(order)}
-    nodes: list[NiceNode] = []
+    later: list[frozenset[int]] = []
+    hung: list[list[int]] = [[] for _ in order]
+    roots: list[int] = []
+    for r, v in enumerate(order):
+        lr = frozenset([u for u in bags[walk[top[v]]] if rank[u] > r])
+        later.append(lr)
+        (hung[min(map(rank.__getitem__, lr))] if lr else roots).append(r)
+    return order, later, hung, roots
 
-    def emit(kind: str, bag: frozenset[int], vertex: int | None, children: tuple[int, ...]) -> int:
-        nodes.append(NiceNode(kind, bag, vertex, children))
-        return len(nodes) - 1
 
-    def join(ends: list[int]) -> int:
-        acc = ends[0]
-        for end in ends[1:]:
-            acc = emit("join", nodes[acc].bag, None, (acc, end))
-        return acc
+def _end_order(below: list[int], forgets: list[int]) -> list[int]:
+    """Positions of the ends hung below one bag, in the order they are emitted.
 
-    # The ends hung below each vertex; the roots' ends hang below None.
-    hung: dict[int | None, list[int]] = {}
-    for v in order:
-        later = frozenset(u for u in bags[walk[top[v]]] if rank[u] > rank[v])
-        ends = []
-        for end in hung.pop(v, None) or [emit("leaf", frozenset({v}), v, ())]:
-            for u in sorted(later - nodes[end].bag):
-                end = emit("introduce", nodes[end].bag | {u}, u, (end,))
-            ends.append(end)
-        end = emit("forget", later, v, (join(ends),))
-        hung.setdefault(min(later, key=rank.__getitem__, default=None), []).append(end)
-    if order:
-        join(hung[None])
-    return NiceTreeDecomposition(tuple(nodes))
+    The joins take ends 0, 1, ... in turn, so join j's first child holds
+    ends 0..j-1 and its second end j. From the last join down, end j goes
+    before the rest when it has more forgets below it than ends 0..j-1
+    together; the rest follow in hanging order.
+    """
+    weights = [forgets[c] for c in below]
+    ahead = sum(weights)
+    first = []
+    for j in range(len(below) - 1, 0, -1):
+        ahead -= weights[j]
+        if ahead < weights[j]:
+            first.append(j)
+    return first + [j for j in range(len(below)) if j not in first]
+
+
+def _emit(
+    order: list[int], later: list[frozenset[int]], hung: list[list[int]], roots: list[int]
+) -> Iterator[NiceNode]:
+    """The nodes of `make_nice` in index order, from its skeleton.
+
+    A depth-first walk of the hung vertices with an explicit stack. The
+    frame of rank r (None at the top, where the roots hang) holds the ends
+    of what hangs below r, by hanging position, and the join chain so far.
+    Each vertex c hung below r is emitted whole, up to its forget, and
+    lifted to r's bag; then every join whose two children are built
+    follows.
+    """
+    forgets: list[int] = []  # the forget nodes below each rank's forget, its own included
+    for below in hung:
+        forgets.append(1 + sum(forgets[c] for c in below))
+    new = tuple.__new__  # NiceNode(...) without its Python-level __new__
+    nid = 0  # the id of the next node
+    stack: list[tuple] = []
+    r, below, lr = None, roots, frozenset()
+    seq, pos, acc, nxt = _end_order(roots, forgets), 0, None, 1
+    ends: list[int | None] = [None] * len(roots)
+    while True:
+        if pos < len(seq):
+            j = seq[pos]
+            pos += 1
+            c = below[j]
+            if hung[c]:
+                stack.append((r, below, lr, seq, pos, ends, acc, nxt, j))
+                r, below, lr = c, hung[c], later[c]
+                seq, pos, acc, nxt = _end_order(below, forgets), 0, None, 1
+                ends = [None] * len(below)
+                continue
+            v = order[c]
+            bag = frozenset((v,))
+            yield new(NiceNode, ("leaf", bag, v, ()))
+            end = nid
+            nid += 1
+            for u in sorted(later[c]):
+                bag = bag | {u}
+                yield new(NiceNode, ("introduce", bag, u, (end,)))
+                end = nid
+                nid += 1
+            yield new(NiceNode, ("forget", later[c], v, (end,)))
+            end = nid
+            nid += 1
+        elif stack:
+            c = r
+            yield new(NiceNode, ("forget", lr, order[c], (acc,)))
+            end = nid
+            nid += 1
+            r, below, lr, seq, pos, ends, acc, nxt, j = stack.pop()
+        else:
+            return
+        # Node `end` is c's forget: lift it to r's bag, {r} + L(r) (r lies in
+        # L(c)), then join what is ready, all in that bag.
+        bag = later[c]
+        for u in sorted(lr - bag):
+            bag = bag | {u}
+            yield new(NiceNode, ("introduce", bag, u, (end,)))
+            end = nid
+            nid += 1
+        ends[j] = end
+        if j == 0:
+            acc = end
+        if acc is not None:
+            while nxt < len(ends) and ends[nxt] is not None:
+                yield new(NiceNode, ("join", bag, None, (acc, ends[nxt])))
+                acc = nid
+                nid += 1
+                nxt += 1
 
 
 def validate_nice(g, ntd: NiceTreeDecomposition) -> ValidationReport:

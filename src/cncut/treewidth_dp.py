@@ -56,30 +56,21 @@ there: each component of G_t - C lies inside one of G - C. So it gives an
 entry in t's table, and a YES instance never has an empty table. And every
 rule builds its table only from its children's entries, so an empty table
 empties each ancestor, the root included.
-
-Walk order. Each table is a function of its children's tables alone, so
-any order that builds children before parents gives every node the same
-table, cuts included, and builds the root exactly when no table is empty.
-The order only decides how soon a NO meets its first empty table.
-`compute_tables` walks the tree in post-order and, at a join, builds first
-the child with more forget nodes below it. A forgotten vertex is deleted or
-kept for good, and its deletion or its finished component already counts
-against k or x, so the side that forgets more has settled more of the graph
-and is the likelier to run out of entries. Index order, which `make_nice`
-emits, interleaves the branches of every join.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
+from typing import Iterable
 
 from .graph import Counters, Cut, Decision, Graph, bits, certify, check_parameters, connected_pairs
 from .decomposition import (
+    NiceNode,
     NiceTreeDecomposition,
     StructuralError,
     TreeDecomposition,
     heuristic_decomposition,
-    make_nice,
+    stream_nice,
     validate_nice,
 )
 
@@ -235,61 +226,27 @@ class WxStats(Counters):
     total_structs: int = 0
 
 
-def _heavier_first(nodes: tuple) -> list[int]:
-    """Node ids children first, the child with more forgets below it first at a join.
-
-    Ties go to the first child. A form without a join is one chain, and its
-    walk is index order.
-    """
-    forgets: list[int] = []  # forget nodes in each node's subtree
-    for kind, _, _, children in nodes:
-        if len(children) == 2:
-            a, b = children
-            forgets.append(forgets[a] + forgets[b])
-        elif children:
-            forgets.append(forgets[children[0]] + (kind == "forget"))
-        else:
-            forgets.append(0)
-    # A pre-order that visits the heavier child last, reversed: each subtree
-    # stays contiguous, and the heavier one comes first.
-    order: list[int] = []
-    stack = [len(nodes) - 1] if nodes else []
-    while stack:
-        i = stack.pop()
-        order.append(i)
-        children = nodes[i].children
-        if len(children) == 2:
-            a, b = children
-            stack += (a, b) if forgets[a] >= forgets[b] else (b, a)
-        else:
-            stack += children
-    order.reverse()
-    return order
-
-
 def compute_tables(
-    g: Graph, ntd: NiceTreeDecomposition, k: int, x: int, stats: WxStats | None = None
-) -> dict[int, DpTable]:
-    """Bottom-up tables by node id, children first and the heavier subtree
-    first, up to the first empty one.
+    g: Graph, nodes: Iterable[NiceNode], k: int, x: int, stats: WxStats | None = None
+) -> list[DpTable]:
+    """Bottom-up tables in node index order, up to the first empty one.
 
-    The walk is a post-order of the nice tree that, at a join, builds first
-    the child with more forget nodes below it (ties: the first child). Any
-    children-first order builds the same table at every node it reaches, as
-    each rule reads only its children's tables; the heavier side goes first
-    because it has settled more of the graph and so is the likelier to come
-    out empty (see "Walk order" in the module docstring).
+    `nodes` is a nice form's node list, or `stream_nice`'s nodes, which are
+    then built only as far as the walk goes. In `make_nice`'s order, the
+    heavier subtree comes first at each join, as it is the likelier to come
+    out empty (see "Walk order" in `make_nice`); any children-first order
+    builds the same table at every node it reaches, as each rule reads only
+    its children's tables.
 
-    Returns the tables built, keyed by node id in build order. They stop
-    after the first table with no entry, and lack the root exactly when
-    that table is not the root's. Every rule builds its table only from its
+    Returns the tables built, one per node in index order. They stop after
+    the first table with no entry, so the last table is the root's exactly
+    when it has an entry. Every rule builds its table only from its
     children's entries, so each ancestor's table, the root's included,
     would be empty too. And a YES instance has no empty table: some
     solution avoids every filtered vertex, and restricted to a node's
     subtree graph G_t (an induced subgraph of g) it deletes at most k
     vertices there and leaves at most x pairs, so it gives that node an
-    entry (see the module docstring). So the walk reaches the root exactly
-    when the index-order loop does, with the same root entries.
+    entry (see the module docstring).
 
     `stats`, when given, gets `tables_built` and the struct counts of the
     tables built; its other fields are left alone.
@@ -298,40 +255,37 @@ def compute_tables(
     deleted: its leaf or introduce table gets budget 0, so no delete
     branch. The module docstring says why no answer moves.
 
-    `ntd` must pass `validate_nice` for `g`. `solve_wx` checks a supplied
-    form first; the form it builds itself is valid by construction (see
-    `make_nice`).
+    The nodes must form a nice decomposition that passes `validate_nice`
+    for `g`. `solve_wx` checks a supplied form first; the form it builds
+    itself is valid by construction (see `make_nice`).
     Then every neighbor that an introduced vertex v has in its child c's
-    subtree lies in bag(c), so the child bag is all `introduce_table` reads.
+    subtree lies in bag(c), which is v's bag without v, so that bag is all
+    `introduce_table` reads.
     Proof: let u be a neighbor of v in the bag of some node t in c's subtree.
     By condition 2 some bag B holds both u and v. The bags holding v are
     connected (condition 3) and include the introduce node's but not
     bag(c), so none lies in c's subtree, and B is outside it. The tree path
     from t to B passes through c, so by condition 3 for u, u is in bag(c).
     """
-    nodes = ntd.nodes
-    tables: dict[int, DpTable] = {}
+    tables: list[DpTable] = []
+    adjacency = g.adjacency_masks
     dominators = g.dominator_counts
     total = max_structs = max_expanded = 0
-    for i in _heavier_first(nodes):
-        nd = nodes[i]
-        if nd.kind == "leaf":
-            k_v = k if dominators[nd.vertex] < k else 0
-            table = leaf_table(nd.vertex, k_v, x)
-        elif nd.kind == "introduce":
-            child = nd.children[0]
-            bag_mask = sum(1 << u for u in nodes[child].bag)
-            bag_neighbors = g.adjacency_masks[nd.vertex] & bag_mask
-            k_v = k if dominators[nd.vertex] < k else 0
-            table = introduce_table(tables[child], nd.vertex, bag_neighbors, k_v, x)
-        elif nd.kind == "forget":
-            table = forget_table(tables[nd.children[0]], nd.vertex)
-        elif nd.kind == "join":
-            a, b = nd.children
+    for kind, bag, v, children in nodes:
+        if kind == "leaf":
+            table = leaf_table(v, k if dominators[v] < k else 0, x)
+        elif kind == "introduce":
+            bag_neighbors = adjacency[v] & sum(1 << u for u in bag)
+            k_v = k if dominators[v] < k else 0
+            table = introduce_table(tables[children[0]], v, bag_neighbors, k_v, x)
+        elif kind == "forget":
+            table = forget_table(tables[children[0]], v)
+        elif kind == "join":
+            a, b = children
             table = join_table(tables[a], tables[b], k, x)
         else:
-            raise StructuralError(f"unknown node kind {nd.kind!r}")
-        tables[i] = table
+            raise StructuralError(f"unknown node kind {kind!r}")
+        tables.append(table)
         size = len(table.entries)
         total += size
         max_structs = max(max_structs, size)
@@ -346,29 +300,23 @@ def compute_tables(
     return tables
 
 
-def read_decision(
-    tables: dict[int, DpTable], ntd: NiceTreeDecomposition, k: int, x: int
-) -> Struct | None:
+def read_decision(tables: list[DpTable], k: int, x: int) -> Struct | None:
     """Smallest accepting root entry for budgets k' <= k and bound x' <= x.
 
     `tables` comes from `compute_tables` at some budgets K >= k and X >= x.
-    Without the root's table the walk stopped at an empty table below it,
-    so the root's would have been empty too: no cut of at most K vertices
-    leaves at most X pairs, and None is the answer for every smaller k and
-    x as well.
+    When its last table is empty, the walk stopped there or at an empty
+    root, so the root's table would have been empty too: no cut of at most
+    K vertices leaves at most X pairs, and None is the answer for every
+    smaller k and x as well. Otherwise the last table is the root's.
     """
-    if ntd.root not in tables:
-        return None
-    root = tables[ntd.root].entries
+    root = tables[-1].entries if tables else {}
     fits = [struct for struct, (min_x, _) in root.items() if struct[0] <= k and min_x <= x]
     return min(fits, key=lambda struct: (struct[0], root[struct][0]), default=None)
 
 
-def extract_cut(
-    tables: dict[int, DpTable], ntd: NiceTreeDecomposition, root_struct: Struct
-) -> frozenset[int]:
+def extract_cut(tables: list[DpTable], root_struct: Struct) -> frozenset[int]:
     """The cut a root entry carries; it leaves x' = connected_pairs(g - cut) pairs."""
-    return frozenset(bits(tables[ntd.root].entries[root_struct][1]))
+    return frozenset(bits(tables[-1].entries[root_struct][1]))
 
 
 def solve_wx(
@@ -383,7 +331,9 @@ def solve_wx(
 
     A supplied `ntd` must pass `validate_nice`, or StructuralError is raised.
     Without one, the form is `make_nice(heuristic_decomposition(g))`, which
-    is valid by construction and so is not checked.
+    is valid by construction and so is not checked. That form is streamed
+    into `compute_tables` (`stream_nice`), so a NO builds none of it past
+    the first empty table; `node_count` and `width` come from its skeleton.
 
     `_td` is for the harness alone, which has already built
     `heuristic_decomposition(g)` to measure its width and hands it over so
@@ -398,21 +348,22 @@ def solve_wx(
         return Decision(True, certify(g, Cut(frozenset(), base), k, x, "dp-wx"), WxStats())
 
     if ntd is None:
-        ntd = make_nice(heuristic_decomposition(g) if _td is None else _td)
+        node_count, width, nodes = stream_nice(heuristic_decomposition(g) if _td is None else _td)
     else:
         report = validate_nice(g, ntd)
         if not report.ok:
             raise StructuralError(
                 f"invalid nice decomposition (condition {report.condition}): {report.message}"
             )
+        node_count, width, nodes = len(ntd.nodes), ntd.width, ntd.nodes
 
-    stats = WxStats(node_count=len(ntd.nodes), width=ntd.width)
-    tables = compute_tables(g, ntd, k, x, stats)
-    accept = read_decision(tables, ntd, k, x)
+    stats = WxStats(node_count=node_count, width=width)
+    tables = compute_tables(g, nodes, k, x, stats)
+    accept = read_decision(tables, k, x)
     if accept is None:
         return Decision(False, None, stats)
-    cut = extract_cut(tables, ntd, accept)
+    cut = extract_cut(tables, accept)
     if len(cut) != accept[0]:
         raise AssertionError("certificate size disagrees with its table entry")
-    residual = tables[ntd.root].entries[accept][0]
+    residual = tables[-1].entries[accept][0]
     return Decision(True, certify(g, Cut(cut, residual), k, x, "dp-wx"), stats)

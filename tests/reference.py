@@ -10,15 +10,20 @@ its leaves with the same minimal covers, in no more nodes. `connected_components
 labels `Graph.components` per vertex for the graph tests,
 `dominator_counts` is `Graph.dominator_counts` from its definition, and
 `reference_tables` is dp-wx's table loop in node index order, with the
-domination rule and the stop at the first empty table as options, so the
-heavier-subtree-first walk can be held to it table for table.
+domination rule and the stop at the first empty table as options.
+`reference_heuristic_decomposition` and `reference_make_nice` are the
+min-fill and the nice form as they were written before the min-fill ran
+its bit loops inline and the nice form came out in dp-wx's walk order, so
+the new ones can be held to the same decomposition and to a renumbering of
+the same form, and the walk to the former index-order loop table for table.
 """
 
+import heapq
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple
 
 from cncut.branching import BranchStats
-from cncut.decomposition import NiceTreeDecomposition, TreeDecomposition
+from cncut.decomposition import NiceNode, NiceTreeDecomposition, TreeDecomposition, _walk
 from cncut.graph import Graph, bits, remove_vertices
 from cncut.reductions import HIGH, LOW, MccLayout
 from cncut.treewidth_dp import DpTable, forget_table, introduce_table, join_table, leaf_table
@@ -162,8 +167,9 @@ def reference_tables(
     table holds every structure of at most k deletions and at most x pairs
     in its subtree graph, every vertex deletable. `dominated` gives a vertex
     with |dom(v)| >= k budget 0, as `compute_tables` does, and `stop` ends
-    the list after the first empty table. With both it is the loop
-    `compute_tables` ran before it walked the heavier subtree first.
+    the list after the first empty table. With both, on the form of
+    `reference_make_nice`, it is the loop `compute_tables` ran before it
+    walked the heavier subtree first.
     """
     budget = [k if not dominated or d < k else 0 for d in g.dominator_counts]
     tables: list[DpTable] = []
@@ -183,6 +189,167 @@ def reference_tables(
         if stop and not tables[-1].entries:
             break
     return tables
+
+
+def reference_heuristic_decomposition(g) -> TreeDecomposition:
+    """`heuristic_decomposition` as it ran on `bits` and a `_fill_in` per recount.
+
+    Min-fill elimination; ties by min degree, then smallest id.
+
+    Disconnected graphs get one subtree per component stitched under a
+    synthetic empty root bag. Elimination runs on a copy of the graph's
+    adjacency masks. Each vertex's (fill, degree, id) key sits in a heap and
+    is recounted only when an elimination can change it.
+    """
+    n = g.n
+    if n == 0:
+        return TreeDecomposition((), ())
+
+    adj = list(g.adjacency_masks)
+    bags: list[frozenset[int]] = []
+    position = [0] * n
+    elim_neighbors: list[int] = []
+    key: list[tuple[int, int, int] | None] = [
+        (_fill_in(adj, adj[v]), adj[v].bit_count(), v) for v in range(n)
+    ]
+    heap = list(key)
+    heapq.heapify(heap)
+
+    for step in range(n):
+        while True:
+            best = heapq.heappop(heap)
+            v = best[2]
+            if key[v] == best:
+                break
+        key[v] = None
+        nbrs = adj[v]
+        bags.append(frozenset(bits(nbrs | 1 << v)))
+        position[v] = step
+        elim_neighbors.append(nbrs)
+        # A key can change only for a vertex whose neighbourhood changed (v's
+        # neighbours) or that sees both ends of a fill-in edge (a, b). Read
+        # before a's update, adj[a] & adj[b] differs from the common
+        # neighbours after it only inside v's neighbourhood and in v itself,
+        # which the recount drops.
+        touched = nbrs
+        for a in bits(nbrs):
+            new = nbrs & ~adj[a] & ~(1 << a)
+            for b in bits(new):
+                touched |= adj[a] & adj[b]
+            adj[a] = (adj[a] | new) & ~(1 << v)
+        for u in bits(touched & ~(1 << v)):
+            key[u] = (_fill_in(adj, adj[u]), adj[u].bit_count(), u)
+            heapq.heappush(heap, key[u])
+
+    # Each bag hangs from the bag of its earliest-eliminated neighbour.
+    edges = [
+        (step, min(position[u] for u in bits(nbrs)))
+        for step, nbrs in enumerate(elim_neighbors)
+        if nbrs
+    ]
+    roots = [step for step, nbrs in enumerate(elim_neighbors) if not nbrs]
+    if len(roots) > 1:
+        edges.extend((len(bags), r) for r in roots)
+        bags.append(frozenset())
+    return TreeDecomposition(tuple(bags), tuple(edges))
+
+
+def _fill_in(adj: list[int], nbrs: int) -> int:
+    """Non-adjacent pairs in the vertex mask nbrs: a misses nbrs & ~adj[a], itself included."""
+    return sum((nbrs & ~adj[a]).bit_count() - 1 for a in bits(nbrs)) // 2
+
+
+def reference_make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
+    """`make_nice` as it emitted the form before the walk order: each vertex's
+    part whole, in elimination order, and each join chain in hanging order.
+
+    The same nodes, numbered otherwise; see `make_nice` for the construction.
+    """
+    bags = td.bags
+    walk, _ = _walk(bags, td.tree_edges)
+    top: dict[int, int] = {}  # vertex -> walk position of its top
+    shared: set[int] = set()
+    for j, i in enumerate(walk):
+        for v in bags[i]:
+            if v in top:
+                shared.add(v)
+            else:
+                top[v] = j
+
+    order = sorted(top, key=lambda v: (-top[v], v not in shared, v))
+    rank = {v: r for r, v in enumerate(order)}
+    nodes: list[NiceNode] = []
+
+    def emit(kind: str, bag: frozenset[int], vertex: int | None, children: tuple[int, ...]) -> int:
+        nodes.append(NiceNode(kind, bag, vertex, children))
+        return len(nodes) - 1
+
+    def join(ends: list[int]) -> int:
+        acc = ends[0]
+        for end in ends[1:]:
+            acc = emit("join", nodes[acc].bag, None, (acc, end))
+        return acc
+
+    # The ends hung below each vertex; the roots' ends hang below None.
+    hung: dict[int | None, list[int]] = {}
+    for v in order:
+        later = frozenset(u for u in bags[walk[top[v]]] if rank[u] > rank[v])
+        ends = []
+        for end in hung.pop(v, None) or [emit("leaf", frozenset({v}), v, ())]:
+            for u in sorted(later - nodes[end].bag):
+                end = emit("introduce", nodes[end].bag | {u}, u, (end,))
+            ends.append(end)
+        end = emit("forget", later, v, (join(ends),))
+        hung.setdefault(min(later, key=rank.__getitem__, default=None), []).append(end)
+    if order:
+        join(hung[None])
+    return NiceTreeDecomposition(tuple(nodes))
+
+
+def in_walk_order(ntd: NiceTreeDecomposition) -> bool:
+    """Whether node ids follow dp-wx's walk: each subtree one run of ids
+    ending at its root, and at each join the child with more forget nodes
+    below it first (ties: the first child)."""
+    forgets: list[int] = []  # forget nodes in each node's subtree, itself included
+    span: list[int] = []  # nodes in each node's subtree
+    for i, nd in enumerate(ntd.nodes):
+        forgets.append((nd.kind == "forget") + sum(forgets[c] for c in nd.children))
+        span.append(1 + sum(span[c] for c in nd.children))
+        if nd.children and max(nd.children) != i - 1:
+            return False
+        if len(nd.children) == 2:
+            a, b = nd.children
+            first, second = sorted(nd.children)
+            if (a < b) != (forgets[a] >= forgets[b]) or first != second - span[second]:
+                return False
+    return True
+
+
+def nice_renumbering(
+    old: NiceTreeDecomposition, new: NiceTreeDecomposition
+) -> dict[int, int] | None:
+    """The node ids of `old` mapped onto those of `new`, or None when `new`
+    is not `old` renumbered.
+
+    Roots are matched, then each matched pair's children in their order, so
+    a join's children keep their (first, second) order. Every matched pair
+    must agree in kind, bag and vertex, and the map must cover both forms.
+    Both forms must be trees, as `validate_nice` checks.
+    """
+    if len(old.nodes) != len(new.nodes):
+        return None
+    mapping: dict[int, int] = {}
+    pending = [(old.root, new.root)] if old.nodes else []
+    while pending:
+        i, j = pending.pop()
+        a, b = old.nodes[i], new.nodes[j]
+        if a._replace(children=len(a.children)) != b._replace(children=len(b.children)):
+            return None
+        mapping[i] = j
+        pending.extend(zip(a.children, b.children))
+    if sorted(mapping) != sorted(mapping.values()) or len(mapping) != len(old.nodes):
+        return None
+    return mapping
 
 
 def has_clique(g: Graph, size: int) -> bool:

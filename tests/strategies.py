@@ -7,9 +7,9 @@ import random
 import subprocess
 import sys
 
-from hypothesis import strategies as st
+from hypothesis import assume, strategies as st
 
-from cncut.decomposition import TreeDecomposition
+from cncut.decomposition import TreeDecomposition, validate_decomposition
 from cncut.graph import Graph
 
 
@@ -38,6 +38,18 @@ def bag_trees(draw, max_n=6, max_bags=8):
         frozenset(draw(st.sets(st.integers(0, n), max_size=n))) for _ in range(count)
     )
     return n, TreeDecomposition(bags, tuple(edges))
+
+
+@st.composite
+def valid_bag_trees(draw, max_n=6, max_bags=8):
+    """A bag tree renamed onto 0..m-1 that decomposes the edgeless graph on m
+    vertices; empty and redundant bags stay. Returns (m, decomposition)."""
+    _, td = draw(bag_trees(max_n=max_n, max_bags=max_bags))
+    rename = {v: i for i, v in enumerate(sorted(frozenset().union(*td.bags)))}
+    bags = tuple(frozenset(rename[v] for v in b) for b in td.bags)
+    td = TreeDecomposition(bags, td.tree_edges)
+    assume(validate_decomposition(Graph(len(rename), frozenset()), td).ok)
+    return len(rename), td
 
 
 @st.composite

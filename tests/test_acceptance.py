@@ -105,7 +105,7 @@ def test_engine_cross_validation(suite, min_residuals):
                         violations.append((gi, k, x, "empty graph"))
             continue
         ntd = make_nice(heuristic_decomposition(g))
-        tables = compute_tables(g, ntd, K_MAX, X_MAX)
+        tables = compute_tables(g, ntd.nodes, K_MAX, X_MAX)
         for k in range(K_MAX + 1):
             expected_from = min_residuals[gi, k]
             for x in range(X_MAX + 1):
@@ -113,7 +113,7 @@ def test_engine_cross_validation(suite, min_residuals):
                 expected = expected_from <= x
                 got = {
                     "branch-kx": _branch(g, k, x).answer,
-                    "dp-wx": read_decision(tables, ntd, k, x) is not None,
+                    "dp-wx": read_decision(tables, k, x) is not None,
                     "dp-y": solve_y(g, k, total - x).answer,
                 }
                 for engine, answer in got.items():

@@ -23,6 +23,7 @@ from cncut.decomposition import (
     nice_annotations,
     parse_td,
     serialize_td,
+    stream_nice,
     validate_decomposition,
     validate_nice,
 )
@@ -31,8 +32,14 @@ from cncut.instance_io import CncInstance
 from cncut.oracle import oracle_decides
 from cncut.treewidth_dp import solve_wx
 
-from .reference import empty_graph
-from .strategies import bag_trees, graphs
+from .reference import (
+    empty_graph,
+    in_walk_order,
+    nice_renumbering,
+    reference_heuristic_decomposition,
+    reference_make_nice,
+)
+from .strategies import bag_trees, graphs, valid_bag_trees
 
 P3_BAGS = TreeDecomposition((frozenset({0, 1}), frozenset({1, 2})), ((0, 1),))
 
@@ -455,3 +462,88 @@ def test_nice_bag_trees_match_quadratic_reference(g):
             cut = bags[:i] + [bag - {v}] + bags[i + 1:]
             report = validate_decomposition(g, TreeDecomposition(tuple(cut), edges))
             assert (report.condition, report.message) == _conditions_reference(g, cut, edges)
+
+
+# The min-fill runs its bit loops inline, and the nice form comes out in
+# dp-wx's walk order; `tests/reference.py` keeps both as they were written
+# before.
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=14, max_m=40))
+def test_heuristic_matches_the_former_min_fill(g):
+    assert heuristic_decomposition(g) == reference_heuristic_decomposition(g)
+
+
+def test_heuristic_matches_the_former_min_fill_on_seeded_graphs():
+    for seed in range(150):
+        rng = random.Random(seed)
+        n = rng.randint(1, 60)
+        g = random_graph(n, rng.randint(0, min(n * (n - 1) // 2, 3 * n)), rng)
+        assert heuristic_decomposition(g) == reference_heuristic_decomposition(g), seed
+
+
+@st.composite
+def _decompositions(draw):
+    """A valid decomposition: the heuristic's of a drawn graph, one of a
+    disjoint union, or a renamed bag tree (empty and redundant bags kept)."""
+    kind = draw(st.sampled_from(["heuristic", "union", "bag tree"]))
+    if kind == "heuristic":
+        g = draw(graphs(max_n=10))
+    elif kind == "union":
+        g, _ = disjoint_union(draw(st.lists(graphs(min_n=1, max_n=4), min_size=2, max_size=4)))
+    else:
+        n, td = draw(valid_bag_trees())
+        return Graph(n, frozenset()), td
+    return g, heuristic_decomposition(g)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(_decompositions())
+def test_nice_form_is_the_reference_renumbered_in_walk_order(case):
+    # One bijection of node ids keeps every kind, bag, vertex and child
+    # order, join children included; the new ids follow the walk.
+    g, td = case
+    ntd = make_nice(td)
+    assert nice_renumbering(reference_make_nice(td), ntd) is not None
+    assert validate_nice(g, ntd).ok
+    assert in_walk_order(ntd)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(_decompositions())
+def test_stream_counts_the_form(case):
+    _, td = case
+    ntd = make_nice(td)
+    node_count, width, nodes = stream_nice(td)
+    assert (node_count, width) == (len(ntd.nodes), ntd.width)
+    assert tuple(nodes) == ntd.nodes
+
+
+def test_stream_counts_edge_cases():
+    cases = [
+        heuristic_decomposition(empty_graph(0)),
+        heuristic_decomposition(empty_graph(5)),
+        heuristic_decomposition(disjoint_union([path_graph(3), complete_graph(4)])[0]),
+        TreeDecomposition((frozenset(), frozenset({0}), frozenset()), ((0, 1), (1, 2))),
+    ]
+    for td in cases:
+        ntd = make_nice(td)
+        assert stream_nice(td)[:2] == (len(ntd.nodes), ntd.width)
+
+
+def test_stream_raises_before_any_node():
+    td = TreeDecomposition((frozenset({0}), frozenset({1})), ())
+    with pytest.raises(StructuralError, match="unreached"):
+        stream_nice(td)
+
+
+def test_make_nice_needs_no_recursion_on_a_long_path():
+    # Each vertex of the path hangs below the next, 5,000 deep, far past
+    # the interpreter's recursion limit: one leaf, 4,999 introduces and
+    # 5,000 forgets.
+    g = path_graph(5000)
+    td = heuristic_decomposition(g)
+    ntd = make_nice(td)
+    assert validate_nice(g, ntd).ok
+    assert stream_nice(td)[:2] == (len(ntd.nodes), ntd.width) == (2 * 5000, 1)

@@ -437,7 +437,8 @@ def test_self_built_forms_skip_validate_nice(monkeypatch):
 
 def test_auto_builds_one_decomposition_for_dp_wx(monkeypatch):
     # Auto measures the heuristic's width, then dp-wx runs on its nice form:
-    # one min-fill and one make_nice per run, wherever solve_wx reads them.
+    # one min-fill and one nice form per run, wherever solve_wx reads them.
+    # solve_wx streams the form it builds itself, so that is `stream_nice`.
     from cncut import decomposition, treewidth_dp
 
     calls = []
@@ -450,13 +451,13 @@ def test_auto_builds_one_decomposition_for_dp_wx(monkeypatch):
             return fn(arg)
         return wrapper
 
-    for name in ("heuristic_decomposition", "make_nice"):
+    for name in ("heuristic_decomposition", "stream_nice"):
         wrapper = counted(name)
         monkeypatch.setattr(decomposition, name, wrapper)
         monkeypatch.setattr(treewidth_dp, name, wrapper)
     report = run_instance(CncInstance(path_graph(40), 2, x=6))
     assert report.algorithm == "dp-wx"
-    assert sorted(calls) == ["heuristic_decomposition", "make_nice"]
+    assert sorted(calls) == ["heuristic_decomposition", "stream_nice"]
 
 
 def test_select_algorithm_builds_no_nice_form(monkeypatch):
@@ -467,7 +468,8 @@ def test_select_algorithm_builds_no_nice_form(monkeypatch):
         raise AssertionError("select_algorithm built a nice form")
 
     monkeypatch.setattr(decomposition, "make_nice", unexpected)
-    monkeypatch.setattr(treewidth_dp, "make_nice", unexpected)
+    monkeypatch.setattr(decomposition, "stream_nice", unexpected)
+    monkeypatch.setattr(treewidth_dp, "stream_nice", unexpected)
     assert select_algorithm(path_graph(40), 2, 6, None) == "dp-wx"
 
 

@@ -22,6 +22,7 @@ from cncut.decomposition import (
     TreeDecomposition,
     heuristic_decomposition,
     make_nice,
+    stream_nice,
     validate_nice,
 )
 from cncut.oracle import oracle_decides
@@ -37,7 +38,13 @@ from cncut.treewidth_dp import (
     solve_wx,
 )
 
-from .reference import empty_graph, reference_tables
+from .reference import (
+    empty_graph,
+    in_walk_order,
+    nice_renumbering,
+    reference_make_nice,
+    reference_tables,
+)
 from .strategies import bag_trees, graphs
 
 EMPTY = frozenset()
@@ -306,7 +313,7 @@ def test_validated_introduce_sees_all_subtree_neighbors(case):
 def test_compute_tables_rejects_unknown_kind():
     ntd = NiceTreeDecomposition((NiceNode("weird", frozenset({0}), 0, ()),))
     with pytest.raises(StructuralError, match="unknown node kind"):
-        compute_tables(path_graph(1), ntd, 1, 2)
+        compute_tables(path_graph(1), ntd.nodes, 1, 2)
 
 
 def test_root_entries_are_certificates():
@@ -325,8 +332,8 @@ def test_root_entries_are_certificates():
     checked = 0
     for g, k, x in cases:
         ntd = make_nice(heuristic_decomposition(g))
-        tables = compute_tables(g, ntd, k, x)
-        if ntd.root not in tables:
+        tables = compute_tables(g, ntd.nodes, k, x)
+        if len(tables) < len(ntd.nodes):
             continue
         root = tables[ntd.root]
         for (k_used, deleted, blocks), (min_x, cut) in root.entries.items():
@@ -341,10 +348,10 @@ def test_root_entries_are_certificates():
 def test_read_decision_thresholds():
     g = path_graph(4)
     ntd = make_nice(heuristic_decomposition(g))
-    tables = compute_tables(g, ntd, 1, 2)
-    assert read_decision(tables, ntd, 1, 2) is not None
-    assert read_decision(tables, ntd, 0, 2) is None
-    assert read_decision(tables, ntd, 1, 1) is None
+    tables = compute_tables(g, ntd.nodes, 1, 2)
+    assert read_decision(tables, 1, 2) is not None
+    assert read_decision(tables, 0, 2) is None
+    assert read_decision(tables, 1, 1) is None
 
 
 def test_tables_stop_at_the_first_empty_one():
@@ -353,12 +360,11 @@ def test_tables_stop_at_the_first_empty_one():
     # budget too.
     g = complete_graph(4)
     ntd = make_nice(heuristic_decomposition(g))
-    tables = compute_tables(g, ntd, 1, 2)
-    built = list(tables.values())
-    assert ntd.root not in tables
-    assert not built[-1] and all(built[:-1])
-    assert read_decision(tables, ntd, 1, 2) is None
-    assert read_decision(tables, ntd, 0, 0) is None
+    tables = compute_tables(g, ntd.nodes, 1, 2)
+    assert len(tables) < len(ntd.nodes)
+    assert not tables[-1] and all(tables[:-1])
+    assert read_decision(tables, 1, 2) is None
+    assert read_decision(tables, 0, 0) is None
     stats = solve_wx(g, 1, 2).stats
     assert (stats.tables_built, stats.node_count) == (len(tables), len(ntd.nodes))
     # A YES instance builds every table.
@@ -375,74 +381,89 @@ def test_early_stop_matches_oracle_and_full_tables(g, k, x):
     dec = solve_wx(g, k, x)
     assert dec.answer == oracle_decides(g, k, x)
     ntd = make_nice(heuristic_decomposition(g))
-    if len(compute_tables(g, ntd, k, x)) < len(ntd.nodes):
+    if len(compute_tables(g, ntd.nodes, k, x)) < len(ntd.nodes):
         root = reference_tables(g, ntd, k, x)[ntd.root]
         assert not [struct for struct, (min_x, _) in root.entries.items()
                     if struct[0] <= k and min_x <= x]
 
 
-def _forgets_below(ntd):
-    """Forget nodes in each node's subtree, the node itself included."""
-    below = []
-    for nd in ntd.nodes:
-        below.append((nd.kind == "forget") + sum(below[c] for c in nd.children))
-    return below
-
-
 @settings(max_examples=200, deadline=None)
 @given(graphs(max_n=8), st.integers(0, 3), st.integers(0, 12))
 def test_walk_builds_the_index_order_tables(g, k, x):
-    # A rule reads only its children's tables, so the heavier-first walk
-    # builds, at each node it reaches, the table dp-wx's former index-order
-    # loop built there, carried cuts included, and it reaches the root
-    # exactly when that loop does.
-    ntd = make_nice(heuristic_decomposition(g))
+    # make_nice emits the former form renumbered in walk order, and a rule
+    # reads only its children's tables, so compute_tables builds, at each
+    # node it reaches, the table that dp-wx's former loop built at the same
+    # node in the former index order, carried cuts included, and it reaches
+    # the root exactly when that loop does.
+    td = heuristic_decomposition(g)
+    ntd, old = make_nice(td), reference_make_nice(td)
     assume(ntd.nodes)  # the empty graph's form has no root
+    new_id = nice_renumbering(old, ntd)
+    assert new_id is not None
     stats = WxStats()
-    tables = compute_tables(g, ntd, k, x, stats)
-    full = reference_tables(g, ntd, k, x, dominated=True)
-    for i, t in tables.items():
-        assert t.entries == full[i].entries, i
-    index_order = reference_tables(g, ntd, k, x, dominated=True, stop=True)
-    assert (ntd.root in tables) == (ntd.root < len(index_order))
-    if ntd.root in tables:
-        assert tables[ntd.root].entries == index_order[ntd.root].entries
-    # Children first, and at a join the child with more forgets below it
-    # first.
-    seen = set()
-    for i in tables:
-        assert set(ntd.nodes[i].children) <= seen, i
-        seen.add(i)
-    position = {i: p for p, i in enumerate(tables)}
-    below = _forgets_below(ntd)
-    for i in tables:
-        if ntd.nodes[i].kind == "join":
-            a, b = ntd.nodes[i].children
-            if below[a] != below[b]:
-                heavy, light = (a, b) if below[a] > below[b] else (b, a)
-                assert position[heavy] < position[light], i
+    tables = compute_tables(g, ntd.nodes, k, x, stats)
+    full = reference_tables(g, old, k, x, dominated=True)
+    for i, t in new_id.items():
+        if t < len(tables):
+            assert tables[t].entries == full[i].entries, i
+    index_order = reference_tables(g, old, k, x, dominated=True, stop=True)
+    reached = len(tables) == len(ntd.nodes)
+    assert reached == (old.root < len(index_order))
+    if reached:
+        assert tables[ntd.root].entries == index_order[old.root].entries
+    # The walk is the former one: children first, each subtree in one run of
+    # ids, and at a join the child with more forgets below it first.
+    assert in_walk_order(ntd)
     # Only the last table built may be empty, and the stats count the
     # tables built.
-    built = list(tables.values())
-    assert all(built[:-1])
+    assert all(tables[:-1])
     assert stats == WxStats(
-        tables_built=len(built),
-        max_table_structs=max(map(len, built), default=0),
-        max_table_expanded=max((t.expanded_count() for t in built), default=0),
-        total_structs=sum(map(len, built)),
+        tables_built=len(tables),
+        max_table_structs=max(map(len, tables), default=0),
+        max_table_expanded=max((t.expanded_count() for t in tables), default=0),
+        total_structs=sum(map(len, tables)),
     )
 
 
 def test_walk_stops_sooner_than_index_order():
-    # A NO instance whose index-order loop built 18 of 36 tables before the
-    # first empty one; the heavier subtree empties after 5.
+    # A NO instance whose former index-order loop built 18 of 36 tables
+    # before the first empty one; the heavier subtree empties after 5.
     g = random_graph(10, 12, random.Random(17))
-    ntd = make_nice(heuristic_decomposition(g))
-    tables = compute_tables(g, ntd, 1, 4)
-    assert len(reference_tables(g, ntd, 1, 4, dominated=True, stop=True)) == 18
+    td = heuristic_decomposition(g)
+    ntd = make_nice(td)
+    tables = compute_tables(g, ntd.nodes, 1, 4)
+    assert len(reference_tables(g, reference_make_nice(td), 1, 4, dominated=True, stop=True)) == 18
     assert (len(ntd.nodes), len(tables)) == (36, 5)
-    assert not list(tables.values())[-1]
-    assert not solve_wx(g, 1, 4).answer
+    assert not tables[-1]
+    dec = solve_wx(g, 1, 4)
+    assert not dec.answer and dec.stats.tables_built == 5
+
+
+def test_solve_builds_no_node_past_the_first_empty_table(monkeypatch):
+    # An early NO: solve_wx draws from its own form's emitter exactly the
+    # nodes whose tables it builds, and still reports the whole form's node
+    # count and width.
+    from cncut import treewidth_dp
+
+    drawn = []
+
+    def counted(td):
+        form = stream_nice(td)
+
+        def nodes():
+            for nd in form.nodes:
+                drawn.append(nd)
+                yield nd
+        return form._replace(nodes=nodes())
+
+    monkeypatch.setattr(treewidth_dp, "stream_nice", counted)
+    g = random_graph(30, 33, random.Random(1))
+    dec = solve_wx(g, 3, 8)
+    ntd = make_nice(heuristic_decomposition(g))
+    assert not dec.answer
+    assert len(drawn) == dec.stats.tables_built < dec.stats.node_count == len(ntd.nodes)
+    assert dec.stats.width == ntd.width
+    assert tuple(drawn) == ntd.nodes[:len(drawn)]
 
 
 def _join_pair_reference(l_struct, l_min, r_struct, r_min, k, x):
@@ -504,12 +525,12 @@ def _join_reference(left, right, k, x):
 @given(graphs(min_n=1, max_n=8), st.integers(0, 2), st.integers(0, 8))
 def test_join_matches_union_find_reference(g, k, x):
     ntd = make_nice(heuristic_decomposition(g))
-    tables = compute_tables(g, ntd, k, x)
+    tables = compute_tables(g, ntd.nodes, k, x)
     # Any two built tables over one bag can be joined: both children of every
     # join node, in both orders, and a few more same-bag pairs.
     pairs = set()
     by_bag: dict = {}
-    for i in tables:
+    for i in range(len(tables)):
         nd = ntd.nodes[i]
         if nd.kind == "join":
             a, b = nd.children
@@ -614,10 +635,10 @@ def test_agrees_with_oracle_on_seeded_graphs():
 
 def _check_table_internals(g, k, x):
     ntd = make_nice(heuristic_decomposition(g))
-    tables = compute_tables(g, ntd, k, x)
+    tables = compute_tables(g, ntd.nodes, k, x)
     w = ntd.width
     bound = 10 * max(g.n, 1) * max(x, 1) * (w + x + 2) ** (w + 1)
-    for i, t in tables.items():
+    for i, t in enumerate(tables):
         nd = ntd.nodes[i]
         assert t.expanded_count() <= bound
         bag = mask(*nd.bag)
