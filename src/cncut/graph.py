@@ -188,6 +188,17 @@ class Graph(FrozenRecord):
             above |= bit
         return tuple(counts)
 
+    @cached_property
+    def heuristic_td(self):
+        """The min-fill tree decomposition, `decomposition.heuristic_decomposition(self)`.
+
+        The function is read off its module here, so this module loads no
+        decomposition code at import and a patch of that module reaches it.
+        """
+        from . import decomposition
+
+        return decomposition.heuristic_decomposition(self)
+
     @property
     def m(self) -> int:
         return len(self.edges)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import sys
 import time
-from functools import cached_property
 from importlib import import_module
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -73,22 +72,18 @@ class RunReport(NamedTuple):
 
 
 class _Plan:
-    """Shared inputs of one instance, each built once; the heuristic on first use.
+    """Shared inputs of one instance, each built once.
 
-    `ntd` is a supplied nice form, or None. Without one, dp-wx runs on the
-    nice form of `td`, the heuristic that auto has already built to measure
-    its width; `solve_wx` builds that form unchecked, as it does for a
-    heuristic of its own.
+    `ntd` is a supplied nice form, or None. Without one, auto measures the
+    width of `g.heuristic_td`, the min-fill decomposition cached on the
+    graph, and dp-wx runs on that decomposition's nice form, which
+    `solve_wx` builds unchecked.
     """
 
     def __init__(self, g: Graph, k: int, x: int | None, y: int | None, ntd=None):
         self.g, self.k, self.y, self.ntd = g, k, y, ntd
         self.total = connected_pairs(g)
         self.x_eff = x if x is not None else self.total - y
-
-    @cached_property
-    def td(self):
-        return _lazy("decomposition").heuristic_decomposition(self.g)
 
 
 def _check_engine(algo: str) -> None:
@@ -111,7 +106,7 @@ def _auto(plan: _Plan) -> str:
         return "dp-y"
     x_eff = plan.x_eff
     # A supplied form is the one dp-wx would run on, so its width decides.
-    width = plan.td.width if plan.ntd is None else plan.ntd.width
+    width = plan.g.heuristic_td.width if plan.ntd is None else plan.ntd.width
     if width + x_eff <= DP_WX_MAX:
         return "dp-wx"
     if x_eff + plan.k <= BRANCH_KX_MAX:
@@ -172,14 +167,6 @@ def select_algorithm(
     return _route(_Plan(g, k, x, y), user_choice)[0]
 
 
-def _solve_wx(plan: _Plan, config: HarnessConfig) -> Decision:
-    # Only a supplied form is validated; the heuristic's is valid by construction.
-    wx = _lazy("treewidth_dp")
-    if plan.ntd is None:
-        return wx.solve_wx(plan.g, plan.k, plan.x_eff, _td=plan.td)
-    return wx.solve_wx(plan.g, plan.k, plan.x_eff, ntd=plan.ntd)
-
-
 def _solve_oracle(plan: _Plan, config: HarnessConfig) -> Decision:
     res = _lazy("oracle").oracle_min_pairs(plan.g, plan.k, cap=config.oracle_cap)
     stats = {"explored": res.explored, "min_residual_pairs": res.min_residual_pairs}
@@ -195,7 +182,7 @@ _SOLVERS = {
     "branch-kx": lambda p, c: _lazy("branching").solve_branch_kx(p.g, p.k, p.x_eff),
     "dp-y": lambda p, c: _lazy("component_dp").solve_y(
         p.g, p.k, p.total - p.x_eff, cap=c.oracle_cap),
-    "dp-wx": _solve_wx,
+    "dp-wx": lambda p, c: _lazy("treewidth_dp").solve_wx(p.g, p.k, p.x_eff, p.ntd),
 }
 ENGINES = tuple(_SOLVERS)
 

@@ -68,8 +68,6 @@ from .decomposition import (
     NiceNode,
     NiceTreeDecomposition,
     StructuralError,
-    TreeDecomposition,
-    heuristic_decomposition,
     stream_nice,
     validate_nice,
 )
@@ -319,42 +317,29 @@ def extract_cut(tables: list[DpTable], root_struct: Struct) -> frozenset[int]:
     return frozenset(bits(tables[-1].entries[root_struct][1]))
 
 
-def solve_wx(
-    g: Graph,
-    k: int,
-    x: int,
-    ntd: NiceTreeDecomposition | None = None,
-    *,
-    _td: TreeDecomposition | None = None,
-) -> Decision:
+def solve_wx(g: Graph, k: int, x: int, ntd: NiceTreeDecomposition | None = None) -> Decision:
     """YES/NO plus certificate, computed over a nice tree decomposition of g.
 
-    A supplied `ntd` must pass `validate_nice`, or StructuralError is raised.
-    Without one, the form is `make_nice(heuristic_decomposition(g))`, which
-    is valid by construction and so is not checked. That form is streamed
-    into `compute_tables` (`stream_nice`), so a NO builds none of it past
-    the first empty table; `node_count` and `width` come from its skeleton.
-
-    `_td` is for the harness alone, which has already built
-    `heuristic_decomposition(g)` to measure its width and hands it over so
-    that min-fill runs once. It must be exactly that decomposition: its nice
-    form is not checked, so any other one can give a wrong answer. Every
-    other caller passes a decomposition as `ntd`.
+    A supplied `ntd` must pass `validate_nice`, or StructuralError is raised,
+    whatever the answer would be. Without one, the form is the nice form of
+    the graph's cached min-fill decomposition, `g.heuristic_td`, which is
+    valid by construction and so is not checked. That form is streamed into
+    `compute_tables` (`stream_nice`), so a NO builds none of it past the
+    first empty table; `node_count` and `width` come from its skeleton.
     """
     check_parameters(k, x)
+    if ntd is not None and not (report := validate_nice(g, ntd)).ok:
+        raise StructuralError(
+            f"invalid nice decomposition (condition {report.condition}): {report.message}"
+        )
     base = connected_pairs(g)
     if base <= x:
         # Every table x' range would be moot; the empty cut already certifies.
         return Decision(True, certify(g, Cut(frozenset(), base), k, x, "dp-wx"), WxStats())
 
     if ntd is None:
-        node_count, width, nodes = stream_nice(heuristic_decomposition(g) if _td is None else _td)
+        node_count, width, nodes = stream_nice(g.heuristic_td)
     else:
-        report = validate_nice(g, ntd)
-        if not report.ok:
-            raise StructuralError(
-                f"invalid nice decomposition (condition {report.condition}): {report.message}"
-            )
         node_count, width, nodes = len(ntd.nodes), ntd.width, ntd.nodes
 
     stats = WxStats(node_count=node_count, width=width)

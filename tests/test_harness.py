@@ -437,8 +437,10 @@ def test_self_built_forms_skip_validate_nice(monkeypatch):
 
 def test_auto_builds_one_decomposition_for_dp_wx(monkeypatch):
     # Auto measures the heuristic's width, then dp-wx runs on its nice form:
-    # one min-fill and one nice form per run, wherever solve_wx reads them.
-    # solve_wx streams the form it builds itself, so that is `stream_nice`.
+    # one min-fill per Graph, cached as `Graph.heuristic_td`, and one nice
+    # form per run. solve_wx streams the form it builds itself, so that is
+    # `stream_nice`. The path is built here, so no earlier test filled its
+    # cache.
     from cncut import decomposition, treewidth_dp
 
     calls = []
@@ -451,13 +453,49 @@ def test_auto_builds_one_decomposition_for_dp_wx(monkeypatch):
             return fn(arg)
         return wrapper
 
-    for name in ("heuristic_decomposition", "stream_nice"):
-        wrapper = counted(name)
-        monkeypatch.setattr(decomposition, name, wrapper)
-        monkeypatch.setattr(treewidth_dp, name, wrapper)
+    monkeypatch.setattr(decomposition, "heuristic_decomposition", counted("heuristic_decomposition"))
+    wrapper = counted("stream_nice")
+    monkeypatch.setattr(decomposition, "stream_nice", wrapper)
+    monkeypatch.setattr(treewidth_dp, "stream_nice", wrapper)
     report = run_instance(CncInstance(path_graph(40), 2, x=6))
     assert report.algorithm == "dp-wx"
     assert sorted(calls) == ["heuristic_decomposition", "stream_nice"]
+
+
+def test_forced_dp_wx_builds_one_decomposition_per_graph(monkeypatch):
+    # `cnc bench` forces dp-wx on every (k, x) cell of a graph; min-fill runs
+    # on the first cell that reaches dp-wx and the rest read the cache. The
+    # family's graphs are built inside run_bench, so no cache is filled yet.
+    from cncut import decomposition
+
+    heuristic = decomposition.heuristic_decomposition
+    seen = []
+
+    def counted(g):
+        seen.append(id(g))
+        return heuristic(g)
+
+    monkeypatch.setattr(decomposition, "heuristic_decomposition", counted)
+    rows = run_bench("random:n=10:m=18:count=3:seed=7:k=0-3:x=0-10", engines=("dp-wx",))
+    reached = {r["instance"].rsplit("-k", 1)[0] for r in rows if r["algorithm"] == "dp-wx"}
+    assert len(rows) == 132 and reached
+    assert len(seen) == len(set(seen)) == len(reached)
+
+    g = path_graph(7)
+    td = g.heuristic_td
+    assert td == heuristic(g)
+    assert g.heuristic_td is td
+
+
+def test_run_instance_takes_the_catalogue_hook_call():
+    # The benchmark's catalogue workload replaces `bench.run_instance` with a
+    # hook that forwards exactly these arguments to `harness.run_instance`.
+    import inspect
+
+    from cncut import harness
+
+    inst = CncInstance(path_graph(3), 1, x=0)
+    inspect.signature(harness.run_instance).bind(inst, algo="auto", config=HarnessConfig(), ntd=None)
 
 
 def test_select_algorithm_builds_no_nice_form(monkeypatch):

@@ -246,10 +246,18 @@ def test_solve_rejects_invalid_decomposition():
         solve_wx(path_graph(3), 1, 1, ntd=ntd)
 
 
+def test_supplied_form_is_checked_even_when_the_bound_is_already_met():
+    # path_graph(3) has 6 pairs, so x = 6 is met by the empty cut; the
+    # one-bag form still misses vertices 1 and 2, and is rejected first.
+    ntd = make_nice(TreeDecomposition((frozenset({0}),), ()))
+    with pytest.raises(StructuralError, match="condition 1"):
+        solve_wx(path_graph(3), 1, 6, ntd=ntd)
+
+
 def test_solve_takes_a_decomposition_only_as_a_checked_nice_form():
-    # The heuristic the harness hands over is used unchecked, so it is a
-    # private keyword: a plain tree decomposition cannot be passed by name or
-    # by position, and one that misses an edge is rejected once made nice.
+    # Only the graph's own min-fill decomposition is used unchecked: a plain
+    # tree decomposition cannot be passed by name or by position, and one
+    # that misses an edge is rejected once made nice.
     bad = heuristic_decomposition(Graph(3, ()))
     with pytest.raises(TypeError):
         solve_wx(path_graph(3), 1, 1, td=bad)
