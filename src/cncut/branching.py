@@ -29,6 +29,17 @@ reaches the node contains u. An inclusion-minimal cover still reaches its
 leaf by choosing "delete u" here. The leaves yielded are therefore a
 subsequence of the unpruned search's, with the same minimal covers.
 
+`solve_branch_kx` searches the graph relabelled in max-degree peel order
+(`Graph.peel_order`, cached per graph with its relabelled masks
+`Graph.peel_masks`): the vertex with the most neighbours not yet taken gets
+the next label, the smallest id on ties. So u, the smallest vertex with a
+live edge, is a dense one, and the high-degree rule fires near the root. A
+relabelling is an isomorphism, and nothing above depends on which order
+labels the vertices, so the search of the relabelled graph reaches the
+image of every minimal cover and the answers stay the same. Each cover is
+mapped back to input ids before it is extended and certified; a YES may
+come from another first cover than in id order.
+
 No adjacency is copied: a search node is the tuple (alive, u, kept, chosen,
 k_rem, x_rem). alive masks the undeleted vertices, u is the smallest vertex
 that can still have a live edge, and kept masks the neighbours v of u whose
@@ -170,20 +181,22 @@ def extend_minimal_cover(
 def solve_branch_kx(g: Graph, k: int, x: int) -> Decision:
     """YES/NO plus a certificate cut for: delete <= k vertices, <= x pairs remain.
 
-    Searches covers with an edge budget of x // 2 (a solution leaves at most
-    that many edges) and extends each distinct cover as soon as the search
-    reaches it. Every minimal cover is reached and every solution extends one,
+    Searches covers of the graph in peel order with an edge budget of x // 2
+    (a solution leaves at most that many edges) and extends each distinct
+    cover, back in input ids, as soon as the search reaches it. Every
+    minimal cover is reached and every solution extends one,
     so the first YES settles the instance and exhausting the search means NO.
     """
     check_parameters(k, x)
     stats = BranchStats()
+    order = g.peel_order
     extended: set[int] = set()
-    for cover in _covers(g.adjacency_masks, k, x // 2, stats):
+    for cover in _covers(g.peel_masks, k, x // 2, stats):
         if cover in extended:
             continue
         extended.add(cover)
         stats.minimal_solutions_found += 1
-        cut = extend_minimal_cover(g, frozenset(bits(cover)), k, x, stats)
+        cut = extend_minimal_cover(g, frozenset(order[i] for i in bits(cover)), k, x, stats)
         if cut is not None:
             return Decision(True, certify(g, cut, k, x, "branch-kx"), stats)
     return Decision(False, None, stats)

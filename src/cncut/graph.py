@@ -189,6 +189,46 @@ class Graph(FrozenRecord):
         return tuple(counts)
 
     @cached_property
+    def peel_order(self) -> tuple[int, ...]:
+        """The vertices in max-degree peel order: at each turn, the vertex with
+        the most neighbours not yet taken, the smallest id on ties.
+
+        A heap holds (-live degree, id) entries; an entry whose degree has
+        since dropped is stale and skipped, so the order costs
+        O((n + m) log n).
+        """
+        from heapq import heapify, heappop, heappush
+
+        masks = self.adjacency_masks
+        degree = [m.bit_count() for m in masks]
+        heap = [(-d, v) for v, d in enumerate(degree)]
+        heapify(heap)
+        live = (1 << self.n) - 1
+        order: list[int] = []
+        while heap:
+            d, v = heappop(heap)
+            if not live >> v & 1 or -d != degree[v]:
+                continue
+            live ^= 1 << v
+            order.append(v)
+            for w in bits(masks[v] & live):
+                degree[w] -= 1
+                heappush(heap, (-degree[w], w))
+        return tuple(order)
+
+    @cached_property
+    def peel_masks(self) -> tuple[int, ...]:
+        """The adjacency masks relabelled by `peel_order`: vertex peel_order[i] is i."""
+        rank = [0] * self.n
+        for i, v in enumerate(self.peel_order):
+            rank[v] = i
+        masks = [0] * self.n
+        for u, v in self.edges:
+            masks[rank[u]] |= 1 << rank[v]
+            masks[rank[v]] |= 1 << rank[u]
+        return tuple(masks)
+
+    @cached_property
     def heuristic_td(self):
         """The min-fill tree decomposition, `decomposition.heuristic_decomposition(self)`.
 

@@ -6,7 +6,9 @@ own bookkeeping, so a test can hold a construction's structural claims
 against it. `reference_covers` is the branch-kx search written the plain
 way, copying the adjacency at every node and without the per-node
 high-degree rule, so the mask-based search can be held to a subsequence of
-its leaves with the same minimal covers, in no more nodes. `connected_components`
+its leaves with the same minimal covers, in no more nodes; `peeled` gives
+the graph in the labelling `solve_branch_kx` searches, so that the two run
+on the same one. `connected_components`
 labels `Graph.components` per vertex for the graph tests,
 `dominator_counts` is `Graph.dominator_counts` from its definition, and
 `reference_tables` is dp-wx's table loop in node index order, with the
@@ -31,6 +33,12 @@ from cncut.treewidth_dp import DpTable, forget_table, introduce_table, join_tabl
 
 def empty_graph(n: int) -> Graph:
     return Graph(n, frozenset())
+
+
+def peeled(g: Graph) -> Graph:
+    """g relabelled by `Graph.peel_order`, the labelling `solve_branch_kx` searches."""
+    rank = {v: i for i, v in enumerate(g.peel_order)}
+    return Graph.from_edges(g.n, [(rank[u], rank[v]) for u, v in g.edges])
 
 
 class ComponentLabeling(NamedTuple):

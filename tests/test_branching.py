@@ -26,7 +26,7 @@ from cncut.branching import (
 from cncut.kernel import kernelize_kx
 from cncut.oracle import oracle_decides, oracle_min_pairs
 
-from .reference import empty_graph, reference_covers
+from .reference import empty_graph, peeled, reference_covers
 from .strategies import graphs, graphs_with_subset
 
 
@@ -108,10 +108,11 @@ def test_covers_match_reference_on_baseline_graph():
 def test_solve_counts_nodes_up_to_first_yes(g, k, x):
     dec = solve_branch_kx(g, k, x)
     assert dec.answer
-    ref_answer, ref_nodes = reference_first_yes(g, k, x)
+    # The reference searches the labelling solve_branch_kx searches.
+    ref_answer, ref_nodes = reference_first_yes(peeled(g), k, x)
     assert ref_answer and dec.stats.nodes_visited <= ref_nodes
     # The search stopped before its end, so the count is that of a prefix.
-    assert dec.stats.nodes_visited < search(_covers, g, k, x // 2)[1]
+    assert dec.stats.nodes_visited < search(_covers, peeled(g), k, x // 2)[1]
 
 
 def test_covers_single_edge():
@@ -229,8 +230,13 @@ def test_solver_agrees_with_oracle_where_the_degree_rule_fires():
             if 0 <= x <= 14:
                 dec = solve_branch_kx(g, k, x)
                 assert dec.answer == oracle_decides(g, k, x), (seed, x)
-                # The rule fired: the search beat the unpruned one.
-                assert dec.stats.nodes_visited < reference_first_yes(g, k, x)[1]
+                # Against the unpruned search of the labelling it searched:
+                # never more nodes, and on a NO, where the whole tree is
+                # searched, the rule fired and it took fewer. A YES can come
+                # before the first node the rule prunes, in as many nodes.
+                ref_nodes = reference_first_yes(peeled(g), k, x)[1]
+                assert dec.stats.nodes_visited <= ref_nodes
+                assert dec.answer or dec.stats.nodes_visited < ref_nodes
                 answers.append(dec.answer)
     assert 0 < sum(answers) < len(answers)
 
@@ -238,14 +244,34 @@ def test_solver_agrees_with_oracle_where_the_degree_rule_fires():
 def test_solve_baseline_graph_node_count():
     dec = solve_branch_kx(random_graph(40, 60, Random(0)), 6, 8)
     assert not dec.answer
-    assert dec.stats.nodes_visited == 24_566
+    assert dec.stats.nodes_visited == 10_213
 
 
 def test_kernelized_hang_instance_is_no():
     trace = kernelize_kx(random_graph(30, 90, Random(3)), 8, 12)
     dec = solve_branch_kx(trace.kernel_graph, trace.k_out, 12)
     assert not dec.answer
-    assert dec.stats.nodes_visited == 276_934
+    assert dec.stats.nodes_visited == 128_666
+
+
+def test_solve_maps_the_cut_back_to_input_ids():
+    # The hub has the largest id and is searched as vertex 0.
+    g = Graph.from_edges(4, [(3, 0), (3, 1), (3, 2)])
+    assert g.peel_order[0] == 3
+    dec = solve_branch_kx(g, 1, 0)
+    assert dec.answer and dec.cut.vertices == {3}
+
+
+@given(graphs(max_n=8), st.integers(0, 3), st.integers(0, 8))
+def test_peel_order_search_agrees_with_oracle(g, k, x):
+    dec = solve_branch_kx(g, k, x)
+    assert dec.answer == oracle_decides(g, k, x)
+    # The peeled graph is its own peel order, so its search is the same
+    # tree and stops at the same node: whether a cover extends does not
+    # depend on the labelling.
+    again = solve_branch_kx(peeled(g), k, x)
+    assert again.answer == dec.answer
+    assert again.stats.nodes_visited == dec.stats.nodes_visited
 
 
 def test_solve_stops_at_first_yes():

@@ -25,6 +25,7 @@ from .reference import (
     dominator_counts,
     empty_graph,
     is_bipartite,
+    peeled,
 )
 from .strategies import child_peak_rss_mb, graphs, graphs_with_subset
 
@@ -265,6 +266,32 @@ def test_dominator_counts_rank_twins_by_id():
     assert star_graph(3).dominator_counts == (0, 1, 2, 3)
     # An isolated vertex is dominated by every vertex ranked above it.
     assert empty_graph(3).dominator_counts == (0, 1, 2)
+
+
+@given(graphs(max_n=10))
+def test_peel_order_takes_the_most_live_neighbours_first(g):
+    order = g.peel_order
+    assert sorted(order) == list(range(g.n))
+    live = set(range(g.n))
+    for v in order:
+        # The most neighbours still live, and the smallest id on ties.
+        assert v == min(live, key=lambda u: (-len(g.neighbors(u) & live), u))
+        live.remove(v)
+
+
+def test_peel_order_examples():
+    assert Graph.from_edges(4, [(3, 0), (3, 1), (3, 2)]).peel_order == (3, 0, 1, 2)
+    # The path's inner vertices tie; taking 1 leaves 3 the only one of degree 2.
+    assert path_graph(5).peel_order == (1, 3, 0, 2, 4)
+    assert empty_graph(3).peel_order == (0, 1, 2)
+    assert empty_graph(0).peel_order == () and empty_graph(0).peel_masks == ()
+
+
+@given(graphs(max_n=10))
+def test_peel_masks_carry_exactly_the_edges(g):
+    assert g.peel_masks == peeled(g).adjacency_masks
+    # The relabelled graph is already in peel order.
+    assert peeled(g).peel_order == tuple(range(g.n))
 
 
 @given(graphs_with_subset())
