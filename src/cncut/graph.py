@@ -193,27 +193,20 @@ class Graph(FrozenRecord):
         """The vertices in max-degree peel order: at each turn, the vertex with
         the most neighbours not yet taken, the smallest id on ties.
 
-        A heap holds (-live degree, id) entries; an entry whose degree has
-        since dropped is stale and skipped, so the order costs
-        O((n + m) log n).
+        Each turn scans the vertices not yet taken: O(n^2 + m), small beside
+        the search the order is for.
         """
-        from heapq import heapify, heappop, heappush
-
         masks = self.adjacency_masks
         degree = [m.bit_count() for m in masks]
-        heap = [(-d, v) for v, d in enumerate(degree)]
-        heapify(heap)
         live = (1 << self.n) - 1
         order: list[int] = []
-        while heap:
-            d, v = heappop(heap)
-            if not live >> v & 1 or -d != degree[v]:
-                continue
+        while live:
+            # max keeps the first of equals, and bits yields the smallest id first.
+            v = max(bits(live), key=degree.__getitem__)
             live ^= 1 << v
             order.append(v)
             for w in bits(masks[v] & live):
                 degree[w] -= 1
-                heappush(heap, (-degree[w], w))
         return tuple(order)
 
     @cached_property

@@ -56,11 +56,12 @@ def assert_pruned_reference(g, k, budget):
     return nodes
 
 
-def reference_first_yes(g, k, x):
-    """solve_branch_kx's loop run on reference_covers: the answer and nodes visited."""
+def first_yes(covers, g, k, x):
+    """solve_branch_kx's loop run on covers over g's own labelling: the
+    answer and nodes visited."""
     stats = BranchStats()
     extended = set()
-    for cover in reference_covers(g.adjacency_masks, k, x // 2, stats):
+    for cover in covers(g.adjacency_masks, k, x // 2, stats):
         if cover not in extended:
             extended.add(cover)
             if extend_minimal_cover(g, frozenset(bits(cover)), k, x) is not None:
@@ -109,7 +110,7 @@ def test_solve_counts_nodes_up_to_first_yes(g, k, x):
     dec = solve_branch_kx(g, k, x)
     assert dec.answer
     # The reference searches the labelling solve_branch_kx searches.
-    ref_answer, ref_nodes = reference_first_yes(peeled(g), k, x)
+    ref_answer, ref_nodes = first_yes(reference_covers, peeled(g), k, x)
     assert ref_answer and dec.stats.nodes_visited <= ref_nodes
     # The search stopped before its end, so the count is that of a prefix.
     assert dec.stats.nodes_visited < search(_covers, peeled(g), k, x // 2)[1]
@@ -230,11 +231,16 @@ def test_solver_agrees_with_oracle_where_the_degree_rule_fires():
             if 0 <= x <= 14:
                 dec = solve_branch_kx(g, k, x)
                 assert dec.answer == oracle_decides(g, k, x), (seed, x)
-                # Against the unpruned search of the labelling it searched:
-                # never more nodes, and on a NO, where the whole tree is
-                # searched, the rule fired and it took fewer. A YES can come
-                # before the first node the rule prunes, in as many nodes.
-                ref_nodes = reference_first_yes(peeled(g), k, x)[1]
+                # In id order the rule fires before the first YES: the pruned
+                # search beats the unpruned one on every cell.
+                id_answer, id_nodes = first_yes(_covers, g, k, x)
+                assert id_answer == dec.answer
+                assert id_nodes < first_yes(reference_covers, g, k, x)[1]
+                # In the peel order solve_branch_kx searches, never more nodes
+                # than the unpruned search of that labelling, and fewer on a
+                # NO, where the whole tree is searched. A YES can come before
+                # the first node the rule prunes there, in as many nodes.
+                ref_nodes = first_yes(reference_covers, peeled(g), k, x)[1]
                 assert dec.stats.nodes_visited <= ref_nodes
                 assert dec.answer or dec.stats.nodes_visited < ref_nodes
                 answers.append(dec.answer)
