@@ -58,11 +58,10 @@ unit of the edge budget.
 
 from __future__ import annotations
 
-from math import comb
 from typing import Iterator
 
 from .graph import Counters, Cut, Decision, Graph, InputError, bits, certify, check_parameters
-from .oracle import _scan
+from .oracle import _Scan
 
 
 class BranchStats(Counters):
@@ -153,9 +152,10 @@ def extend_minimal_cover(
 
     Only vertices that keep an edge after c_prime are candidates: deleting an
     isolated vertex removes no pair. With at most e edges left there are at
-    most 2e of them. They are searched by increasing subset size,
-    lexicographically within a size, so the first hit is the smallest
-    extension.
+    most 2e of them. Their subsets closed under domination are searched by
+    increasing size, lexicographically within a size, so the first hit is a
+    smallest extension (see `oracle`). `stats.extensions_tested` counts the
+    subsets whose pairs were counted.
     """
     if len(c_prime) > k:
         raise InputError(f"cover of size {len(c_prime)} exceeds budget {k}")
@@ -169,13 +169,11 @@ def extend_minimal_cover(
 
     # With budget to spare, deleting every live vertex leaves 0 pairs: one set to try.
     sizes = (len(live),) if k2 > len(live) else range(k2 + 1)
-    for extra, pairs, evaluated in _scan(masks, alive, live, sizes, x):
-        if stats is not None:
-            stats.extensions_tested += evaluated
-        return Cut(cover.union(extra), pairs)
-    if stats is not None:  # without a hit the scan tried every subset
-        stats.extensions_tested += sum(comb(len(live), size) for size in sizes)
-    return None
+    scan = _Scan(g, alive, live, sizes, x)
+    cut = next((Cut(cover.union(extra), pairs) for extra, pairs in scan), None)
+    if stats is not None:
+        stats.extensions_tested += scan.evaluated
+    return cut
 
 
 def solve_branch_kx(g: Graph, k: int, x: int) -> Decision:

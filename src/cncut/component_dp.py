@@ -17,7 +17,7 @@ from .graph import (
     Counters, Cut, Decision, Graph, bits, certify, check_parameters, connected_pairs,
     pairs_of_alive,
 )
-from .oracle import DEFAULT_CAP, CapExceeded, _scan
+from .oracle import DEFAULT_CAP, CapExceeded, _Scan
 
 
 class SolveYStats(Counters):
@@ -84,7 +84,10 @@ def build_removal_table(g: Graph, k: int, cap: int = DEFAULT_CAP) -> RemovalTabl
 
     The scan runs over sizes 0..min(k, s) and yields strict improvements
     only, so the last yield of size <= j is the best cut of at most j
-    vertices. Each size is refused on its own above cap, as the oracle does.
+    vertices: every size has a best cut closed under domination, the only
+    kind the scan visits (see `oracle`). `subsets_examined` counts the
+    closed subsets scanned per component. Each size is refused on its own
+    above cap, counting every subset of that size, as the oracle does.
     """
     components = tuple(tuple(bits(comp)) for comp in g.components)
     values: list[tuple[int, ...]] = []
@@ -98,12 +101,13 @@ def build_removal_table(g: Graph, k: int, cap: int = DEFAULT_CAP) -> RemovalTabl
                 raise CapExceeded(count, cap, s, j)
         cuts: list[tuple[int, ...]] = [()] * len(counts)
         left = [0] * len(counts)
-        for subset, pairs, _ in _scan(g.adjacency_masks, comp, verts, range(len(counts)), None):
+        scan = _Scan(g, comp, verts, range(len(counts)), None)
+        for subset, pairs in scan:
             for j in range(len(subset), len(counts)):
                 cuts[j], left[j] = subset, pairs
         values.append(tuple(s * (s - 1) - pairs for pairs in left))
         witnesses.append(tuple(frozenset(cut) for cut in cuts))
-        examined.append(sum(counts))
+        examined.append(scan.evaluated)
     return RemovalTable(components, tuple(values), tuple(witnesses), tuple(examined))
 
 

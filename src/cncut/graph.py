@@ -152,8 +152,8 @@ class Graph(FrozenRecord):
         return tuple(found)
 
     @cached_property
-    def dominator_counts(self) -> tuple[int, ...]:
-        """|dom(v)| per vertex: the vertices that dominate v and rank above it.
+    def dominators(self) -> tuple[int, ...]:
+        """dom(v) per vertex as a mask: the vertices that dominate v and rank above it.
 
         u dominates v when u != v and N(v) - {u} is inside N(u). Vertices rank
         by (degree, -id), so of two twins the smaller id ranks above.
@@ -161,19 +161,18 @@ class Graph(FrozenRecord):
         Swapping v for u in a cut C (v in C, u not) never adds a pair: the
         map exchanging u and v carries g - (C - v + u) onto a subgraph of
         g - C, since every neighbour v keeps there is one that u has in
-        g - C. Such a swap raises the cut's rank sum, so among the optimal
-        cuts of size at most k the one with the largest rank sum is closed
-        under dom: v in C implies dom(v) inside C. A vertex with
-        |dom(v)| >= k therefore lies in no such cut, and a solver that
-        never deletes it keeps every answer. Without the rank tie-break
-        each of two twins would count the other, and K2 with k = 1 could
-        delete neither.
+        g - C. Such a swap keeps |C| and raises the cut's rank sum, so among
+        the optimal cuts of each size the one with the largest rank sum is
+        closed under dom: v in C implies dom(v) inside C. The subset scans
+        (`oracle`) and dp-wx (`treewidth_dp`) keep to such cuts. Without the
+        rank tie-break each of two twins would count the other, and K2 with
+        k = 1 could delete neither.
 
         The candidates for v are the AND, over its neighbours w, of
         N(w) | {w}, less v itself; an isolated vertex is dominated by all.
         """
         masks = self.adjacency_masks
-        counts = [0] * self.n
+        found = [0] * self.n
         above = 0  # the vertices ranked above the current one
         for v in sorted(range(self.n), key=lambda u: (-masks[u].bit_count(), u)):
             bit = 1 << v
@@ -184,9 +183,19 @@ class Graph(FrozenRecord):
                 candidates &= masks[w] | 1 << w
                 if candidates == bit:
                     break
-            counts[v] = (candidates & above).bit_count()
+            found[v] = candidates & above
             above |= bit
-        return tuple(counts)
+        return tuple(found)
+
+    @cached_property
+    def dominator_counts(self) -> tuple[int, ...]:
+        """|dom(v)| per vertex, the popcounts of `dominators`.
+
+        A cut of at most k vertices closed under dom holds no v with
+        |dom(v)| >= k, so a solver that never deletes such a v keeps every
+        answer (see `dominators`).
+        """
+        return tuple(d.bit_count() for d in self.dominators)
 
     @cached_property
     def peel_order(self) -> tuple[int, ...]:

@@ -37,25 +37,25 @@ the last time by the right block that holds the class's highest vertex.
 
 Domination. `compute_tables` gives a vertex v with |dom(v)| >= k no delete
 branch, where dom(v) is the set of vertices that dominate v and rank above
-it (`Graph.dominator_counts`). Swapping v for a vertex u that dominates it
-never adds a pair, so among the optimal cuts of size at most k the one of
-largest rank sum holds dom(v) with every v it holds, and so at least
-|dom(v)| + 1 vertices: it avoids every filtered v. Applied at the least
-budget k* <= k that meets x, the same argument keeps a cut of exactly k*
-vertices with the least residual among them, so the root entry that
-`read_decision` picks has the same k' and x' with or without the rule; only
-the cut kept among equally good ones may differ.
+it (`Graph.dominator_counts`). Every size has a best cut closed under dom,
+by the swap argument of `Graph.dominators` that the subset scans of
+`oracle` use too. A closed cut holds at least |dom(v)| + 1 vertices with
+each v it holds, so one of at most k vertices avoids every filtered v. At
+the least budget k* <= k that meets x, a closed cut of exactly k* vertices
+has the least residual among them, so the root entry that `read_decision`
+picks has the same k' and x' with or without the rule; only the cut kept
+among equally good ones may differ.
 
 Early NO. `compute_tables` stops after the first table with no entry, and
 tables that stop before the root read as NO. For each node t the subtree
 graph G_t is an induced subgraph of G. On a YES instance take a solution
-C that avoids every filtered vertex: the optimal cut of largest rank sum
-in the domination argument above. C restricted to G_t deletes at most k
-vertices of G_t, avoids every filtered vertex, and leaves at most x pairs
-there: each component of G_t - C lies inside one of G - C. So it gives an
-entry in t's table, and a YES instance never has an empty table. And every
-rule builds its table only from its children's entries, so an empty table
-empties each ancestor, the root included.
+C that avoids every filtered vertex: a closed optimal cut, as above. C
+restricted to G_t deletes at most k vertices of G_t, avoids every filtered
+vertex, and leaves at most x pairs there: each component of G_t - C lies
+inside one of G - C. So it gives an entry in t's table, and a YES instance
+never has an empty table. And every rule builds its table only from its
+children's entries, so an empty table empties each ancestor, the root
+included.
 """
 
 from __future__ import annotations

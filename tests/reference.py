@@ -10,9 +10,12 @@ its leaves with the same minimal covers, in no more nodes; `peeled` gives
 the graph in the labelling `solve_branch_kx` searches, so that the two run
 on the same one. `connected_components`
 labels `Graph.components` per vertex for the graph tests,
-`dominator_counts` is `Graph.dominator_counts` from its definition, and
-`reference_tables` is dp-wx's table loop in node index order, with the
-domination rule and the stop at the first empty table as options.
+`dominators` and `dominator_counts` are `Graph.dominators` and
+`Graph.dominator_counts` from their definition, `full_scan` is the subset
+scan of `oracle` written the plain way, over every subset and with the
+closed ones marked, and `reference_tables` is dp-wx's table loop in node
+index order, with the domination rule and the stop at the first empty
+table as options.
 `reference_heuristic_decomposition` and `reference_make_nice` are the
 min-fill and the nice form as they were written before the min-fill ran
 its bit loops inline and the nice form came out in dp-wx's walk order, so
@@ -26,7 +29,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from cncut.branching import BranchStats
 from cncut.decomposition import NiceNode, NiceTreeDecomposition, TreeDecomposition, _walk
-from cncut.graph import Graph, bits, remove_vertices
+from cncut.graph import Graph, bits, pairs_by_edges, remove_vertices
 from cncut.reductions import HIGH, LOW, MccLayout
 from cncut.treewidth_dp import DpTable, forget_table, introduce_table, join_table, leaf_table
 
@@ -147,8 +150,8 @@ def reference_covers(
             stack.append((_without(adj, u), u, chosen | 1 << u, k_rem - 1, x_rem))
 
 
-def dominator_counts(g: Graph) -> tuple[int, ...]:
-    """|dom(v)| per vertex from the definition, with neighbour sets and no masks.
+def dominators(g: Graph) -> tuple[int, ...]:
+    """dom(v) per vertex as a mask, from the definition with neighbour sets.
 
     u dominates v when u != v and N(v) - {u} is inside N(u); dom(v) keeps
     the dominators that rank above v by (degree, -id).
@@ -159,10 +162,39 @@ def dominator_counts(g: Graph) -> tuple[int, ...]:
         return len(nbrs[v]), -v
 
     return tuple(
-        sum(1 for u in range(g.n)
+        sum(1 << u for u in range(g.n)
             if u != v and nbrs[v] - {u} <= nbrs[u] and rank(u) > rank(v))
         for v in range(g.n)
     )
+
+
+def dominator_counts(g: Graph) -> tuple[int, ...]:
+    """|dom(v)| per vertex, the popcounts of `dominators`."""
+    return tuple(mask.bit_count() for mask in dominators(g))
+
+
+class Scanned(NamedTuple):
+    subset: frozenset[int]
+    pairs: int
+    closed: bool
+
+
+def full_scan(
+    g: Graph, candidates: Iterable[int], sizes: Iterable[int], removed: frozenset[int] = frozenset()
+) -> list[Scanned]:
+    """Every subset S of `candidates`, by increasing size over `sizes` and
+    lexicographically within a size, with the pairs g keeps once `removed`
+    and S are deleted, and whether S is closed: each v in S has in S every
+    dominator of `dominators` that is not in `removed`.
+    """
+    candidates = list(candidates)
+    doms = [set(bits(mask)) - removed for mask in dominators(g)]
+    rows = []
+    for size in sizes:
+        for subset in combinations(candidates, size):
+            s = frozenset(subset)
+            rows.append(Scanned(s, pairs_by_edges(g, removed | s), all(doms[v] <= s for v in s)))
+    return rows
 
 
 def reference_tables(

@@ -6,13 +6,12 @@ from hypothesis import given, strategies as st
 
 from cncut.families import random_graph
 from cncut.graph import (
+    Cut,
     Graph,
     InputError,
     bits,
     complete_graph,
-    connected_pairs,
     path_graph,
-    remove_vertices,
     star_graph,
     verify_solution,
 )
@@ -26,7 +25,7 @@ from cncut.branching import (
 from cncut.kernel import kernelize_kx
 from cncut.oracle import oracle_decides, oracle_min_pairs
 
-from .reference import empty_graph, peeled, reference_covers
+from .reference import empty_graph, full_scan, peeled, reference_covers
 from .strategies import graphs, graphs_with_subset
 
 
@@ -168,6 +167,14 @@ def test_extend_surplus_budget_takes_all_live_vertices():
     assert cut.residual_pairs == 0
 
 
+def test_extend_past_a_dominator_in_the_cover():
+    # Vertex 1's one dominator, 0, is in the cover, so 1 may go alone.
+    stats = BranchStats()
+    cut = extend_minimal_cover(complete_graph(3), frozenset({0}), 2, 0, stats)
+    assert cut == Cut(frozenset({0, 1}), 0)
+    assert stats.extensions_tested == 2
+
+
 @given(graphs_with_subset(max_n=7), st.integers(0, 4), st.integers(0, 12))
 def test_extend_matches_naive_scan(g_cover, extra, x):
     g, cover = g_cover
@@ -180,18 +187,20 @@ def test_extend_matches_naive_scan(g_cover, extra, x):
         if v not in cover and any(w not in cover for w in g.neighbors(v))
     ]
     sizes = [len(live)] if extra > len(live) else range(extra + 1)
-    tried, expected = 0, None
-    for size in sizes:
-        for subset in combinations(live, size):
-            tried += 1
-            pairs = connected_pairs(remove_vertices(g, cover.union(subset))[0])
-            if pairs <= x:
-                expected = (cover.union(subset), pairs)
-                break
-        if expected is not None:
-            break
-    assert (None if cut is None else (cut.vertices, cut.residual_pairs)) == expected
-    assert stats.extensions_tested == tried
+    rows = full_scan(g, live, sizes, cover)
+    hits = [r for r in rows if r.pairs <= x]
+    closed = [r for r in rows if r.closed]
+    # The first closed hit, of the smallest size any subset hits at; every
+    # closed subset up to it is tried.
+    first = next((i for i, r in enumerate(closed) if r.pairs <= x), None)
+    if first is None:
+        assert cut is None and not hits
+        assert stats.extensions_tested == len(closed)
+    else:
+        assert len(closed[first].subset) == len(hits[0].subset)
+        assert (cut.vertices, cut.residual_pairs) == (cover | closed[first].subset,
+                                                      closed[first].pairs)
+        assert stats.extensions_tested == first + 1
 
 
 def test_solve_star():

@@ -1,5 +1,3 @@
-from math import comb
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -20,7 +18,7 @@ from cncut.component_dp import (
 )
 from cncut.oracle import CapExceeded, oracle_max_removed_exact, oracle_min_pairs
 
-from .reference import empty_graph
+from .reference import empty_graph, full_scan
 from .strategies import graphs
 
 TWO_TRIANGLES = disjoint_union([complete_graph(3), complete_graph(3)])[0]
@@ -80,7 +78,9 @@ def test_removal_table_two_triangles():
     assert table.witnesses[0][0] == frozenset()
     assert table.witnesses[0][1] <= {0, 1, 2} and len(table.witnesses[0][1]) == 1
     assert table.witnesses[1][2] <= {3, 4, 5} and len(table.witnesses[1][2]) == 2
-    assert table.subsets_examined == (7, 7)
+    # A triangle's vertices are twins: {}, its smallest id, and its two
+    # smallest are the closed subsets.
+    assert table.subsets_examined == (3, 3)
 
 
 def test_removal_table_budget_clamped_to_component_size():
@@ -106,7 +106,9 @@ def test_removal_table_matches_oracle_per_component(g, k):
             witness = table.witnesses[i][j]
             assert len(witness) <= j and witness <= set(verts)
             assert pairs_removed(g, witness) == value
-        assert table.subsets_examined[i] == sum(comb(s, j) for j in range(min(k, s) + 1))
+        others = frozenset(range(g.n)) - set(verts)
+        rows = full_scan(g, verts, range(min(k, s) + 1), others)
+        assert table.subsets_examined[i] == sum(r.closed for r in rows)
 
 
 def test_solve_two_triangles_split_budget():

@@ -23,6 +23,7 @@ from .reference import (
     connected_components,
     degeneracy,
     dominator_counts,
+    dominators,
     empty_graph,
     is_bipartite,
     peeled,
@@ -256,6 +257,7 @@ def test_components_match_edge_reachability(g):
 
 @given(graphs(max_n=8))
 def test_dominator_counts_match_the_definition(g):
+    assert g.dominators == dominators(g)
     assert g.dominator_counts == dominator_counts(g)
 
 
