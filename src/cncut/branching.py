@@ -8,15 +8,16 @@ with an edge budget of x // 2 instead of x therefore loses no solution, and
 the search tree shrinks from 3^(k+x) to 3^(k + x//2) nodes.
 
 The search branches on the smallest remaining edge {u, v}: delete u, delete v,
-or let the edge survive and charge it to the budget. Every inclusion-minimal
-cover is a leaf (follow the branches its vertices choose; the leaf reached is
-a cover inside it, hence the cover itself). Every solution contains such a
-cover, and the rest of that solution can be taken among the vertices that
-still have an edge after the cover: deleting an isolated vertex removes no
-pair. So extending every leaf over its non-isolated vertices finds a solution
-whenever one exists. Extending a leaf that is not minimal is sound too, since
-each extension is checked, which is why `solve_branch_kx` may stop at the
-first YES without waiting for the minimal covers to be known.
+or let the edge survive and charge it to the budget. `solve_branch_kx`
+answers YES at the first leaf C whose graph G - C leaves at most x pairs, a
+solution by itself. Conversely, follow any solution S from the root: delete
+u if u is in S, else delete v if v is in S, else keep the edge. That path
+spends at most |S| <= k deletions and keeps only edges of G - S, at most
+x // 2 of them. It ends at a leaf whose graph is G - S plus isolated
+vertices, so that leaf leaves at most x pairs by itself, and exhausting the
+search means NO. With S an inclusion-minimal cover, the leaf its path
+reaches is a cover inside S, hence S: every minimal cover is a leaf, which
+`enumerate_minimal_covers` relies on.
 
 At every node the search also applies the high-degree rule of the k + x
 kernel. Let d be the number of live edges at u, those to alive neighbours
@@ -25,8 +26,9 @@ d > k_rem + x_rem, the node pushes only "delete u", and nothing when k_rem
 is 0. This is sound because keeping u means each of those d edges is later
 either kept, spending one unit of x_rem, or loses its other end, spending
 one unit of k_rem; so no leaf below the node keeps u, and every cover that
-reaches the node contains u. An inclusion-minimal cover still reaches its
-leaf by choosing "delete u" here. The leaves yielded are therefore a
+reaches the node contains u. S's path survives the rule: with u in S it
+takes "delete u", and with u not in S each live edge {u, w} costs k_rem if
+w is in S and x_rem otherwise. The leaves yielded are therefore a
 subsequence of the unpruned search's, with the same minimal covers.
 
 `solve_branch_kx` searches the graph relabelled in max-degree peel order
@@ -36,9 +38,9 @@ the next label, the smallest id on ties. So u, the smallest vertex with a
 live edge, is a dense one, and the high-degree rule fires near the root. A
 relabelling is an isomorphism, and nothing above depends on which order
 labels the vertices, so the search of the relabelled graph reaches the
-image of every minimal cover and the answers stay the same. Each cover is
-mapped back to input ids before it is extended and certified; a YES may
-come from another first cover than in id order.
+image of every solution's leaf and the answers stay the same. Only the YES
+leaf's cover is mapped back to input ids and certified; a YES may come from
+another first leaf than in id order.
 
 No adjacency is copied: a search node is the tuple (alive, u, kept, chosen,
 k_rem, x_rem). alive masks the undeleted vertices, u is the smallest vertex
@@ -60,15 +62,16 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .graph import Counters, Cut, Decision, Graph, InputError, bits, certify, check_parameters
+from .graph import (
+    Counters, Cut, Decision, Graph, InputError, bits, certify, check_parameters, pairs_of_alive,
+)
 from .oracle import _Scan
 
 
 class BranchStats(Counters):
     nodes_visited: int = 0
-    # enumerate_minimal_covers: the minimal covers returned.
-    # solve_branch_kx: the distinct covers extended before the answer.
-    minimal_solutions_found: int = 0
+    # solve_branch_kx: the leaves whose pairs were counted.
+    # extend_minimal_cover: the closed subsets whose pairs were counted.
     extensions_tested: int = 0
 
 
@@ -127,9 +130,7 @@ def enumerate_minimal_covers(
     check_parameters(k, x)
     stats = BranchStats()
     found = {frozenset(bits(c)) for c in _covers(g.adjacency_masks, k, x, stats)}
-    minimal = _inclusion_minimal(found)
-    stats.minimal_solutions_found = len(minimal)
-    return minimal, stats
+    return _inclusion_minimal(found), stats
 
 
 def _inclusion_minimal(sets: set[frozenset[int]]) -> list[frozenset[int]]:
@@ -180,21 +181,17 @@ def solve_branch_kx(g: Graph, k: int, x: int) -> Decision:
     """YES/NO plus a certificate cut for: delete <= k vertices, <= x pairs remain.
 
     Searches covers of the graph in peel order with an edge budget of x // 2
-    (a solution leaves at most that many edges) and extends each distinct
-    cover, back in input ids, as soon as the search reaches it. Every
-    minimal cover is reached and every solution extends one,
-    so the first YES settles the instance and exhausting the search means NO.
+    and answers YES at the first leaf that leaves at most x pairs by itself,
+    mapped back to input ids; exhausting the search means NO (see the module
+    docstring).
     """
     check_parameters(k, x)
     stats = BranchStats()
-    order = g.peel_order
-    extended: set[int] = set()
-    for cover in _covers(g.peel_masks, k, x // 2, stats):
-        if cover in extended:
-            continue
-        extended.add(cover)
-        stats.minimal_solutions_found += 1
-        cut = extend_minimal_cover(g, frozenset(order[i] for i in bits(cover)), k, x, stats)
-        if cut is not None:
+    masks, full = g.peel_masks, (1 << g.n) - 1
+    for cover in _covers(masks, k, x // 2, stats):
+        stats.extensions_tested += 1
+        pairs = pairs_of_alive(masks, full & ~cover, x)
+        if pairs <= x:
+            cut = Cut(frozenset(g.peel_order[i] for i in bits(cover)), pairs)
             return Decision(True, certify(g, cut, k, x, "branch-kx"), stats)
     return Decision(False, None, stats)

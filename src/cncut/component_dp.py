@@ -87,7 +87,7 @@ def build_removal_table(g: Graph, k: int, cap: int = DEFAULT_CAP) -> RemovalTabl
     vertices: every size has a best cut closed under domination, the only
     kind the scan visits (see `oracle`). `subsets_examined` counts the
     closed subsets scanned per component. Each size is refused on its own
-    above cap, counting every subset of that size, as the oracle does.
+    above cap, counting its subsets; the oracle caps the sum over its sizes.
     """
     components = tuple(tuple(bits(comp)) for comp in g.components)
     values: list[tuple[int, ...]] = []

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graph import Graph, bits, check_parameters, remove_isolated, remove_vertices
+from .graph import Graph, bits, check_parameters, remove_vertices
 
 
 class KernelTrace(NamedTuple):
@@ -69,13 +69,11 @@ def kernelize_kx(g: Graph, k: int, x: int) -> KernelTrace:
         forced.append(v)
         k_cur -= 1
 
-    survivors, remap = remove_vertices(g, forced)
-    kernel, isolated_new, remap2 = remove_isolated(survivors)
-    discarded = tuple(sorted(remap[i] for i in isolated_new))
-    kernel_to_original = tuple(remap[i] for i in remap2)
+    isolated = [v for v in bits(alive) if not masks[v] & alive]
+    kernel, kernel_to_original = remove_vertices(g, forced + isolated)
     return KernelTrace(
         forced_vertices=tuple(forced),
-        discarded_isolated=discarded,
+        discarded_isolated=tuple(isolated),
         k_out=k_cur,
         kernel_graph=kernel,
         kernel_to_original=kernel_to_original,

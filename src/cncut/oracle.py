@@ -1,4 +1,4 @@
-"""Brute-force subset enumeration, the ground truth every solver is checked against.
+"""Brute-force subset enumeration, by one scan that prunes by domination.
 
 Every form runs one scan, `_Scan(g, alive, candidates, sizes, bound)`. It
 deletes subsets of `candidates` from the vertex mask `alive`, by increasing

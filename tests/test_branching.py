@@ -4,7 +4,7 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from cncut.families import random_graph
+from cncut.families import enumerate_graphs, random_graph
 from cncut.graph import (
     Cut,
     Graph,
@@ -55,17 +55,21 @@ def assert_pruned_reference(g, k, budget):
     return nodes
 
 
-def first_yes(covers, g, k, x):
-    """solve_branch_kx's loop run on covers over g's own labelling: the
-    answer and nodes visited."""
+def first_yes(covers, g, k, x, peel=True):
+    """solve_branch_kx's search in two stages: search covers over g's peel
+    order (its own ids when peel is False), and extend each distinct cover,
+    mapped back to g's ids, by extend_minimal_cover. Returns the first cut
+    found (None on NO) and the nodes visited."""
+    masks, order = (g.peel_masks, g.peel_order) if peel else (g.adjacency_masks, range(g.n))
     stats = BranchStats()
     extended = set()
-    for cover in covers(g.adjacency_masks, k, x // 2, stats):
+    for cover in covers(masks, k, x // 2, stats):
         if cover not in extended:
             extended.add(cover)
-            if extend_minimal_cover(g, frozenset(bits(cover)), k, x) is not None:
-                return True, stats.nodes_visited
-    return False, stats.nodes_visited
+            cut = extend_minimal_cover(g, frozenset(order[i] for i in bits(cover)), k, x)
+            if cut is not None:
+                return cut, stats.nodes_visited
+    return None, stats.nodes_visited
 
 
 def planted_graph(k, pieces, rng):
@@ -109,8 +113,8 @@ def test_solve_counts_nodes_up_to_first_yes(g, k, x):
     dec = solve_branch_kx(g, k, x)
     assert dec.answer
     # The reference searches the labelling solve_branch_kx searches.
-    ref_answer, ref_nodes = first_yes(reference_covers, peeled(g), k, x)
-    assert ref_answer and dec.stats.nodes_visited <= ref_nodes
+    ref_cut, ref_nodes = first_yes(reference_covers, g, k, x)
+    assert ref_cut is not None and dec.stats.nodes_visited <= ref_nodes
     # The search stopped before its end, so the count is that of a prefix.
     assert dec.stats.nodes_visited < search(_covers, peeled(g), k, x // 2)[1]
 
@@ -242,14 +246,14 @@ def test_solver_agrees_with_oracle_where_the_degree_rule_fires():
                 assert dec.answer == oracle_decides(g, k, x), (seed, x)
                 # In id order the rule fires before the first YES: the pruned
                 # search beats the unpruned one on every cell.
-                id_answer, id_nodes = first_yes(_covers, g, k, x)
-                assert id_answer == dec.answer
-                assert id_nodes < first_yes(reference_covers, g, k, x)[1]
+                id_cut, id_nodes = first_yes(_covers, g, k, x, peel=False)
+                assert (id_cut is not None) == dec.answer
+                assert id_nodes < first_yes(reference_covers, g, k, x, peel=False)[1]
                 # In the peel order solve_branch_kx searches, never more nodes
                 # than the unpruned search of that labelling, and fewer on a
                 # NO, where the whole tree is searched. A YES can come before
                 # the first node the rule prunes there, in as many nodes.
-                ref_nodes = first_yes(reference_covers, peeled(g), k, x)[1]
+                ref_nodes = first_yes(reference_covers, g, k, x)[1]
                 assert dec.stats.nodes_visited <= ref_nodes
                 assert dec.answer or dec.stats.nodes_visited < ref_nodes
                 answers.append(dec.answer)
@@ -290,9 +294,37 @@ def test_peel_order_search_agrees_with_oracle(g, k, x):
 
 
 def test_solve_stops_at_first_yes():
-    # The triangle has three minimal covers; the first one extended settles it.
+    # The triangle has three minimal covers; the first leaf counted settles it.
     dec = solve_branch_kx(complete_graph(3), 1, 2)
-    assert dec.answer and dec.stats.minimal_solutions_found == 1
+    assert dec.answer
+    assert (dec.stats.extensions_tested, dec.stats.nodes_visited) == (1, 3)
+
+
+def parity_cells():
+    """Every all:n=5 cell with k = 0-3 and x = 0-10, then 15 sparse random
+    graphs with k = 0-6 and x = 0-20, where budget is often left to spare."""
+    for g in enumerate_graphs(5):
+        for k in range(4):
+            for x in range(11):
+                yield g, k, x
+    rng = Random(9)
+    for _ in range(15):
+        g = random_graph(9, 10, rng)
+        for k in range(7):
+            for x in range(21):
+                yield g, k, x
+
+
+def test_leaf_check_matches_two_stage_search():
+    # The first leaf whose extension succeeds is a solution by itself, so
+    # checking each leaf's own pairs stops at that leaf, with the same cut.
+    answers = []
+    for g, k, x in parity_cells():
+        dec = solve_branch_kx(g, k, x)
+        cut, nodes = first_yes(_covers, g, k, x)
+        assert (dec.cut, dec.stats.nodes_visited) == (cut, nodes), (sorted(g.edges), k, x)
+        answers.append(dec.answer)
+    assert len(answers) == 3_701 and 0 < sum(answers) < len(answers)
 
 
 def test_solve_trivial_graph():
