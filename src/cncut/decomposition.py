@@ -541,8 +541,9 @@ def parse_td(text: str) -> tuple[TreeDecomposition, int]:
             if len(parts) != 5 or parts[1] != "td":
                 raise StructuralError(f"line {lineno}: malformed s-line")
             header = _td_ints(parts[2:], lineno)
-            if header[0] < 0:
-                raise StructuralError(f"line {lineno}: negative bag count")
+            for value, what in zip(header, ("bag count", "width", "vertex count")):
+                if value < 0:
+                    raise StructuralError(f"line {lineno}: negative {what}")
         elif parts[0] == "b":
             if header is None:
                 raise StructuralError(f"line {lineno}: b-line before s-line")

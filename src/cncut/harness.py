@@ -195,6 +195,10 @@ def run_instance(
 ) -> RunReport:
     """Solve one instance and emit a report whose YES cut has passed `certify`.
 
+    A supplied `ntd` must pass `validate_nice`, or StructuralError is
+    raised, on every route, the trivial one included. It is checked once:
+    by `solve_wx` on the dp-wx route, here on the others.
+
     Raises Refusal subclasses when the instance is outside the engine
     envelopes or a cap is hit; those are reports for the caller, not bugs.
     wall_ms covers the whole call, the verification included.
@@ -203,6 +207,12 @@ def run_instance(
     _check_engine(algo)
     plan = _Plan(inst.graph, inst.k, inst.x, inst.y, ntd)
     engine, sub, trace = _route(plan, algo)
+    if ntd is not None and engine != "dp-wx":
+        report = _lazy("decomposition").validate_nice(plan.g, ntd)
+        if not report.ok:
+            raise _lazy("decomposition").StructuralError(
+                f"invalid nice decomposition (condition {report.condition}): {report.message}"
+            )
 
     if engine == "trivial":
         if plan.x_eff < 0:

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from .graph import FrozenRecord, Graph, InputError, pairs_by_edges
 
+# What each parameter line sets, as its sign errors name it.
+_PARAMETERS = {"k": "budget k", "x": "pair bound x", "y": "removal target y"}
+
 
 class ParseError(InputError):
     def __init__(self, line_no: int, message: str):
@@ -28,12 +31,9 @@ class CncInstance(FrozenRecord):
                  comments: tuple[str, ...] = ()) -> None:
         if (x is None) == (y is None):
             raise InputError("exactly one of x and y must be set")
-        if k < 0:
-            raise InputError("budget k must be nonnegative")
-        if x is not None and x < 0:
-            raise InputError("pair bound x must be nonnegative")
-        if y is not None and y < 0:
-            raise InputError("removal target y must be nonnegative")
+        for tag, val in (("k", k), ("x", x), ("y", y)):
+            if val is not None and val < 0:
+                raise InputError(f"{_PARAMETERS[tag]} must be nonnegative")
         for text in comments:
             if "\n" in text or "\r" in text:
                 raise InputError("comments must be single lines")
@@ -104,6 +104,8 @@ def parse_instance(text: str) -> CncInstance:
             if len(parts) != 2:
                 raise ParseError(line_no, f"expected '{tag} <int>'")
             val = require_int(parts[1], line_no, tag)
+            if val < 0:
+                raise ParseError(line_no, f"{_PARAMETERS[tag]} must be nonnegative")
             if tag == "k":
                 if k is not None:
                     raise ParseError(line_no, "duplicate k line")

@@ -4,8 +4,12 @@ Per node, an entry says: some set C of exactly k' vertices of the subtree graph
 G_X, containing exactly the bag subset D, leaves at most x' connected pairs,
 and the components meeting the bag trace the given blocks with the given true
 sizes. Feasibility is monotone in x' under every rule (introduce adds a fixed
-pair increment, forget preserves, join adds), so tables store one minimal x'
-per structural key; `expanded_count` sizes the full feasible key set.
+pair increment, forget preserves, join adds), so a table is a dict that
+holds one minimal x' per structural key. No rule makes an x' above x: a leaf
+offers 0, introduce-keep tests x_new <= x, introduce-delete and forget carry
+the child's x' unchanged, and a join drops x_new > x. So the keep-least rule,
+`_keep_least`, has no cap test. `WxStats.max_table_expanded` counts the full
+feasible key set of the largest table, x - x' + 1 keys per entry.
 
 Vertex sets are int bitmasks over vertex ids, as in `oracle` and `branching`.
 The blocks of a key are (vertex mask, true size) pairs sorted by mask; the
@@ -16,9 +20,9 @@ x': a leaf's is 0 or v's bit, introduce-delete adds v's bit, a join ORs its
 sides' cuts and the other rules pass C on. A join's sides share only bag
 vertices, so their cuts meet in exactly D and |l | r| = lk + rk - |D| = k_new.
 
-Every rule walks its child tables in insertion order. `offer` keeps the
-least x' per key, so each table's key set and each key's x' are the same in
-any order; only the cut kept among entries of equal x' (and so the
+Every rule walks its child tables in insertion order. `_keep_least` keeps
+the least x' per key, so each table's key set and each key's x' are the
+same in any order; only the cut kept among entries of equal x' (and so the
 certificate among equally good cuts) follows that order.
 
 Join. Both sides have the same bag and the same deleted subset D, and each
@@ -75,47 +79,27 @@ from .decomposition import (
 # Structural key: (k_used, deleted bag subset as a mask, blocks), blocks a
 # tuple of (vertex mask, true size) pairs sorted by mask.
 Struct = tuple[int, int, tuple]
+# One node's table: the least x' per structural key, with the cut mask that
+# reached it.
+Table = dict[Struct, tuple[int, int]]
 
 
-class DpTable:
-    """Sparse feasible set for one node: min x' and its cut mask per structural key.
-
-    x_cap is the bound the table was built for: `offer` drops any x' above it.
-    """
-
-    def __init__(self, x_cap: int):
-        self.x_cap = x_cap
-        self.entries: dict[Struct, tuple[int, int]] = {}
-
-    def offer(self, struct: Struct, x_val: int, cut: int) -> None:
-        if x_val > self.x_cap:
-            return
-        held = self.entries.get(struct)
-        if held is None or x_val < held[0]:
-            self.entries[struct] = (x_val, cut)
-
-    def expanded_count(self) -> int:
-        """Sum of x_cap - min_x + 1 over the entries."""
-        held = self.entries.values()
-        return len(held) * (self.x_cap + 1) - sum(map(itemgetter(0), held))
-
-    def __len__(self) -> int:
-        return len(self.entries)
+def _keep_least(table: Table, struct: Struct, x_val: int, cut: int) -> None:
+    held = table.get(struct)
+    if held is None or x_val < held[0]:
+        table[struct] = (x_val, cut)
 
 
-def leaf_table(v: int, k: int, x: int) -> DpTable:
+def leaf_table(v: int, k: int) -> Table:
     """Two families: v kept as a singleton block, or v deleted when k allows."""
-    table = DpTable(x)
     bit = 1 << v
-    table.offer((0, 0, ((bit, 1),)), 0, 0)
+    table: Table = {(0, 0, ((bit, 1),)): (0, 0)}
     if k >= 1:
-        table.offer((1, bit, ()), 0, bit)
+        table[(1, bit, ())] = (0, bit)
     return table
 
 
-def introduce_table(
-    child: DpTable, v: int, bag_neighbors: int, k: int, x: int
-) -> DpTable:
+def introduce_table(child: Table, v: int, bag_neighbors: int, k: int, x: int) -> Table:
     """Add v to the bag: delete it, keep it apart, or keep it merging blocks.
 
     bag_neighbors is the mask of v's graph neighbors inside the child bag; by
@@ -123,11 +107,11 @@ def introduce_table(
     neighbors v has in the subtree graph. Keeping v apart is the merge of no
     blocks.
     """
-    table = DpTable(x)
+    table: Table = {}
     bit = 1 << v
-    for (k_used, deleted, blocks), (min_x, cut) in child.entries.items():
+    for (k_used, deleted, blocks), (min_x, cut) in child.items():
         if k_used < k:
-            table.offer((k_used + 1, deleted | bit, blocks), min_x, cut | bit)
+            _keep_least(table, (k_used + 1, deleted | bit, blocks), min_x, cut | bit)
         # v joins blocks of sizes s_i into one of 1 + m_sum vertices:
         # 2 * m_sum pairs with v, and s_i * s_j for each pair of blocks.
         merged, m_sum, squares, rest = bit, 0, 0, []
@@ -142,26 +126,26 @@ def introduce_table(
         if x_new <= x:
             rest.append((merged, 1 + m_sum))
             rest.sort()
-            table.offer((k_used, deleted, tuple(rest)), x_new, cut)
+            _keep_least(table, (k_used, deleted, tuple(rest)), x_new, cut)
     return table
 
 
-def forget_table(child: DpTable, v: int) -> DpTable:
+def forget_table(child: Table, v: int) -> Table:
     """Drop v from the bag; a block emptied by this is a finalized component."""
-    table = DpTable(child.x_cap)
+    table: Table = {}
     bit = 1 << v
-    for (k_used, deleted, blocks), (min_x, cut) in child.entries.items():
+    for (k_used, deleted, blocks), (min_x, cut) in child.items():
         if deleted & bit:
             new_struct: Struct = (k_used, deleted ^ bit, blocks)
         else:
             # An emptied block is dropped: its pairs are already inside x'.
             kept = sorted((b & ~bit, s) for b, s in blocks if b != bit)
             new_struct = (k_used, deleted, tuple(kept))
-        table.offer(new_struct, min_x, cut)
+        _keep_least(table, new_struct, min_x, cut)
     return table
 
 
-def join_table(left: DpTable, right: DpTable, k: int, x: int) -> DpTable:
+def join_table(left: Table, right: Table, k: int, x: int) -> Table:
     """Combine sibling subtrees whose bags are identical.
 
     Only pairs with matching deleted bag subsets compose, and only while the
@@ -170,49 +154,40 @@ def join_table(left: DpTable, right: DpTable, k: int, x: int) -> DpTable:
     merged component's size is the two sides' sizes minus the bag vertices
     counted twice.
     """
-    table = DpTable(x)
+    table: Table = {}
+    # Each side's x' less the pairs inside its blocks: the join recounts
+    # those pairs over the merged classes.
     by_deleted_left: dict[int, list] = {}
-    for struct, held in left.entries.items():
-        by_deleted_left.setdefault(struct[1], []).append((struct, held))
-    for r_struct, (r_min, r_cut) in right.entries.items():
-        rk, deleted = r_struct[0], r_struct[1]
+    for (lk, deleted, lblocks), (l_min, l_cut) in left.items():
+        l_base = l_min - sum(s * (s - 1) for _, s in lblocks)
+        by_deleted_left.setdefault(deleted, []).append((lk, lblocks, l_base, l_cut))
+    for (rk, deleted, rblocks), (r_min, r_cut) in right.items():
         matches = by_deleted_left.get(deleted)
         if not matches:
             continue
-        k_room = k - rk + deleted.bit_count()  # the largest left k_used that fits
-        for l_struct, (l_min, l_cut) in matches:
-            if l_struct[0] > k_room:
+        shared = deleted.bit_count()
+        k_room = k - rk + shared  # the largest left k_used that fits
+        r_base = r_min - sum(s * (s - 1) for _, s in rblocks)
+        for lk, lblocks, l_base, l_cut in matches:
+            if lk > k_room:
                 continue
-            merged = _join_pair(l_struct, l_min, r_struct, r_min, x)
-            if merged is not None:
-                struct, x_new = merged
-                table.offer(struct, x_new, l_cut | r_cut)
+            groups = list(lblocks)
+            for rb, rs in rblocks:
+                members, size = rb, rs - rb.bit_count()
+                rest = []
+                for group in groups:
+                    if group[0] & rb:
+                        members |= group[0]
+                        size += group[1]
+                    else:
+                        rest.append(group)
+                rest.append((members, size))
+                groups = rest
+            x_new = l_base + r_base + sum(s * (s - 1) for _, s in groups)
+            if x_new <= x:
+                _keep_least(table, (lk + rk - shared, deleted, tuple(groups)), x_new,
+                            l_cut | r_cut)
     return table
-
-
-def _join_pair(
-    l_struct: Struct, l_min: int, r_struct: Struct, r_min: int, x: int
-) -> tuple[Struct, int] | None:
-    lk, deleted, lblocks = l_struct
-    rk, _, rblocks = r_struct
-    k_new = lk + rk - deleted.bit_count()  # <= k: join_table skips the rest
-    old_pairs = sum(s * (s - 1) for _, s in lblocks) + sum(s * (s - 1) for _, s in rblocks)
-    groups = list(lblocks)
-    for rb, rs in rblocks:
-        members, size = rb, rs - rb.bit_count()
-        rest = []
-        for group in groups:
-            if group[0] & rb:
-                members |= group[0]
-                size += group[1]
-            else:
-                rest.append(group)
-        rest.append((members, size))
-        groups = rest
-    x_new = l_min + r_min + sum(s * (s - 1) for _, s in groups) - old_pairs
-    if x_new > x:
-        return None
-    return (k_new, deleted, tuple(groups)), x_new
 
 
 class WxStats(Counters):
@@ -226,7 +201,7 @@ class WxStats(Counters):
 
 def compute_tables(
     g: Graph, nodes: Iterable[NiceNode], k: int, x: int, stats: WxStats | None = None
-) -> list[DpTable]:
+) -> list[Table]:
     """Bottom-up tables in node index order, up to the first empty one.
 
     `nodes` is a nice form's node list, or `stream_nice`'s nodes, which are
@@ -238,13 +213,8 @@ def compute_tables(
 
     Returns the tables built, one per node in index order. They stop after
     the first table with no entry, so the last table is the root's exactly
-    when it has an entry. Every rule builds its table only from its
-    children's entries, so each ancestor's table, the root's included,
-    would be empty too. And a YES instance has no empty table: some
-    solution avoids every filtered vertex, and restricted to a node's
-    subtree graph G_t (an induced subgraph of g) it deletes at most k
-    vertices there and leaves at most x pairs, so it gives that node an
-    entry (see the module docstring).
+    when it has an entry; an empty table means NO ("Early NO" in the module
+    docstring).
 
     `stats`, when given, gets `tables_built` and the struct counts of the
     tables built; its other fields are left alone.
@@ -265,13 +235,13 @@ def compute_tables(
     bag(c), so none lies in c's subtree, and B is outside it. The tree path
     from t to B passes through c, so by condition 3 for u, u is in bag(c).
     """
-    tables: list[DpTable] = []
+    tables: list[Table] = []
     adjacency = g.adjacency_masks
     dominators = g.dominator_counts
     total = max_structs = max_expanded = 0
     for kind, bag, v, children in nodes:
         if kind == "leaf":
-            table = leaf_table(v, k if dominators[v] < k else 0, x)
+            table = leaf_table(v, k if dominators[v] < k else 0)
         elif kind == "introduce":
             bag_neighbors = adjacency[v] & sum(1 << u for u in bag)
             k_v = k if dominators[v] < k else 0
@@ -284,10 +254,10 @@ def compute_tables(
         else:
             raise StructuralError(f"unknown node kind {kind!r}")
         tables.append(table)
-        size = len(table.entries)
+        size = len(table)
         total += size
         max_structs = max(max_structs, size)
-        max_expanded = max(max_expanded, table.expanded_count())
+        max_expanded = max(max_expanded, size * (x + 1) - sum(map(itemgetter(0), table.values())))
         if not size:
             break
     if stats is not None:
@@ -298,7 +268,7 @@ def compute_tables(
     return tables
 
 
-def read_decision(tables: list[DpTable], k: int, x: int) -> Struct | None:
+def read_decision(tables: list[Table], k: int, x: int) -> Struct | None:
     """Smallest accepting root entry for budgets k' <= k and bound x' <= x.
 
     `tables` comes from `compute_tables` at some budgets K >= k and X >= x.
@@ -307,14 +277,14 @@ def read_decision(tables: list[DpTable], k: int, x: int) -> Struct | None:
     K vertices leaves at most X pairs, and None is the answer for every
     smaller k and x as well. Otherwise the last table is the root's.
     """
-    root = tables[-1].entries if tables else {}
+    root = tables[-1] if tables else {}
     fits = [struct for struct, (min_x, _) in root.items() if struct[0] <= k and min_x <= x]
     return min(fits, key=lambda struct: (struct[0], root[struct][0]), default=None)
 
 
-def extract_cut(tables: list[DpTable], root_struct: Struct) -> frozenset[int]:
+def extract_cut(tables: list[Table], root_struct: Struct) -> frozenset[int]:
     """The cut a root entry carries; it leaves x' = connected_pairs(g - cut) pairs."""
-    return frozenset(bits(tables[-1].entries[root_struct][1]))
+    return frozenset(bits(tables[-1][root_struct][1]))
 
 
 def solve_wx(g: Graph, k: int, x: int, ntd: NiceTreeDecomposition | None = None) -> Decision:
@@ -350,5 +320,5 @@ def solve_wx(g: Graph, k: int, x: int, ntd: NiceTreeDecomposition | None = None)
     cut = extract_cut(tables, accept)
     if len(cut) != accept[0]:
         raise AssertionError("certificate size disagrees with its table entry")
-    residual = tables[-1].entries[accept][0]
+    residual = tables[-1][accept][0]
     return Decision(True, certify(g, Cut(cut, residual), k, x, "dp-wx"), stats)

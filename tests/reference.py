@@ -31,7 +31,7 @@ from cncut.branching import BranchStats
 from cncut.decomposition import NiceNode, NiceTreeDecomposition, TreeDecomposition, _walk
 from cncut.graph import Graph, bits, pairs_by_edges, remove_vertices
 from cncut.reductions import HIGH, LOW, MccLayout
-from cncut.treewidth_dp import DpTable, forget_table, introduce_table, join_table, leaf_table
+from cncut.treewidth_dp import Table, forget_table, introduce_table, join_table, leaf_table
 
 
 def empty_graph(n: int) -> Graph:
@@ -200,7 +200,7 @@ def full_scan(
 def reference_tables(
     g: Graph, ntd: NiceTreeDecomposition, k: int, x: int,
     *, dominated: bool = False, stop: bool = False,
-) -> list[DpTable]:
+) -> list[Table]:
     """dp-wx's table loop in node index order, one table per node of a valid nice form.
 
     With neither option this is the plain DP of the w + x algorithm: each
@@ -212,10 +212,10 @@ def reference_tables(
     walked the heavier subtree first.
     """
     budget = [k if not dominated or d < k else 0 for d in g.dominator_counts]
-    tables: list[DpTable] = []
+    tables: list[Table] = []
     for nd in ntd.nodes:
         if nd.kind == "leaf":
-            tables.append(leaf_table(nd.vertex, budget[nd.vertex], x))
+            tables.append(leaf_table(nd.vertex, budget[nd.vertex]))
         elif nd.kind == "introduce":
             child = nd.children[0]
             v = nd.vertex
@@ -226,7 +226,7 @@ def reference_tables(
         else:
             a, b = nd.children
             tables.append(join_table(tables[a], tables[b], k, x))
-        if stop and not tables[-1].entries:
+        if stop and not tables[-1]:
             break
     return tables
 

@@ -321,6 +321,8 @@ def test_parse_skips_comments_and_blanks():
         # A huge declared count fails at once, without a set of its size.
         ("s td 1000000000000 1 1\nb 1 1\n", "expected bags 1..1000000000000"),
         ("s td -1 1 1\n", "line 1: negative bag count"),
+        ("s td 1 -1 1\nb 1 1\n", "line 1: negative width"),
+        ("s td 1 2 -1\nb 1\n", "line 1: negative vertex count"),
         ("s td 1 1 1\nb 2 1\n", "line 2: bag 2 outside 1..1"),
         ("s td 1 1 1\nb 0 1\n", "line 2: bag 0 outside 1..1"),
         ("s td 2 1 2\nb 1 1\nb 2 2\n1 3\n", "tree edge (1,3) out of range"),

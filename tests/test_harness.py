@@ -395,11 +395,31 @@ def test_run_bench_records_refusals():
     assert rows[0]["answer"] == "YES"  # the edgeless class is answered trivially
 
 
-def test_run_instance_rejects_invalid_nice_decomposition():
+@pytest.mark.parametrize("x", [1, 6])
+@pytest.mark.parametrize("algo", ["auto", "oracle", "branch-kx", "dp-y", "dp-wx"])
+def test_run_instance_rejects_invalid_nice_decomposition(algo, x, monkeypatch):
+    # The one-bag form misses vertices 1 and 2 of the path. Every route
+    # rejects it, the trivial one at x = 6 (the path's pair count) included,
+    # and checks a valid form exactly once.
+    from cncut import decomposition, treewidth_dp
+
     bad = make_nice(TreeDecomposition((frozenset({0}),), ()))
-    inst = CncInstance(path_graph(3), 1, x=1)
+    inst = CncInstance(path_graph(3), 1, x=x)
     with pytest.raises(StructuralError, match="condition 1"):
-        run_instance(inst, algo="dp-wx", ntd=bad)
+        run_instance(inst, algo=algo, ntd=bad)
+
+    checked = []
+    validate_nice = decomposition.validate_nice
+
+    def counted(g, ntd):
+        checked.append(ntd)
+        return validate_nice(g, ntd)
+
+    monkeypatch.setattr(decomposition, "validate_nice", counted)
+    monkeypatch.setattr(treewidth_dp, "validate_nice", counted)
+    good = make_nice(decomposition.heuristic_decomposition(path_graph(3)))
+    run_instance(inst, algo=algo, ntd=good)
+    assert checked == [good]
 
 
 @pytest.mark.parametrize("algo", ["auto", "dp-wx"])

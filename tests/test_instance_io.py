@@ -105,8 +105,10 @@ def test_instance_validation():
         ("p cnc 2 2\ne 1 2\nk 0\nx 0\n", 4, "declared 2 edges but found 1"),
         ("p cnc 1 0\nx 0\n", 2, "missing k line"),
         ("p cnc 1 0\nk 0\n", 2, "missing x or y line"),
-        ("p cnc 1 0\nk -1\nx 0\n", 3, "budget k must be nonnegative"),
+        ("p cnc 1 0\nk -1\nx 0\n", 2, "budget k must be nonnegative"),
+        ("p cnc 1 0\nx -2\nk 0\n", 2, "pair bound x must be nonnegative"),
         ("p cnc 1 0\nk 0\ny -3\n", 3, "removal target y must be nonnegative"),
+        ("p cnc 1 0\ny -3\nk 0\nc end\n", 2, "removal target y must be nonnegative"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line_no, fragment):

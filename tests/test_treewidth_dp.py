@@ -27,7 +27,6 @@ from cncut.decomposition import (
 )
 from cncut.oracle import oracle_decides
 from cncut.treewidth_dp import (
-    DpTable,
     compute_tables,
     forget_table,
     introduce_table,
@@ -59,11 +58,11 @@ def members(m):
 
 
 def entry_values(table):
-    return {struct: held[0] for struct, held in table.entries.items()}
+    return {struct: held[0] for struct, held in table.items()}
 
 
 def test_leaf_keys():
-    t = leaf_table(4, 1, 0)
+    t = leaf_table(4, 1)
     assert entry_values(t) == {
         (0, 0, ((mask(4), 1),)): 0,
         (1, mask(4), ()): 0,
@@ -71,31 +70,22 @@ def test_leaf_keys():
 
 
 def test_leaf_zero_budget_only_keeps():
-    t = leaf_table(4, 0, 0)
+    t = leaf_table(4, 0)
     assert entry_values(t) == {(0, 0, ((mask(4), 1),)): 0}
 
 
 def test_leaf_larger_x_same_structs():
-    tight = leaf_table(4, 1, 0)
-    loose = leaf_table(4, 1, 5)
-    assert set(tight.entries) == set(loose.entries)
-    assert tight.expanded_count() == 2
-    assert loose.expanded_count() == 12
-
-
-def test_offer_keeps_minimum_and_respects_cap():
-    t = DpTable(5)
-    s = (0, 0, ())
-    t.offer(s, 4, ("a",))
-    t.offer(s, 2, ("b",))
-    t.offer(s, 3, ("c",))
-    assert t.entries[s] == (2, ("b",))
-    t.offer((1, 0, ()), 6, ("d",))
-    assert len(t) == 1
+    # Vertex 0 of an edgeless graph has no dominator, so k = 1 lets it go.
+    g, leaf = Graph(5, ()), (NiceNode("leaf", frozenset({0}), 0, ()),)
+    tight, loose = WxStats(), WxStats()
+    assert compute_tables(g, leaf, 1, 0, tight) == compute_tables(g, leaf, 1, 5, loose)
+    assert tight.max_table_structs == loose.max_table_structs == 2
+    assert tight.max_table_expanded == 2
+    assert loose.max_table_expanded == 12
 
 
 def test_introduce_with_edge_charges_pairs():
-    child = leaf_table(0, 1, 4)
+    child = leaf_table(0, 1)
     t = introduce_table(child, 1, mask(0), 1, 4)
     assert entry_values(t) == {
         (0, 0, ((mask(0, 1), 2),)): 2,
@@ -112,7 +102,7 @@ def test_introduce_with_edge_charges_pairs():
 
 
 def test_introduce_without_edge_adds_singleton_block():
-    child = leaf_table(0, 0, 4)
+    child = leaf_table(0, 0)
     t = introduce_table(child, 1, 0, 0, 4)
     assert entry_values(t) == {
         (0, 0, ((mask(0), 1), (mask(1), 1))): 0,
@@ -120,23 +110,20 @@ def test_introduce_without_edge_adds_singleton_block():
 
 
 def test_introduce_merging_two_blocks():
-    child = DpTable(10)
-    child.offer((0, 0, ((mask(0), 1), (mask(2), 1))), 0, 0)
+    child = {(0, 0, ((mask(0), 1), (mask(2), 1))): (0, 0)}
     t = introduce_table(child, 1, mask(0, 2), 0, 10)
     # Two size-1 components fuse through the new vertex: 6 new pairs.
     assert entry_values(t) == {(0, 0, ((mask(0, 1, 2), 3),)): 6}
 
 
 def test_introduce_prunes_past_cap():
-    child = leaf_table(0, 1, 1)
+    child = leaf_table(0, 1)
     t = introduce_table(child, 1, mask(0), 1, 1)
-    assert (0, 0, ((mask(0, 1), 2),)) not in t.entries
+    assert (0, 0, ((mask(0, 1), 2),)) not in t
 
 
 def test_forget_shrinks_blocks():
-    child = DpTable(10)
-    child.offer((0, 0, ((mask(0, 1), 2),)), 2, 0)
-    child.offer((1, mask(0), ((mask(1), 1),)), 0, 0)
+    child = {(0, 0, ((mask(0, 1), 2),)): (2, 0), (1, mask(0), ((mask(1), 1),)): (0, 0)}
     t = forget_table(child, 0)
     assert entry_values(t) == {
         (0, 0, ((mask(1), 2),)): 2,
@@ -145,57 +132,47 @@ def test_forget_shrinks_blocks():
 
 
 def test_forget_keeps_blocks_in_mask_order():
-    child = DpTable(10)
-    child.offer((0, 0, ((mask(1), 1), (mask(0, 2), 2))), 2, 0)
+    child = {(0, 0, ((mask(1), 1), (mask(0, 2), 2))): (2, 0)}
     t = forget_table(child, 2)
     # Without vertex 2, block {0} sorts before block {1}.
     assert entry_values(t) == {(0, 0, ((mask(0), 2), (mask(1), 1))): 2}
 
 
 def test_forget_finalizes_emptied_block():
-    child = DpTable(10)
-    child.offer((0, 0, ((mask(0), 3),)), 6, 0)
+    child = {(0, 0, ((mask(0), 3),)): (6, 0)}
     t = forget_table(child, 0)
     assert entry_values(t) == {(0, 0, ()): 6}
 
 
 def test_join_identity_on_shared_vertex():
-    a = DpTable(10)
-    a.offer((0, 0, ((mask(7), 1),)), 0, 0)
+    a = {(0, 0, ((mask(7), 1),)): (0, 0)}
     t = join_table(a, a, 3, 10)
     assert entry_values(t) == {(0, 0, ((mask(7), 1),)): 0}
 
 
 def test_join_block_fusion_counts_once():
-    left = DpTable(10)
-    left.offer((0, 0, ((mask(0, 1), 2),)), 2, 0)
-    right = DpTable(10)
-    right.offer((0, 0, ((mask(0), 1), (mask(1), 1))), 0, 0)
+    left = {(0, 0, ((mask(0, 1), 2),)): (2, 0)}
+    right = {(0, 0, ((mask(0), 1), (mask(1), 1))): (0, 0)}
     t = join_table(left, right, 3, 10)
     assert entry_values(t) == {(0, 0, ((mask(0, 1), 2),)): 2}
 
 
 def test_join_shared_deletions_counted_once():
-    side = DpTable(10)
-    side.offer((1, mask(0), ()), 0, 0)
+    side = {(1, mask(0), ()): (0, 0)}
     t = join_table(side, side, 1, 10)
     assert entry_values(t) == {(1, mask(0), ()): 0}
     assert len(join_table(side, side, 0, 10)) == 0
 
 
 def test_join_requires_matching_deleted_sets():
-    left = DpTable(10)
-    left.offer((1, mask(0), ()), 0, 0)
-    right = DpTable(10)
-    right.offer((0, 0, ((mask(0), 1),)), 0, 0)
+    left = {(1, mask(0), ()): (0, 0)}
+    right = {(0, 0, ((mask(0), 1),)): (0, 0)}
     assert len(join_table(left, right, 3, 10)) == 0
 
 
 def test_join_size_arithmetic_with_forgotten_vertices():
-    left = DpTable(20)
-    left.offer((0, 0, ((mask(0, 1), 3),)), 6, 0)
-    right = DpTable(20)
-    right.offer((0, 0, ((mask(0), 2), (mask(1), 2))), 4, 0)
+    left = {(0, 0, ((mask(0, 1), 3),)): (6, 0)}
+    right = {(0, 0, ((mask(0), 2), (mask(1), 2))): (4, 0)}
     t = join_table(left, right, 3, 20)
     assert entry_values(t) == {(0, 0, ((mask(0, 1), 5),)): 20}
     assert len(join_table(left, right, 3, 19)) == 0
@@ -344,7 +321,7 @@ def test_root_entries_are_certificates():
         if len(tables) < len(ntd.nodes):
             continue
         root = tables[ntd.root]
-        for (k_used, deleted, blocks), (min_x, cut) in root.entries.items():
+        for (k_used, deleted, blocks), (min_x, cut) in root.items():
             assert (deleted, blocks) == (0, ())
             assert cut.bit_count() == k_used
             report = verify_solution(g, members(cut), k_used, min_x)
@@ -391,7 +368,7 @@ def test_early_stop_matches_oracle_and_full_tables(g, k, x):
     ntd = make_nice(heuristic_decomposition(g))
     if len(compute_tables(g, ntd.nodes, k, x)) < len(ntd.nodes):
         root = reference_tables(g, ntd, k, x)[ntd.root]
-        assert not [struct for struct, (min_x, _) in root.entries.items()
+        assert not [struct for struct, (min_x, _) in root.items()
                     if struct[0] <= k and min_x <= x]
 
 
@@ -413,12 +390,12 @@ def test_walk_builds_the_index_order_tables(g, k, x):
     full = reference_tables(g, old, k, x, dominated=True)
     for i, t in new_id.items():
         if t < len(tables):
-            assert tables[t].entries == full[i].entries, i
+            assert tables[t] == full[i], i
     index_order = reference_tables(g, old, k, x, dominated=True, stop=True)
     reached = len(tables) == len(ntd.nodes)
     assert reached == (old.root < len(index_order))
     if reached:
-        assert tables[ntd.root].entries == index_order[old.root].entries
+        assert tables[ntd.root] == index_order[old.root]
     # The walk is the former one: children first, each subtree in one run of
     # ids, and at a join the child with more forgets below it first.
     assert in_walk_order(ntd)
@@ -428,7 +405,8 @@ def test_walk_builds_the_index_order_tables(g, k, x):
     assert stats == WxStats(
         tables_built=len(tables),
         max_table_structs=max(map(len, tables), default=0),
-        max_table_expanded=max((t.expanded_count() for t in tables), default=0),
+        max_table_expanded=max((sum(x - v + 1 for v, _ in t.values()) for t in tables),
+                               default=0),
         total_structs=sum(map(len, tables)),
     )
 
@@ -517,8 +495,8 @@ def _join_pair_reference(l_struct, l_min, r_struct, r_min, k, x):
 
 def _join_reference(left, right, k, x):
     out = {}
-    for l_struct, (l_min, _) in left.entries.items():
-        for r_struct, (r_min, _) in right.entries.items():
+    for l_struct, (l_min, _) in left.items():
+        for r_struct, (r_min, _) in right.items():
             if l_struct[1] != r_struct[1]:
                 continue
             merged = _join_pair_reference(l_struct, l_min, r_struct, r_min, k, x)
@@ -527,6 +505,33 @@ def _join_reference(left, right, k, x):
                 if x_new < out.get(struct, x + 1):
                     out[struct] = x_new
     return out
+
+
+def _forget_reference(child, v):
+    out = {}
+    for (k_used, deleted, blocks), (min_x, _) in child.items():
+        blocks = [(b & ~(1 << v), s) for b, s in blocks]
+        struct = (k_used, deleted & ~(1 << v), tuple(sorted((b, s) for b, s in blocks if b)))
+        out[struct] = min(min_x, out.get(struct, min_x))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(_nice_decompositions(), st.integers(0, 3), st.integers(0, 10))
+def test_tables_keep_the_least_entry_within_the_budgets(case, k, x):
+    # The tables hold no cap test: every entry of every table already has
+    # k' <= k and x' <= x. Where a forget or a join reaches one key from two
+    # child entries, its table keeps the least x'.
+    g, ntd = case
+    assume(validate_nice(g, ntd).ok)
+    tables = compute_tables(g, ntd.nodes, k, x)
+    for table, nd in zip(tables, ntd.nodes):
+        assert all(k_used <= k and min_x <= x for (k_used, _, _), (min_x, _) in table.items())
+        if nd.kind == "forget":
+            assert entry_values(table) == _forget_reference(tables[nd.children[0]], nd.vertex)
+        elif nd.kind == "join":
+            a, b = nd.children
+            assert entry_values(table) == _join_reference(tables[a], tables[b], k, x)
 
 
 @settings(max_examples=80, deadline=None)
@@ -643,14 +648,15 @@ def test_agrees_with_oracle_on_seeded_graphs():
 
 def _check_table_internals(g, k, x):
     ntd = make_nice(heuristic_decomposition(g))
-    tables = compute_tables(g, ntd.nodes, k, x)
+    stats = WxStats()
+    tables = compute_tables(g, ntd.nodes, k, x, stats)
     w = ntd.width
     bound = 10 * max(g.n, 1) * max(x, 1) * (w + x + 2) ** (w + 1)
+    assert stats.max_table_expanded <= bound
     for i, t in enumerate(tables):
         nd = ntd.nodes[i]
-        assert t.expanded_count() <= bound
         bag = mask(*nd.bag)
-        for (k_used, deleted, blocks), (min_x, cut) in t.entries.items():
+        for (k_used, deleted, blocks), (min_x, cut) in t.items():
             assert k_used <= k
             assert deleted & ~bag == 0
             # The carried cut has k_used vertices and meets the bag in deleted.
