@@ -1,15 +1,13 @@
 """Solver for the removed-pairs target: delete <= k vertices, remove >= y pairs.
 
-Works with pairs removed directly; the surviving-pairs bound x is never
-materialized, so this route stays usable when x would be enormous. After the
-shortcut screens fire, every component has at most y vertices. Each component
-gets its max-removal profile from one run of the oracle's subset scan over the
-input graph's bitmasks, and a knapsack over components allocates the budget.
+Works with pairs removed directly. After the shortcut screens fire, every
+component has at most y vertices. Each component gets its max-removal profile
+from one run of the oracle's subset scan over the input graph's bitmasks, and
+a knapsack over components allocates the budget.
 """
 
 from __future__ import annotations
 
-from math import comb
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -17,7 +15,7 @@ from .graph import (
     Counters, Cut, Decision, Graph, bits, certify, check_parameters, connected_pairs,
     pairs_of_alive,
 )
-from .oracle import DEFAULT_CAP, CapExceeded, _Scan
+from .oracle import DEFAULT_CAP, _capped_scan
 
 
 class SolveYStats(Counters):
@@ -86,8 +84,8 @@ def build_removal_table(g: Graph, k: int, cap: int = DEFAULT_CAP) -> RemovalTabl
     only, so the last yield of size <= j is the best cut of at most j
     vertices: every size has a best cut closed under domination, the only
     kind the scan visits (see `oracle`). `subsets_examined` counts the
-    closed subsets scanned per component. Each size is refused on its own
-    above cap, counting its subsets; the oracle caps the sum over its sizes.
+    closed subsets scanned per component. A component is refused when its
+    sizes hold more than cap subsets, by the oracle's one cap rule.
     """
     components = tuple(tuple(bits(comp)) for comp in g.components)
     values: list[tuple[int, ...]] = []
@@ -95,15 +93,12 @@ def build_removal_table(g: Graph, k: int, cap: int = DEFAULT_CAP) -> RemovalTabl
     examined: list[int] = []
     for comp, verts in zip(g.components, components):
         s = len(verts)
-        counts = [comb(s, j) for j in range(min(k, s) + 1)]
-        for j, count in enumerate(counts):
-            if count > cap:
-                raise CapExceeded(count, cap, s, j)
-        cuts: list[tuple[int, ...]] = [()] * len(counts)
-        left = [0] * len(counts)
-        scan = _Scan(g, comp, verts, range(len(counts)), None)
+        sizes = min(k, s) + 1
+        cuts: list[tuple[int, ...]] = [()] * sizes
+        left = [0] * sizes
+        scan = _capped_scan(g, comp, verts, k, range(sizes), cap, None)
         for subset, pairs in scan:
-            for j in range(len(subset), len(counts)):
+            for j in range(len(subset), sizes):
                 cuts[j], left[j] = subset, pairs
         values.append(tuple(s * (s - 1) - pairs for pairs in left))
         witnesses.append(tuple(frozenset(cut) for cut in cuts))

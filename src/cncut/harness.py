@@ -80,8 +80,8 @@ class _Plan:
     `solve_wx` builds unchecked.
     """
 
-    def __init__(self, g: Graph, k: int, x: int | None, y: int | None, ntd=None):
-        self.g, self.k, self.y, self.ntd = g, k, y, ntd
+    def __init__(self, g: Graph, k: int, x: int | None, y: int | None = None, ntd=None):
+        self.g, self.k, self.ntd = g, k, ntd
         self.total = connected_pairs(g)
         self.x_eff = x if x is not None else self.total - y
 
@@ -102,21 +102,21 @@ def _auto(plan: _Plan) -> str:
     # `_route` calls this only when 0 <= x_eff < total.
     if plan.g.n <= ORACLE_MAX_N:
         return "oracle"
-    if plan.y is not None and plan.y <= DP_Y_MAX:
+    # y is the pairs a cut must remove, whether the target was given as x or as y.
+    x_eff, y = plan.x_eff, plan.total - plan.x_eff
+    if y <= DP_Y_MAX:
         return "dp-y"
-    x_eff = plan.x_eff
     # A supplied form is the one dp-wx would run on, so its width decides.
     width = plan.g.heuristic_td.width if plan.ntd is None else plan.ntd.width
     if width + x_eff <= DP_WX_MAX:
         return "dp-wx"
     if x_eff + plan.k <= BRANCH_KX_MAX:
         return "branch-kx"
-    reasons = [f"n={plan.g.n} > {ORACLE_MAX_N}"]
-    if plan.y is not None:
-        reasons.append(f"y={plan.y} > {DP_Y_MAX}")
-    reasons.append(f"w+x={width}+{x_eff} > {DP_WX_MAX}")
-    reasons.append(f"x+k={x_eff}+{plan.k} > {BRANCH_KX_MAX}")
-    raise EngineRefusal("instance outside every engine envelope: " + "; ".join(reasons))
+    raise EngineRefusal(
+        f"instance outside every engine envelope: n={plan.g.n} > {ORACLE_MAX_N}; "
+        f"y={y} > {DP_Y_MAX}; w+x={width}+{x_eff} > {DP_WX_MAX}; "
+        f"x+k={x_eff}+{plan.k} > {BRANCH_KX_MAX}"
+    )
 
 
 def _route(plan: _Plan, algo: str) -> tuple[str, _Plan, KernelTrace | None]:
@@ -134,9 +134,7 @@ def _route(plan: _Plan, algo: str) -> tuple[str, _Plan, KernelTrace | None]:
     trace = _lazy("kernel").kernelize_kx(plan.g, plan.k, plan.x_eff)
     if trace.infeasible:
         return "kernel", plan, trace
-    sub = _Plan(trace.kernel_graph, trace.k_out, plan.x_eff, None)
-    if plan.y is not None:  # the same target, over the kernel's pair total
-        sub.y = sub.total - sub.x_eff
+    sub = _Plan(trace.kernel_graph, trace.k_out, plan.x_eff)
     if sub.x_eff >= sub.total:
         return "kernel", sub, trace
     return _auto(sub), sub, trace
@@ -155,12 +153,12 @@ def select_algorithm(
     choice wins otherwise. Auto runs the high-degree rule first; it settles
     the instance as "kernel" when it forces more than k vertices or when the
     forced ones alone meet the bound. Then auto walks the thresholds on the
-    kernel instance: oracle by vertex count, then dp-y when the instance is
-    y-shaped and small, then dp-wx when heuristic width keeps w+x small,
-    then branch-kx on x+k. Structure is consulted before branching so that
-    near-tree graphs with moderate x go to the width engine. The target and
-    budget are checked as an instance file's are: exactly one of x and y,
-    each nonnegative.
+    kernel instance: oracle by vertex count, then dp-y when y, the pairs a
+    cut must remove, is small, whether the target was given as x or as y,
+    then dp-wx when heuristic width keeps w+x small, then branch-kx on x+k.
+    Structure is consulted before branching so that near-tree graphs with
+    moderate x go to the width engine. The target and budget are checked as
+    an instance file's are: exactly one of x and y, each nonnegative.
     """
     _check_engine(user_choice)
     CncInstance(g, k, x=x, y=y)

@@ -34,7 +34,11 @@ the vertices that keep an edge, which a dominator u of such a v keeps too,
 to v or to v's neighbour. A dominator outside alive, in the cover or in
 another component, is ignored: it cannot be swapped in. Answers are those
 of a scan of every subset; only which of equally good witnesses comes first
-can differ. The cap still counts every subset of the sizes scanned.
+can differ.
+
+The oracle forms and `build_removal_table` start their scans through
+`_capped_scan`, which refuses a scan whose sizes hold more than the cap
+subsets of its candidates, closed or not. `extend_minimal_cover` is uncapped.
 """
 
 from __future__ import annotations
@@ -113,18 +117,25 @@ class _Scan:
         self.evaluated = evaluated
 
 
-def _graph_scan(g: Graph, k: int, sizes: Sequence[int], cap: int, bound: int | None) -> _Scan:
-    """The scan over all of g, refused when its sizes hold more than cap subsets."""
-    count = sum(comb(g.n, size) for size in sizes)
+def _capped_scan(
+    g: Graph, alive: int, candidates: Sequence[int], k: int, sizes: Sequence[int], cap: int,
+    bound: int | None,
+) -> _Scan:
+    """The scan, refused when its sizes hold more than cap subsets of the candidates.
+
+    The refusal reports the caller's budget k and the number of candidates.
+    """
+    n = len(candidates)
+    count = sum(comb(n, size) for size in sizes)
     if count > cap:
-        raise CapExceeded(count, cap, g.n, k)
-    return _Scan(g, (1 << g.n) - 1, range(g.n), sizes, bound)
+        raise CapExceeded(count, cap, n, k)
+    return _Scan(g, alive, candidates, sizes, bound)
 
 
 def oracle_min_pairs(g: Graph, k: int, cap: int = DEFAULT_CAP) -> OracleResult:
     """Minimum connected pairs left after deleting at most k vertices."""
     check_parameters(k)
-    scan = _graph_scan(g, k, range(min(k, g.n) + 1), cap, None)
+    scan = _capped_scan(g, (1 << g.n) - 1, range(g.n), k, range(min(k, g.n) + 1), cap, None)
     # With no bound the empty set always yields, so the loop binds subset and best.
     for subset, best in scan:
         if best == 0:
@@ -137,14 +148,15 @@ def oracle_decides(g: Graph, k: int, x: int, cap: int = DEFAULT_CAP) -> bool:
     check_parameters(k)
     if x < 0:
         return False
-    return next(iter(_graph_scan(g, k, range(min(k, g.n) + 1), cap, x)), None) is not None
+    scan = _capped_scan(g, (1 << g.n) - 1, range(g.n), k, range(min(k, g.n) + 1), cap, x)
+    return next(iter(scan), None) is not None
 
 
 def oracle_max_removed_exact(g: Graph, k: int, cap: int = DEFAULT_CAP) -> MaxRemovedResult:
     """Maximum pairs removable by deleting exactly k vertices."""
     if not (0 <= k <= g.n):
         raise InputError(f"exact budget {k} out of range for n={g.n}")
-    scan = _graph_scan(g, k, (k,), cap, None)
+    scan = _capped_scan(g, (1 << g.n) - 1, range(g.n), k, (k,), cap, None)
     # Maximizing the gain is minimizing the residual; ties keep the first witness.
     # With no bound the first closed subset yields, and the k top-ranked
     # vertices are one, so the loop binds subset and best.

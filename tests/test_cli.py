@@ -253,6 +253,24 @@ def test_kernelize_writes_instance(tmp_path, capsys):
     assert kernel.graph.n == 2 and kernel.graph.m == 1 and kernel.k == 1
 
 
+def test_solve_takes_the_kernel_file_its_input_was_solved_through(tmp_path, capsys):
+    # A star with 16 leaves beside five P4s, k = 2 and y = 282. Auto solves it
+    # by dp-y on its kernel; the kernel file names that target as x = 50, and
+    # its y = 60 - 50 routes it to dp-y too.
+    star_p4s = ("p cnc 37 31\n" + "".join(f"e 1 {v}\n" for v in range(2, 18))
+                + "".join(f"e {v} {v + 1}\n" for v in range(18, 38) if (v - 17) % 4)
+                + "k 2\ny 282\n")
+    path, out = write(tmp_path, "a.cnc", star_p4s), str(tmp_path / "kernel.cnc")
+    assert main(["solve", path]) == 0
+    assert "algorithm: dp-y" in capsys.readouterr().out
+    assert main(["kernelize", path, "-o", out]) == 0
+    kernel = parse_instance((tmp_path / "kernel.cnc").read_text(encoding="utf-8"))
+    assert (kernel.graph.n, kernel.k, kernel.x) == (20, 1, 50)
+    capsys.readouterr()
+    assert main(["solve", out]) == 0
+    assert "algorithm: dp-y" in capsys.readouterr().out
+
+
 def test_generate_random_is_deterministic(tmp_path, capsys):
     args = ["generate", "random", "--n", "6", "--m", "7", "--k", "2", "--x", "3", "--seed", "5"]
     a, b = str(tmp_path / "a.cnc"), str(tmp_path / "b.cnc")
@@ -509,16 +527,19 @@ def loaded_after_solve(tmp_path, text, *args):
     (STAR17, "kernel", ["cncut.kernel"]),
     (K3, "oracle", ["cncut.kernel", "cncut.oracle"]),
     (PATH17_Y, "dp-y", ["cncut.component_dp", "cncut.kernel", "cncut.oracle"]),
+    (PATH17_Y.replace("y 20", "x 252"), "dp-y",
+     ["cncut.component_dp", "cncut.kernel", "cncut.oracle"]),
     (PATH17, "dp-wx", ["cncut.decomposition", "cncut.kernel", "cncut.treewidth_dp"]),
     (CLIQUES3, "branch-kx",
      ["cncut.branching", "cncut.decomposition", "cncut.kernel", "cncut.oracle"]),
-], ids=["trivial", "kernel", "oracle", "dp-y", "dp-wx", "branch-kx"])
+], ids=["trivial", "kernel", "oracle", "dp-y", "dp-y-x", "dp-wx", "branch-kx"])
 def test_solve_loads_only_its_engine(tmp_path, text, algorithm, engine_modules):
     # A cold `cnc solve` loads the harness, the kernel rule that auto runs
     # first unless the target settles the instance, and the engine that runs;
     # never the generators (reductions, families), the bench or the other
-    # subcommands. The kernel settles STAR17: its centre is forced. Branch-kx
-    # loads the decomposition because auto reads the width first. No module
+    # subcommands. The kernel settles STAR17: its centre is forced. Auto
+    # checks y before the width, so dp-y loads no decomposition however its
+    # target is written; branch-kx loads it because auto reads the width first. No module
     # on the path builds a dataclass, so `dataclasses` and `inspect` stay out.
     out = loaded_after_solve(tmp_path, text)
     assert f"algorithm: {algorithm}" in out

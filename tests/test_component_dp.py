@@ -91,7 +91,7 @@ def test_removal_table_budget_clamped_to_component_size():
 def test_removal_table_refuses_above_cap():
     with pytest.raises(CapExceeded) as exc:
         build_removal_table(complete_graph(6), 3, cap=10)
-    assert (exc.value.candidates, exc.value.cap, exc.value.n, exc.value.k) == (15, 10, 6, 2)
+    assert (exc.value.candidates, exc.value.cap, exc.value.n, exc.value.k) == (42, 10, 6, 3)
 
 
 @given(graphs(max_n=7), st.integers(0, 3))

@@ -1,4 +1,5 @@
 from math import isqrt
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from cncut.bench import (
     run_bench,
 )
 from cncut.decomposition import StructuralError, TreeDecomposition, make_nice
+from cncut.families import random_graph
 from cncut.graph import (
     Graph,
     InputError,
@@ -37,7 +39,7 @@ from cncut.harness import (
 from cncut.instance_io import CncInstance, parse_instance
 from cncut.oracle import DEFAULT_CAP, oracle_decides
 
-from .strategies import graphs
+from .strategies import graphs, seeded_random_graphs
 
 
 # --- selection -------------------------------------------------------------
@@ -63,7 +65,7 @@ def test_select_refusal_names_every_threshold():
     with pytest.raises(EngineRefusal) as exc:
         select_algorithm(complete_graph(60), 5, 3000, None)
     msg = str(exc.value)
-    assert "n=60" in msg and "w+x=" in msg and "x+k=" in msg
+    assert "n=60" in msg and "y=" in msg and "w+x=" in msg and "x+k=" in msg
 
 
 def test_select_user_choice_wins():
@@ -116,13 +118,58 @@ def test_y_target_is_reexpressed_over_the_kernel():
     # A star with 16 leaves beside five P4s, k = 2 and y = 282: x = 50 of the
     # 332 pairs. Unkernelized, y, w + x and x + k are all past auto's
     # thresholds. The rule forces the centre; the kernel is the five P4s with
-    # 60 pairs, the same x = 50 makes its y 10, and dp-y takes it.
+    # 60 pairs, where the same x = 50 leaves y = 10, and dp-y takes it.
     g, _ = disjoint_union([star_graph(16)] + [path_graph(4)] * 5)
     assert select_algorithm(g, 2, None, 282) == "dp-y"
     report = run_instance(CncInstance(g, 2, y=282))
     assert report.algorithm == "dp-y" and report.answer == "YES"
     assert report.stats["kernel"] == {"forced": 1, "k_out": 1, "n_out": 20}
     assert 0 in report.cut and report.pairs_removed >= 282
+
+
+def _small_y_instances():
+    """(g, k, x) with y small and x past every other envelope: a dense
+    G(20, 120) with y = 20, and the star-plus-P4s instance above, whose y is
+    small only over its kernel."""
+    dense = random_graph(20, 120, random.Random(4))
+    star, _ = disjoint_union([star_graph(16)] + [path_graph(4)] * 5)
+    return [(dense, 3, connected_pairs(dense) - 20), (star, 2, 50)]
+
+
+def _spelling_corpus():
+    """(g, k, x) over seeded random graphs and a (k, x) grid, plus the small-y instances."""
+    corpus = _small_y_instances()
+    for g in seeded_random_graphs(34, 12, (15, 30)):
+        total = connected_pairs(g)
+        for k in (1, 3):
+            for x in sorted({0, 6, 16, total - 20, total - 6} & set(range(total + 1))):
+                corpus.append((g, k, x))
+    return corpus
+
+
+def _outcome(g, k, x=None, y=None):
+    try:
+        selected = select_algorithm(g, k, x, y)
+        r = run_instance(CncInstance(g, k, x=x, y=y))
+    except EngineRefusal:
+        return "refused"
+    return selected, r.answer, r.cut, r.residual_pairs, r.algorithm, r.stats
+
+
+def test_x_and_y_spellings_route_alike():
+    # y is the pairs a cut must remove, total - x, whichever the file names.
+    routes = set()
+    for g, k, x in _spelling_corpus():
+        as_x, as_y = _outcome(g, k, x=x), _outcome(g, k, y=connected_pairs(g) - x)
+        assert as_x == as_y, (g.n, sorted(g.edges), k, x)
+        routes.add(as_x[0])
+    assert {"dp-y", "dp-wx", "branch-kx", "kernel"} <= routes
+
+
+def test_x_spelled_small_y_instances_go_to_dp_y():
+    for g, k, x in _small_y_instances():
+        report = run_instance(CncInstance(g, k, x=x))
+        assert report.algorithm == "dp-y" and report.answer == "YES"
 
 
 # --- config ----------------------------------------------------------------
