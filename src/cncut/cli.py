@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance", help="instance file, or - for stdin")
     p.add_argument("--algo", choices=("auto",) + ENGINES, default="auto")
     p.add_argument("--td", help="tree decomposition file for dp-wx")
-    p.add_argument("--cap", type=_positive, help="oracle candidate cap override")
+    p.add_argument("--cap", type=_positive, help="subset-scan candidate cap (oracle and dp-y)")
     p.add_argument("--json", action="store_true")
     p.add_argument("--cert", help="write the cut, one 1-based id per line")
     p.set_defaults(func=cmd_solve)
@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="e.g. all:n=6:k=0-3:x=0-8 or random:n=10:m=15:count=20:seed=1:k=2:x=0-6")
     p.add_argument("--engines", help="comma-separated subset of " + ",".join(ENGINES))
     p.add_argument("--reps", type=_positive, default=1)
-    p.add_argument("--cap", type=_positive, help="oracle candidate cap override")
+    p.add_argument("--cap", type=_positive, help="subset-scan candidate cap (oracle and dp-y)")
     p.add_argument("-o", "--out", help="CSV path (default stdout)")
     p.set_defaults(func="cmd_bench")
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import sys
 import time
+from functools import cached_property
 from importlib import import_module
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -72,8 +73,10 @@ class RunReport(NamedTuple):
 
 
 class _Plan:
-    """Shared inputs of one instance, each built once.
+    """Shared inputs of one instance.
 
+    `total`, the input's connected pairs, is counted on first read: an
+    x-spelled target that the kernel rule settles as NO never needs it.
     `ntd` is a supplied nice form, or None. Without one, auto measures the
     width of `g.heuristic_td`, the min-fill decomposition cached on the
     graph, and dp-wx runs on that decomposition's nice form, which
@@ -82,8 +85,20 @@ class _Plan:
 
     def __init__(self, g: Graph, k: int, x: int | None, y: int | None = None, ntd=None):
         self.g, self.k, self.ntd = g, k, ntd
-        self.total = connected_pairs(g)
         self.x_eff = x if x is not None else self.total - y
+
+    @cached_property
+    def total(self) -> int:
+        return connected_pairs(self.g)
+
+    def bound_met(self) -> bool:
+        """Whether the empty cut already leaves at most x_eff pairs.
+
+        A component with s vertices and e edges has s(s - 1) >= 2e ordered
+        pairs, so total >= 2m, and an x_eff below 2m is short of the total
+        without counting it.
+        """
+        return self.x_eff >= 2 * self.g.m and self.x_eff >= self.total
 
 
 def _check_engine(algo: str) -> None:
@@ -125,7 +140,7 @@ def _route(plan: _Plan, algo: str) -> tuple[str, _Plan, KernelTrace | None]:
     Returns what settles the instance ("trivial", "kernel" or an engine),
     the plan it runs on, and the kernel trace when the rule forced a vertex.
     """
-    if plan.x_eff < 0 or plan.x_eff >= plan.total:
+    if plan.x_eff < 0 or plan.bound_met():
         return "trivial", plan, None
     if algo != "auto":
         return algo, plan, None
@@ -135,7 +150,7 @@ def _route(plan: _Plan, algo: str) -> tuple[str, _Plan, KernelTrace | None]:
     if trace.infeasible:
         return "kernel", plan, trace
     sub = _Plan(trace.kernel_graph, trace.k_out, plan.x_eff)
-    if sub.x_eff >= sub.total:
+    if sub.bound_met():
         return "kernel", sub, trace
     return _auto(sub), sub, trace
 
@@ -226,9 +241,12 @@ def run_instance(
         d = Decision(True, Cut(frozenset(), sub.total), {"reason": "forced vertices meet the bound"})
     stats = d.stats if isinstance(d.stats, dict) else dict(vars(d.stats))
     if trace is not None:
-        # An infeasible trace stops at the vertex that would take k + 1.
-        forced = len(trace.forced_vertices) + trace.infeasible
-        stats["kernel"] = {"forced": forced, "k_out": trace.k_out, "n_out": trace.kernel_graph.n}
+        # An infeasible trace stops at the vertex that would take k + 1 and
+        # builds no graph; its residual would be g less the vertices forced.
+        forced = len(trace.forced_vertices)
+        n_out = plan.g.n - forced if trace.infeasible else trace.kernel_graph.n
+        stats["kernel"] = {"forced": forced + trace.infeasible, "k_out": trace.k_out,
+                           "n_out": n_out}
         if d.answer:
             lift = trace.kernel_to_original
             cut = Cut(frozenset(trace.forced_vertices).union(lift[v] for v in d.cut.vertices),

@@ -17,14 +17,15 @@ class KernelTrace(NamedTuple):
     """What the kernel pass did, in order, plus the reduced instance.
 
     When infeasible is True the rule forced more than k deletions, which
-    certifies a NO answer; kernel_graph then holds the residual at the point
-    the budget ran out and the other invariants do not apply.
+    certifies a NO answer. Such a trace builds no graph: forced_vertices
+    holds the k vertices forced before the budget ran out, discarded_isolated
+    and kernel_to_original are empty, k_out is 0 and kernel_graph is None.
     """
 
     forced_vertices: tuple[int, ...]
     discarded_isolated: tuple[int, ...]
     k_out: int
-    kernel_graph: Graph
+    kernel_graph: Graph | None
     kernel_to_original: tuple[int, ...]
     infeasible: bool = False
 
@@ -56,15 +57,7 @@ def kernelize_kx(g: Graph, k: int, x: int) -> KernelTrace:
             break
         if k_cur == 0:
             # Budget exhausted while a vertex still exceeds the threshold.
-            residual = remove_vertices(g, forced)
-            return KernelTrace(
-                forced_vertices=tuple(forced),
-                discarded_isolated=(),
-                k_out=0,
-                kernel_graph=residual[0],
-                kernel_to_original=residual[1],
-                infeasible=True,
-            )
+            return KernelTrace(tuple(forced), (), 0, None, (), infeasible=True)
         alive &= ~(1 << v)
         forced.append(v)
         k_cur -= 1

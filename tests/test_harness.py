@@ -37,6 +37,7 @@ from cncut.harness import (
     select_algorithm,
 )
 from cncut.instance_io import CncInstance, parse_instance
+from cncut.kernel import kernelize_kx, rule_fires
 from cncut.oracle import DEFAULT_CAP, oracle_decides
 
 from .strategies import graphs, seeded_random_graphs
@@ -103,10 +104,51 @@ def test_select_dense_graph_goes_to_branching():
 def test_select_dense_graph_the_rule_settles_goes_to_kernel():
     # K20 with k = 2, x = 4: every vertex has degree 19 and (19 - 2)^2 > 4, so
     # the rule forces more than k vertices and answers NO before any engine.
+    # x is below 2m = 380, so the run never counts the pairs, and the NO
+    # builds no residual graph.
     assert select_algorithm(complete_graph(20), 2, 4, None) == "kernel"
-    report = run_instance(CncInstance(complete_graph(20), 2, x=4))
+    g = complete_graph(20)
+    report = run_instance(CncInstance(g, 2, x=4))
     assert report.algorithm == "kernel" and report.answer == "NO"
     assert report.stats["kernel"] == {"forced": 3, "k_out": 0, "n_out": 18}
+    assert "components" not in g.__dict__
+    trace = kernelize_kx(complete_graph(20), 2, 4)
+    assert trace.infeasible and trace.kernel_graph is None and trace.kernel_to_original == ()
+
+
+@given(graphs(max_n=9), st.integers(0, 3), st.integers(0, 80))
+def test_pair_total_bounds_the_shortcut(g, k, x):
+    # A component with s vertices holds at most s(s - 1)/2 edges, so the
+    # pairs are at least 2m; a vertex the rule forces has degree d > k and
+    # (d - k)^2 > x, so its component has at least d(d + 1) > x pairs.
+    total = connected_pairs(g)
+    assert total >= 2 * g.m
+    if rule_fires(g, k, x):
+        assert x < total
+
+
+def test_trivial_exactly_when_the_bound_is_met():
+    # The route tests 2m before it counts the pairs; the answer must be the
+    # same as testing the pair total alone, at x = 2m - 1, 2m, total - 1 and total.
+    corpus = seeded_random_graphs(36, 8, (4, 22), m_factor=4.0)
+    corpus += [complete_graph(20), star_graph(16), Graph(5, frozenset())]
+    routes = set()
+    for g in corpus:
+        m2, total = 2 * g.m, connected_pairs(g)
+        xs = sorted({0, m2 - 1, m2, m2 + 1, total - 1, total, total + 1} - {-1})
+        targets = [(x, None, x) for x in xs]
+        targets += [(None, total - x, x) for x in xs if x <= total] + [(None, total + 1, -1)]
+        for algo in ("auto", *ENGINES):
+            for k in (0, 2):
+                for x, y, x_eff in targets:
+                    try:
+                        chosen = select_algorithm(g, k, x, y, algo)
+                    except EngineRefusal:
+                        chosen = "refused"
+                    routes.add(chosen)
+                    assert (chosen == "trivial") == (x_eff < 0 or x_eff >= total), (
+                        g.n, sorted(g.edges), algo, k, x, y)
+    assert {"trivial", "kernel", "oracle"} <= routes
 
 
 def test_select_names_trivial_targets():
