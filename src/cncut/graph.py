@@ -13,6 +13,7 @@ and building its classes would cost more than a small solve itself.
 from __future__ import annotations
 
 from functools import cached_property
+from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -328,6 +329,11 @@ def pairs_of_alive(masks: tuple[int, ...], alive: int, bound: int | None = None)
         total += s * (s - 1)
         remaining &= ~comp
     return total
+
+
+def subset_count(n: int, sizes: Iterable[int]) -> int:
+    """How many subsets of n items have a size in `sizes`: what a capped subset scan charges."""
+    return sum(comb(n, size) for size in sizes)
 
 
 def remove_vertices(g: Graph, c: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:

@@ -27,7 +27,9 @@ from functools import cached_property
 from importlib import import_module
 from typing import TYPE_CHECKING, NamedTuple
 
-from .graph import DEFAULT_CAP, Cut, Decision, Graph, InputError, Refusal, certify, connected_pairs
+from .graph import (
+    DEFAULT_CAP, Cut, Decision, Graph, InputError, Refusal, certify, connected_pairs, subset_count,
+)
 from .instance_io import CncInstance
 
 if TYPE_CHECKING:
@@ -80,11 +82,13 @@ class _Plan:
     `ntd` is a supplied nice form, or None. Without one, auto measures the
     width of `g.heuristic_td`, the min-fill decomposition cached on the
     graph, and dp-wx runs on that decomposition's nice form, which
-    `solve_wx` builds unchecked.
+    `solve_wx` builds unchecked. `cap` is the run's subset-scan cap, which
+    auto's work test for dp-y reads.
     """
 
-    def __init__(self, g: Graph, k: int, x: int | None, y: int | None = None, ntd=None):
-        self.g, self.k, self.ntd = g, k, ntd
+    def __init__(self, g: Graph, k: int, x: int | None, y: int | None = None, ntd=None,
+                 cap: int = DEFAULT_CAP):
+        self.g, self.k, self.ntd, self.cap = g, k, ntd, cap
         self.x_eff = x if x is not None else self.total - y
 
     @cached_property
@@ -107,10 +111,27 @@ def _check_engine(algo: str) -> None:
 
 
 # Auto's engine envelopes, tried in this order; --algo overrides them per run.
+# DP_Y_WORK bounds E, the subsets dp-y's scans would count (`_dp_y_work`).
 ORACLE_MAX_N = 14
 DP_Y_MAX = 22
+DP_Y_WORK = 200
 DP_WX_MAX = 18
 BRANCH_KX_MAX = 24
+
+
+def _dp_y_work(plan: _Plan, y: int) -> tuple[int, int]:
+    """E, the subsets dp-y's scans would count, and the most that one component's scan counts.
+
+    Each component c is scanned over sizes 0..min(k, |c|), and `_capped_scan`
+    charges it subset_count(|c|, those sizes) against the cap. With k >= 1
+    and a component of more than y vertices, the large-component screen
+    answers before any scan, so E is 0.
+    """
+    sizes = [c.bit_count() for c in plan.g.components]
+    if plan.k >= 1 and max(sizes) > y:
+        return 0, 0
+    terms = [subset_count(s, range(min(plan.k, s) + 1)) for s in sizes]
+    return sum(terms), max(terms)
 
 
 def _auto(plan: _Plan) -> str:
@@ -121,15 +142,27 @@ def _auto(plan: _Plan) -> str:
     x_eff, y = plan.x_eff, plan.total - plan.x_eff
     if y <= DP_Y_MAX:
         return "dp-y"
+    # dp-y's cost is set by component sizes and k, not by y. Components
+    # partition the vertices and only the empty set is counted once per
+    # component, so E exceeds the oracle's count, the sum of C(n, j) over
+    # j <= k, by at most the number of components less one: for n > 14 no
+    # separate oracle estimate is needed. dp-y's cap applies per component,
+    # so a component whose scan the run's cap would refuse keeps the
+    # instance off this route.
+    work, term = _dp_y_work(plan, y)
+    if work <= DP_Y_WORK and term <= plan.cap:
+        return "dp-y"
     # A supplied form is the one dp-wx would run on, so its width decides.
     width = plan.g.heuristic_td.width if plan.ntd is None else plan.ntd.width
     if width + x_eff <= DP_WX_MAX:
         return "dp-wx"
     if x_eff + plan.k <= BRANCH_KX_MAX:
         return "branch-kx"
+    dp_y = (f"E={work} > {DP_Y_WORK}" if work > DP_Y_WORK
+            else f"a component's {term} subsets > cap {plan.cap}")
     raise EngineRefusal(
         f"instance outside every engine envelope: n={plan.g.n} > {ORACLE_MAX_N}; "
-        f"y={y} > {DP_Y_MAX}; w+x={width}+{x_eff} > {DP_WX_MAX}; "
+        f"y={y} > {DP_Y_MAX} and {dp_y}; w+x={width}+{x_eff} > {DP_WX_MAX}; "
         f"x+k={x_eff}+{plan.k} > {BRANCH_KX_MAX}"
     )
 
@@ -149,7 +182,7 @@ def _route(plan: _Plan, algo: str) -> tuple[str, _Plan, KernelTrace | None]:
     trace = _lazy("kernel").kernelize_kx(plan.g, plan.k, plan.x_eff)
     if trace.infeasible:
         return "kernel", plan, trace
-    sub = _Plan(trace.kernel_graph, trace.k_out, plan.x_eff)
+    sub = _Plan(trace.kernel_graph, trace.k_out, plan.x_eff, cap=plan.cap)
     if sub.bound_met():
         return "kernel", sub, trace
     return _auto(sub), sub, trace
@@ -170,10 +203,12 @@ def select_algorithm(
     forced ones alone meet the bound. Then auto walks the thresholds on the
     kernel instance: oracle by vertex count, then dp-y when y, the pairs a
     cut must remove, is small, whether the target was given as x or as y,
-    then dp-wx when heuristic width keeps w+x small, then branch-kx on x+k.
-    Structure is consulted before branching so that near-tree graphs with
-    moderate x go to the width engine. The target and budget are checked as
-    an instance file's are: exactly one of x and y, each nonnegative.
+    or when E, the subsets its per-component scans would count, is small
+    and no component's scan exceeds the default cap; then dp-wx when
+    heuristic width keeps w+x small, then branch-kx on x+k. Structure is
+    consulted before branching so that near-tree graphs with moderate x go
+    to the width engine. The target and budget are checked as an instance
+    file's are: exactly one of x and y, each nonnegative.
     """
     _check_engine(user_choice)
     CncInstance(g, k, x=x, y=y)
@@ -218,7 +253,7 @@ def run_instance(
     """
     start = time.perf_counter()
     _check_engine(algo)
-    plan = _Plan(inst.graph, inst.k, inst.x, inst.y, ntd)
+    plan = _Plan(inst.graph, inst.k, inst.x, inst.y, ntd, config.oracle_cap)
     engine, sub, trace = _route(plan, algo)
     if ntd is not None and engine != "dp-wx":
         report = _lazy("decomposition").validate_nice(plan.g, ntd)

@@ -44,12 +44,11 @@ subsets of its candidates, closed or not. `extend_minimal_cover` is uncapped.
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb
 from typing import Iterator, NamedTuple, Sequence
 
 from .graph import (
     DEFAULT_CAP, Cut, Graph, InputError, Refusal, check_parameters, connected_pairs,
-    pairs_of_alive,
+    pairs_of_alive, subset_count,
 )
 
 
@@ -126,7 +125,7 @@ def _capped_scan(
     The refusal reports the caller's budget k and the number of candidates.
     """
     n = len(candidates)
-    count = sum(comb(n, size) for size in sizes)
+    count = subset_count(n, sizes)
     if count > cap:
         raise CapExceeded(count, cap, n, k)
     return _Scan(g, alive, candidates, sizes, bound)

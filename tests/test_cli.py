@@ -499,10 +499,11 @@ def test_only_certify_and_cnc_verify_call_verify_solution():
 STAR17 = "p cnc 17 16\n" + "".join(f"e 1 {v}\n" for v in range(2, 18)) + "k 1\nx 0\n"
 PATH17 = "p cnc 17 16\n" + "".join(f"e {v} {v + 1}\n" for v in range(1, 17)) + "k 5\nx 12\n"
 PATH17_Y = PATH17.replace("k 5\nx 12", "k 1\ny 20")
-# Three disjoint K5s: deleting two vertices of each leaves 18 pairs.
-CLIQUES3 = ("p cnc 15 30\n" + "".join(f"e {b + i} {b + j}\n" for b in (0, 5, 10)
+# Three K5s joined in a path by two edges: deleting two vertices of each
+# leaves 18 pairs. dp-y's scan would count 9,949 subsets of the one component.
+CLIQUES3 = ("p cnc 15 32\n" + "".join(f"e {b + i} {b + j}\n" for b in (0, 5, 10)
                                       for i in range(1, 6) for j in range(i + 1, 6))
-            + "k 6\nx 18\n")
+            + "e 5 6\ne 10 11\nk 6\nx 18\n")
 SOLVE_BASE = ["cncut", "cncut.cli", "cncut.graph", "cncut.harness", "cncut.instance_io"]
 
 

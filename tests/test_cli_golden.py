@@ -23,9 +23,9 @@ def _chain(n):
     return f"p cnc {n} {n - 1}\n" + "".join(f"e {v} {v + 1}\n" for v in range(1, n))
 
 
-def _cliques(count, size):
+def _cliques(count, size, bridges=()):
     edges = [(b * size + i, b * size + j) for b in range(count)
-             for i in range(1, size + 1) for j in range(i + 1, size + 1)]
+             for i in range(1, size + 1) for j in range(i + 1, size + 1)] + list(bridges)
     return (f"p cnc {count * size} {len(edges)}\n"
             + "".join(f"e {u} {v}\n" for u, v in edges))
 
@@ -40,7 +40,7 @@ INSTANCES = {
     "oracle": K3 + "k 1\nx 2\n",
     "dp-y": _chain(17) + "k 1\ny 20\n",
     "dp-wx": _chain(17) + "k 5\nx 12\n",
-    "branch-kx": _cliques(3, 5) + "k 6\nx 18\n",
+    "branch-kx": _cliques(3, 5, [(5, 6), (10, 11)]) + "k 6\nx 18\n",
 }
 # `cnc decompose` input: the dp-wx chain, and two triangles beside an
 # isolated vertex, whose decomposition hangs three subtrees from an empty bag.

@@ -6,6 +6,7 @@ from cncut.graph import (
     InputError,
     complete_graph,
     connected_pairs,
+    cycle_graph,
     disjoint_union,
     pairs_removed,
     path_graph,
@@ -16,6 +17,7 @@ from cncut.component_dp import (
     shortcut_checks,
     solve_y,
 )
+from cncut.harness import _dp_y_work, _Plan
 from cncut.oracle import CapExceeded, oracle_max_removed_exact, oracle_min_pairs
 
 from .reference import empty_graph, full_scan
@@ -109,6 +111,30 @@ def test_removal_table_matches_oracle_per_component(g, k):
         others = frozenset(range(g.n)) - set(verts)
         rows = full_scan(g, verts, range(min(k, s) + 1), others)
         assert table.subsets_examined[i] == sum(r.closed for r in rows)
+
+
+def _work(g, k, y):
+    """E, the subsets auto charges dp-y's scans on (g, k, y)."""
+    return _dp_y_work(_Plan(g, k, None, y), y)[0]
+
+
+@given(graphs(max_n=8), st.integers(0, 4), st.integers(0, 40))
+def test_work_bounds_the_subsets_scanned(g, k, y):
+    stats = solve_y(g, k, y).stats
+    if stats.subsets_examined:
+        assert _work(g, k, y) >= sum(stats.subsets_examined)
+
+
+@given(st.lists(st.integers(5, 8), min_size=1, max_size=3), st.integers(1, 3),
+       st.integers(9, 80))
+def test_work_counts_every_subset_of_cycles(lengths, k, y):
+    # A cycle of 5 or more vertices has no dominated vertex, so every subset
+    # is closed and the scans count exactly E. y > 8 and y > 2k keep the
+    # screens from answering first.
+    g, _ = disjoint_union(cycle_graph(n) for n in lengths)
+    stats = solve_y(g, k, y).stats
+    assert stats.shortcut is None
+    assert sum(stats.subsets_examined) == _work(g, k, y)
 
 
 def test_solve_two_triangles_split_budget():

@@ -28,6 +28,7 @@ from cncut.harness import (
     BRANCH_KX_MAX,
     DP_WX_MAX,
     DP_Y_MAX,
+    DP_Y_WORK,
     ENGINES,
     ORACLE_MAX_N,
     EngineRefusal,
@@ -67,6 +68,66 @@ def test_select_refusal_names_every_threshold():
         select_algorithm(complete_graph(60), 5, 3000, None)
     msg = str(exc.value)
     assert "n=60" in msg and "y=" in msg and "w+x=" in msg and "x+k=" in msg
+    # One K60 scanned over sizes 0..5: E = 1 + 60 + 1,770 + 34,220 + 487,635 + 5,461,512.
+    assert f"E=5985198 > {DP_Y_WORK}" in msg
+
+
+@pytest.mark.parametrize("extra, engine", [(0, "dp-y"), (1, "dp-wx")], ids=["at", "above"])
+def test_select_admits_dp_y_up_to_its_work_threshold(extra, engine):
+    # One path of s vertices with k = 1: dp-y's scan counts the empty set
+    # and the s singletons, so E = s + 1. y is far above 22, and width 1 +
+    # x 6 keeps dp-wx next in line.
+    g = path_graph(DP_Y_WORK - 1 + extra)
+    assert select_algorithm(g, 1, 6, None) == engine
+
+
+def test_select_counts_no_work_where_the_large_component_screen_answers():
+    # P40 with k = 3 and y = 30: a scan would count 10,701 subsets, and x is
+    # far outside dp-wx's and branch-kx's envelopes, but the component has
+    # more than y vertices, so dp-y answers by its screen without a scan.
+    assert select_algorithm(path_graph(40), 3, None, 30) == "dp-y"
+    report = run_instance(CncInstance(path_graph(40), 3, y=30))
+    assert report.answer == "YES" and report.stats["shortcut"] == "large-component"
+
+
+def test_dp_y_work_respects_the_run_cap():
+    # Three K1,4 stars with k = 3, x = 2: y = 58, and each star's scan counts
+    # 1 + 5 + 10 + 10 = 26 subsets, so E = 78. Under a cap of 25 dp-y would
+    # refuse a component, so auto keeps the width route and its answer.
+    g, _ = disjoint_union([star_graph(4)] * 3)
+    inst = CncInstance(g, 3, x=2)
+    by_work = run_instance(inst)
+    capped = run_instance(inst, config=HarnessConfig(oracle_cap=25))
+    assert (by_work.algorithm, capped.algorithm) == ("dp-y", "dp-wx")
+    assert by_work.answer == capped.answer == "YES"
+    assert by_work.cut == capped.cut == (0, 5, 10)
+    # Four K5 with k = 2, x = 40: E = 4 * 16 = 64, but w + x and x + k are
+    # both too large, so the cap turns dp-y's route into a refusal that says why.
+    g, _ = disjoint_union([complete_graph(5)] * 4)
+    assert run_instance(CncInstance(g, 2, x=40)).algorithm == "dp-y"
+    with pytest.raises(EngineRefusal, match="y=40 > 22 and a component's 16 subsets > cap 15"):
+        run_instance(CncInstance(g, 2, x=40), config=HarnessConfig(oracle_cap=15))
+
+
+def test_dp_y_admitted_by_work_agrees_with_oracle():
+    # Seeded unions of small random graphs, n = 15..24, with y > 22: every
+    # one auto sends to dp-y by its work alone answers as the oracle does.
+    rng = random.Random(37)
+    answers = []
+    while len(answers) < 24:
+        parts = [random_graph(s, rng.randint(s - 1, s * (s - 1) // 2), rng)
+                 for s in (rng.randint(3, 6) for _ in range(rng.randint(3, 5)))]
+        g, _ = disjoint_union(parts)
+        total, k = connected_pairs(g), rng.randint(2, 4)
+        if not 15 <= g.n <= 24 or total <= DP_Y_MAX:
+            continue
+        y = rng.randint(DP_Y_MAX + 1, min(total, 2 * DP_Y_MAX))
+        report = run_instance(CncInstance(g, k, y=y))
+        want = oracle_decides(g, k, total - y)
+        assert (report.answer == "YES") == want, (sorted(g.edges), k, y)
+        if report.algorithm == "dp-y" and "kernel" not in report.stats:
+            answers.append(want)
+    assert True in answers and False in answers
 
 
 def test_select_user_choice_wins():
@@ -91,12 +152,14 @@ def test_unknown_engine_rejected_on_trivial_instance():
 
 
 def test_select_dense_graph_goes_to_branching():
-    # Three disjoint K6: n > ORACLE_MAX_N and heuristic width 5 + x 14 >
-    # DP_WX_MAX, but x + k = 16. Degree 5 with k = 2 gives (5 - 2)^2 = 9 <= 14,
-    # so the high-degree rule forces nothing.
-    g, _ = disjoint_union([complete_graph(6)] * 3)
-    assert select_algorithm(g, 2, 14, None) == "branch-kx"
-    report = run_instance(CncInstance(g, 2, x=14))
+    # Three K6 joined in a path by two edges: n > ORACLE_MAX_N, y = 292 and
+    # dp-y's scan would count E = 988 subsets of the one component, heuristic
+    # width 5 + x 14 > DP_WX_MAX, but x + k = 17. Degree at most 6 with k = 3
+    # gives (6 - 3)^2 = 9 <= 14, so the high-degree rule forces nothing.
+    cliques, _ = disjoint_union([complete_graph(6)] * 3)
+    g = Graph.from_edges(18, [*cliques.edges, (5, 6), (11, 12)])
+    assert select_algorithm(g, 3, 14, None) == "branch-kx"
+    report = run_instance(CncInstance(g, 3, x=14))
     assert report.algorithm == "branch-kx" and report.answer == "NO"
     assert "kernel" not in report.stats
 
@@ -219,7 +282,7 @@ def test_x_spelled_small_y_instances_go_to_dp_y():
 def test_config_defaults_without_env():
     assert HarnessConfig._fields == ("oracle_cap",)
     assert HarnessConfig().oracle_cap == DEFAULT_CAP
-    assert (ORACLE_MAX_N, DP_Y_MAX, DP_WX_MAX, BRANCH_KX_MAX) == (14, 22, 18, 24)
+    assert (ORACLE_MAX_N, DP_Y_MAX, DP_Y_WORK, DP_WX_MAX, BRANCH_KX_MAX) == (14, 22, 200, 18, 24)
 
 
 # --- run_instance ----------------------------------------------------------
@@ -270,11 +333,12 @@ def test_run_instance_accepts_supplied_decomposition():
 
 def test_supplied_decomposition_skips_the_kernel():
     # Auto would force the star's centre; a decomposition of the input graph
-    # sends the raw instance to dp-wx instead.
+    # sends the raw instance to dp-wx instead. With k = 3 dp-y's scan would
+    # count E = 834 subsets, so auto reads the width.
     from cncut.decomposition import heuristic_decomposition
 
     g = star_graph(16)
-    report = run_instance(CncInstance(g, 1, x=0), ntd=make_nice(heuristic_decomposition(g)))
+    report = run_instance(CncInstance(g, 3, x=0), ntd=make_nice(heuristic_decomposition(g)))
     assert report.algorithm == "dp-wx" and report.cut == (0,)
     assert "kernel" not in report.stats
 
