@@ -189,16 +189,6 @@ class Graph(FrozenRecord):
         return tuple(found)
 
     @cached_property
-    def dominator_counts(self) -> tuple[int, ...]:
-        """|dom(v)| per vertex, the popcounts of `dominators`.
-
-        A cut of at most k vertices closed under dom holds no v with
-        |dom(v)| >= k, so a solver that never deletes such a v keeps every
-        answer (see `dominators`).
-        """
-        return tuple(d.bit_count() for d in self.dominators)
-
-    @cached_property
     def peel_order(self) -> tuple[int, ...]:
         """The vertices in max-degree peel order: at each turn, the vertex with
         the most neighbours not yet taken, the smallest id on ties.

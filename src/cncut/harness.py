@@ -82,8 +82,9 @@ class _Plan:
     `ntd` is a supplied nice form, or None. Without one, auto measures the
     width of `g.heuristic_td`, the min-fill decomposition cached on the
     graph, and dp-wx runs on that decomposition's nice form, which
-    `solve_wx` builds unchecked. `cap` is the run's subset-scan cap, which
-    auto's work test for dp-y reads.
+    `solve_wx` builds unchecked. `cap` is the run's subset-scan cap
+    (`HarnessConfig.oracle_cap`), which auto's work test for dp-y and the
+    oracle and dp-y solvers read; the kernel sub-plan inherits it.
     """
 
     def __init__(self, g: Graph, k: int, x: int | None, y: int | None = None, ntd=None,
@@ -215,22 +216,21 @@ def select_algorithm(
     return _route(_Plan(g, k, x, y), user_choice)[0]
 
 
-def _solve_oracle(plan: _Plan, config: HarnessConfig) -> Decision:
-    res = _lazy("oracle").oracle_min_pairs(plan.g, plan.k, cap=config.oracle_cap)
+def _solve_oracle(plan: _Plan) -> Decision:
+    res = _lazy("oracle").oracle_min_pairs(plan.g, plan.k, cap=plan.cap)
     stats = {"explored": res.explored, "min_residual_pairs": res.min_residual_pairs}
     if res.min_residual_pairs > plan.x_eff:
         return Decision(False, None, stats)
     return Decision(True, certify(plan.g, res.best_cut, plan.k, plan.x_eff, "oracle"), stats)
 
 
-# Engine name -> solve(plan, config) returning a Decision. Each loads its
-# engine's module on its first call.
+# Engine name -> solve(plan) returning a Decision. Each loads its engine's
+# module on its first call.
 _SOLVERS = {
     "oracle": _solve_oracle,
-    "branch-kx": lambda p, c: _lazy("branching").solve_branch_kx(p.g, p.k, p.x_eff),
-    "dp-y": lambda p, c: _lazy("component_dp").solve_y(
-        p.g, p.k, p.total - p.x_eff, cap=c.oracle_cap),
-    "dp-wx": lambda p, c: _lazy("treewidth_dp").solve_wx(p.g, p.k, p.x_eff, p.ntd),
+    "branch-kx": lambda p: _lazy("branching").solve_branch_kx(p.g, p.k, p.x_eff),
+    "dp-y": lambda p: _lazy("component_dp").solve_y(p.g, p.k, p.total - p.x_eff, cap=p.cap),
+    "dp-wx": lambda p: _lazy("treewidth_dp").solve_wx(p.g, p.k, p.x_eff, p.ntd),
 }
 ENGINES = tuple(_SOLVERS)
 
@@ -269,7 +269,7 @@ def run_instance(
             cut = certify(plan.g, Cut(frozenset(), plan.total), plan.k, plan.x_eff, engine)
             d = Decision(True, cut, {"reason": "bound already met"})
     elif engine != "kernel":
-        d = _SOLVERS[engine](sub, config)
+        d = _SOLVERS[engine](sub)
     elif trace.infeasible:
         d = Decision(False, None, {"reason": "the high-degree rule forces more than k vertices"})
     else:

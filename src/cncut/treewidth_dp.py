@@ -8,8 +8,7 @@ pair increment, forget preserves, join adds), so a table is a dict that
 holds one minimal x' per structural key. No rule makes an x' above x: a leaf
 offers 0, introduce-keep tests x_new <= x, introduce-delete and forget carry
 the child's x' unchanged, and a join drops x_new > x. So the keep-least rule,
-`_keep_least`, has no cap test. `WxStats.max_table_expanded` counts the full
-feasible key set of the largest table, x - x' + 1 keys per entry.
+`_keep_least`, has no cap test.
 
 Vertex sets are int bitmasks over vertex ids, as in `oracle` and `branching`.
 The blocks of a key are (vertex mask, true size) pairs sorted by mask; the
@@ -41,8 +40,8 @@ the last time by the right block that holds the class's highest vertex.
 
 Domination. `compute_tables` gives a vertex v with |dom(v)| >= k no delete
 branch, where dom(v) is the set of vertices that dominate v and rank above
-it (`Graph.dominator_counts`). Every size has a best cut closed under dom,
-by the swap argument of `Graph.dominators` that the subset scans of
+it, the mask `Graph.dominators[v]`. Every size has a best cut closed under
+dom, by the swap argument of `Graph.dominators` that the subset scans of
 `oracle` use too. A closed cut holds at least |dom(v)| + 1 vertices with
 each v it holds, so one of at most k vertices avoids every filtered v. At
 the least budget k* <= k that meets x, a closed cut of exactly k* vertices
@@ -64,7 +63,6 @@ included.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Iterable
 
 from .graph import Counters, Cut, Decision, Graph, bits, certify, check_parameters, connected_pairs
@@ -195,13 +193,10 @@ class WxStats(Counters):
     tables_built: int = 0  # below node_count when a table came out empty
     width: int = 0
     max_table_structs: int = 0
-    max_table_expanded: int = 0
     total_structs: int = 0
 
 
-def compute_tables(
-    g: Graph, nodes: Iterable[NiceNode], k: int, x: int, stats: WxStats | None = None
-) -> list[Table]:
+def compute_tables(g: Graph, nodes: Iterable[NiceNode], k: int, x: int) -> list[Table]:
     """Bottom-up tables in node index order, up to the first empty one.
 
     `nodes` is a nice form's node list, or `stream_nice`'s nodes, which are
@@ -216,12 +211,9 @@ def compute_tables(
     when it has an entry; an empty table means NO ("Early NO" in the module
     docstring).
 
-    `stats`, when given, gets `tables_built` and the struct counts of the
-    tables built; its other fields are left alone.
-
-    A vertex v with |dom(v)| >= k (`Graph.dominator_counts`) is never
-    deleted: its leaf or introduce table gets budget 0, so no delete
-    branch. The module docstring says why no answer moves.
+    A vertex v with |dom(v)| >= k, the popcount of `Graph.dominators[v]`,
+    is never deleted: its leaf or introduce table gets budget 0, so no
+    delete branch. The module docstring says why no answer moves.
 
     The nodes must form a nice decomposition that passes `validate_nice`
     for `g`. `solve_wx` checks a supplied form first; the form it builds
@@ -237,14 +229,13 @@ def compute_tables(
     """
     tables: list[Table] = []
     adjacency = g.adjacency_masks
-    dominators = g.dominator_counts
-    total = max_structs = max_expanded = 0
+    dominators = g.dominators
     for kind, bag, v, children in nodes:
         if kind == "leaf":
-            table = leaf_table(v, k if dominators[v] < k else 0)
+            table = leaf_table(v, k if dominators[v].bit_count() < k else 0)
         elif kind == "introduce":
             bag_neighbors = adjacency[v] & sum(1 << u for u in bag)
-            k_v = k if dominators[v] < k else 0
+            k_v = k if dominators[v].bit_count() < k else 0
             table = introduce_table(tables[children[0]], v, bag_neighbors, k_v, x)
         elif kind == "forget":
             table = forget_table(tables[children[0]], v)
@@ -254,17 +245,8 @@ def compute_tables(
         else:
             raise StructuralError(f"unknown node kind {kind!r}")
         tables.append(table)
-        size = len(table)
-        total += size
-        max_structs = max(max_structs, size)
-        max_expanded = max(max_expanded, size * (x + 1) - sum(map(itemgetter(0), table.values())))
-        if not size:
+        if not table:
             break
-    if stats is not None:
-        stats.tables_built = len(tables)
-        stats.max_table_structs = max_structs
-        stats.max_table_expanded = max_expanded
-        stats.total_structs = total
     return tables
 
 
@@ -282,9 +264,10 @@ def read_decision(tables: list[Table], k: int, x: int) -> Struct | None:
     return min(fits, key=lambda struct: (struct[0], root[struct][0]), default=None)
 
 
-def extract_cut(tables: list[Table], root_struct: Struct) -> frozenset[int]:
-    """The cut a root entry carries; it leaves x' = connected_pairs(g - cut) pairs."""
-    return frozenset(bits(tables[-1][root_struct][1]))
+def extract_cut(tables: list[Table], root_struct: Struct) -> Cut:
+    """The cut a root entry carries, with its x' = connected_pairs(g - cut)."""
+    residual, cut = tables[-1][root_struct]
+    return Cut(frozenset(bits(cut)), residual)
 
 
 def solve_wx(g: Graph, k: int, x: int, ntd: NiceTreeDecomposition | None = None) -> Decision:
@@ -295,7 +278,9 @@ def solve_wx(g: Graph, k: int, x: int, ntd: NiceTreeDecomposition | None = None)
     the graph's cached min-fill decomposition, `g.heuristic_td`, which is
     valid by construction and so is not checked. That form is streamed into
     `compute_tables` (`stream_nice`), so a NO builds none of it past the
-    first empty table; `node_count` and `width` come from its skeleton.
+    first empty table; `node_count` and `width` come from its skeleton. The
+    other stats are read off the tables `compute_tables` returns, and a YES
+    certificate is the root entry's cut (`extract_cut`).
     """
     check_parameters(k, x)
     if ntd is not None and not (report := validate_nice(g, ntd)).ok:
@@ -312,13 +297,14 @@ def solve_wx(g: Graph, k: int, x: int, ntd: NiceTreeDecomposition | None = None)
     else:
         node_count, width, nodes = len(ntd.nodes), ntd.width, ntd.nodes
 
-    stats = WxStats(node_count=node_count, width=width)
-    tables = compute_tables(g, nodes, k, x, stats)
+    tables = compute_tables(g, nodes, k, x)
+    sizes = list(map(len, tables))
+    stats = WxStats(node_count=node_count, tables_built=len(tables), width=width,
+                    max_table_structs=max(sizes, default=0), total_structs=sum(sizes))
     accept = read_decision(tables, k, x)
     if accept is None:
         return Decision(False, None, stats)
     cut = extract_cut(tables, accept)
-    if len(cut) != accept[0]:
+    if len(cut.vertices) != accept[0]:
         raise AssertionError("certificate size disagrees with its table entry")
-    residual = tables[-1][accept][0]
-    return Decision(True, certify(g, Cut(cut, residual), k, x, "dp-wx"), stats)
+    return Decision(True, certify(g, cut, k, x, "dp-wx"), stats)

@@ -10,8 +10,8 @@ its leaves with the same minimal covers, in no more nodes; `peeled` gives
 the graph in the labelling `solve_branch_kx` searches, so that the two run
 on the same one. `connected_components`
 labels `Graph.components` per vertex for the graph tests,
-`dominators` and `dominator_counts` are `Graph.dominators` and
-`Graph.dominator_counts` from their definition, `full_scan` is the subset
+`dominators` is `Graph.dominators` from its definition and
+`dominator_counts` its popcounts, `full_scan` is the subset
 scan of `oracle` written the plain way, over every subset and with the
 closed ones marked, and `reference_tables` is dp-wx's table loop in node
 index order, with the domination rule and the stop at the first empty
@@ -211,7 +211,7 @@ def reference_tables(
     `reference_make_nice`, it is the loop `compute_tables` ran before it
     walked the heavier subtree first.
     """
-    budget = [k if not dominated or d < k else 0 for d in g.dominator_counts]
+    budget = [k if not dominated or d < k else 0 for d in dominator_counts(g)]
     tables: list[Table] = []
     for nd in ntd.nodes:
         if nd.kind == "leaf":

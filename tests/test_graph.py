@@ -258,16 +258,19 @@ def test_components_match_edge_reachability(g):
 @given(graphs(max_n=8))
 def test_dominator_counts_match_the_definition(g):
     assert g.dominators == dominators(g)
-    assert g.dominator_counts == dominator_counts(g)
+    assert tuple(d.bit_count() for d in g.dominators) == dominator_counts(g)
 
 
 def test_dominator_counts_rank_twins_by_id():
+    def counts(g):
+        return tuple(d.bit_count() for d in g.dominators)
+
     # Each end of K2 dominates the other; only vertex 0 ranks above.
-    assert complete_graph(2).dominator_counts == (0, 1)
+    assert counts(complete_graph(2)) == (0, 1)
     # A star's centre dominates every leaf, and the leaves are twins.
-    assert star_graph(3).dominator_counts == (0, 1, 2, 3)
+    assert counts(star_graph(3)) == (0, 1, 2, 3)
     # An isolated vertex is dominated by every vertex ranked above it.
-    assert empty_graph(3).dominator_counts == (0, 1, 2)
+    assert counts(empty_graph(3)) == (0, 1, 2)
 
 
 @given(graphs(max_n=10))

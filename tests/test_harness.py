@@ -39,7 +39,7 @@ from cncut.harness import (
 )
 from cncut.instance_io import CncInstance, parse_instance
 from cncut.kernel import kernelize_kx, rule_fires
-from cncut.oracle import DEFAULT_CAP, oracle_decides
+from cncut.oracle import DEFAULT_CAP, CapExceeded, oracle_decides
 
 from .strategies import graphs, seeded_random_graphs
 
@@ -107,6 +107,17 @@ def test_dp_y_work_respects_the_run_cap():
     assert run_instance(CncInstance(g, 2, x=40)).algorithm == "dp-y"
     with pytest.raises(EngineRefusal, match="y=40 > 22 and a component's 16 subsets > cap 15"):
         run_instance(CncInstance(g, 2, x=40), config=HarnessConfig(oracle_cap=15))
+
+
+def test_kernel_sub_plan_carries_the_run_cap_to_its_solver():
+    # K1,20 plus K4 with k = 2, x = 6: the rule forces the star's centre and
+    # leaves K4 with k = 1, which the oracle solves. The solver reads the cap
+    # off the sub-plan, so the run's cap reaches it through the kernel.
+    g, _ = disjoint_union([star_graph(20), complete_graph(4)])
+    report = run_instance(CncInstance(g, 2, x=6))
+    assert (report.answer, report.algorithm, report.cut) == ("YES", "oracle", (0, 21))
+    with pytest.raises(CapExceeded, match="5 candidate sets for n=4, k=1"):
+        run_instance(CncInstance(g, 2, x=6), config=HarnessConfig(oracle_cap=1))
 
 
 def test_dp_y_admitted_by_work_agrees_with_oracle():

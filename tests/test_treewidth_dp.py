@@ -61,6 +61,11 @@ def entry_values(table):
     return {struct: held[0] for struct, held in table.items()}
 
 
+def max_expanded(tables, x):
+    """The most keys any table would hold as the full feasible set, x - x' + 1 per entry."""
+    return max((sum(x - min_x + 1 for min_x, _ in t.values()) for t in tables), default=0)
+
+
 def test_leaf_keys():
     t = leaf_table(4, 1)
     assert entry_values(t) == {
@@ -77,11 +82,11 @@ def test_leaf_zero_budget_only_keeps():
 def test_leaf_larger_x_same_structs():
     # Vertex 0 of an edgeless graph has no dominator, so k = 1 lets it go.
     g, leaf = Graph(5, ()), (NiceNode("leaf", frozenset({0}), 0, ()),)
-    tight, loose = WxStats(), WxStats()
-    assert compute_tables(g, leaf, 1, 0, tight) == compute_tables(g, leaf, 1, 5, loose)
-    assert tight.max_table_structs == loose.max_table_structs == 2
-    assert tight.max_table_expanded == 2
-    assert loose.max_table_expanded == 12
+    tight, loose = compute_tables(g, leaf, 1, 0), compute_tables(g, leaf, 1, 5)
+    assert tight == loose
+    assert len(tight[0]) == len(loose[0]) == 2
+    assert max_expanded(tight, 0) == 2
+    assert max_expanded(loose, 5) == 12
 
 
 def test_introduce_with_edge_charges_pairs():
@@ -385,8 +390,7 @@ def test_walk_builds_the_index_order_tables(g, k, x):
     assume(ntd.nodes)  # the empty graph's form has no root
     new_id = nice_renumbering(old, ntd)
     assert new_id is not None
-    stats = WxStats()
-    tables = compute_tables(g, ntd.nodes, k, x, stats)
+    tables = compute_tables(g, ntd.nodes, k, x)
     full = reference_tables(g, old, k, x, dominated=True)
     for i, t in new_id.items():
         if t < len(tables):
@@ -399,16 +403,33 @@ def test_walk_builds_the_index_order_tables(g, k, x):
     # The walk is the former one: children first, each subtree in one run of
     # ids, and at a join the child with more forgets below it first.
     assert in_walk_order(ntd)
-    # Only the last table built may be empty, and the stats count the
-    # tables built.
+    # Only the last table built may be empty.
     assert all(tables[:-1])
-    assert stats == WxStats(
+
+
+@pytest.mark.parametrize("g, k, x, answer", [
+    (random_graph(10, 12, random.Random(17)), 1, 4, False),
+    (random_graph(30, 33, random.Random(1)), 3, 150, True),
+])
+def test_solve_reads_its_stats_and_certificate_off_the_tables(g, k, x, answer):
+    # solve_wx's stats are the counts of the tables compute_tables returns
+    # on the same streamed form, an early NO's included, and a YES cut is
+    # the root entry read_decision picks.
+    node_count, width, nodes = stream_nice(g.heuristic_td)
+    tables = compute_tables(g, nodes, k, x)
+    dec = solve_wx(g, k, x)
+    assert dec.answer == answer
+    assert (len(tables) < node_count) == (not answer)
+    assert dec.stats == WxStats(
+        node_count=node_count,
         tables_built=len(tables),
-        max_table_structs=max(map(len, tables), default=0),
-        max_table_expanded=max((sum(x - v + 1 for v, _ in t.values()) for t in tables),
-                               default=0),
+        width=width,
+        max_table_structs=max(map(len, tables)),
         total_structs=sum(map(len, tables)),
     )
+    if answer:
+        _, cut = tables[-1][read_decision(tables, k, x)]
+        assert dec.cut.vertices == frozenset(members(cut))
 
 
 def test_walk_stops_sooner_than_index_order():
@@ -577,19 +598,19 @@ def _pinned_graphs():
 # auto-mix inputs. A change of table representation that adds or loses a
 # structural key changes these counts, and so do a change of the nice
 # form's node list and one of the vertices dp-wx may delete (the domination
-# rule of `Graph.dominator_counts`). All four are NO, so the tables stop at
+# rule of `Graph.dominators`). All four are NO, so the tables stop at
 # the first empty one: `tables_built` is where, and the other counts cover
 # only the tables built. So a change of the order `compute_tables` walks the
 # nodes in moves them too.
 PINNED_STATS = {
     "sparse": WxStats(node_count=106, tables_built=35, width=3, max_table_structs=23,
-                      max_table_expanded=153, total_structs=303),
+                      total_structs=303),
     "tree": WxStats(node_count=144, tables_built=53, width=2, max_table_structs=22,
-                    max_table_expanded=210, total_structs=469),
+                    total_structs=469),
     "union": WxStats(node_count=47, tables_built=27, width=2, max_table_structs=6,
-                     max_table_expanded=42, total_structs=91),
+                     total_structs=91),
     "chain": WxStats(node_count=179, tables_built=39, width=2, max_table_structs=17,
-                     max_table_expanded=65, total_structs=240),
+                     total_structs=240),
 }
 
 
@@ -648,11 +669,10 @@ def test_agrees_with_oracle_on_seeded_graphs():
 
 def _check_table_internals(g, k, x):
     ntd = make_nice(heuristic_decomposition(g))
-    stats = WxStats()
-    tables = compute_tables(g, ntd.nodes, k, x, stats)
+    tables = compute_tables(g, ntd.nodes, k, x)
     w = ntd.width
     bound = 10 * max(g.n, 1) * max(x, 1) * (w + x + 2) ** (w + 1)
-    assert stats.max_table_expanded <= bound
+    assert max_expanded(tables, x) <= bound
     for i, t in enumerate(tables):
         nd = ntd.nodes[i]
         bag = mask(*nd.bag)
