@@ -60,62 +60,66 @@ unit of the edge budget.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .graph import (
-    Counters, Cut, Decision, Graph, InputError, bits, certify, check_parameters, pairs_of_alive,
+    DEFAULT_CAP, Cut, Decision, Graph, InputError, bits, certify, check_parameters,
+    pairs_of_alive,
 )
-from .oracle import _Scan
 
 
-class BranchStats(Counters):
+class BranchStats(NamedTuple):
     nodes_visited: int = 0
-    # solve_branch_kx: the leaves whose pairs were counted.
-    # extend_minimal_cover: the closed subsets whose pairs were counted.
+    # The leaves whose pairs solve_branch_kx counted; 0 from enumerate_minimal_covers.
     extensions_tested: int = 0
 
 
-def _covers(masks: tuple[int, ...], k: int, budget: int, stats: BranchStats) -> Iterator[int]:
-    """Yield, as vertex bitmasks, the search leaves: <= k vertices leaving <= budget edges.
+class _Covers:
+    """The search leaves, as vertex bitmasks: <= k vertices leaving <= budget edges.
 
     Depth first, each node trying delete u, delete v, keep {u, v} in that
     order; a node whose u has more than k_rem + x_rem live edges tries only
-    delete u. A cover may be yielded more than once, and a leaf that is not
-    minimal may be skipped. Nodes are counted in a
-    local and added to stats.nodes_visited before each yield and at the end,
-    so a caller that stops at a leaf reads the count up to that leaf.
+    delete u. A leaf may be yielded more than once, and a leaf that is not
+    minimal may be skipped. `nodes` counts the nodes visited: at a yield, up
+    to and including the yielded leaf; after the search, all of them.
     """
-    n = len(masks)
-    # up[n] = 0 ends the scan for u when the graph has no vertices.
-    up = [m >> u + 1 << u + 1 for u, m in enumerate(masks)] + [0]
-    nodes = 0
-    stack = [((1 << n) - 1, 0, 0, 0, k, budget)]
-    pop, push = stack.pop, stack.append
-    while stack:
-        alive, u, kept, chosen, k_rem, x_rem = pop()
-        nodes += 1
-        live = up[u] & alive & ~kept
-        if not (live and alive >> u & 1):
-            u += 1
-            while u < n and not (alive >> u & 1 and up[u] & alive):
+
+    def __init__(self, masks: tuple[int, ...], k: int, budget: int) -> None:
+        self.masks, self.k, self.budget = masks, k, budget
+        self.nodes = 0
+
+    def __iter__(self) -> Iterator[int]:
+        masks = self.masks
+        n = len(masks)
+        # up[n] = 0 ends the scan for u when the graph has no vertices.
+        up = [m >> u + 1 << u + 1 for u, m in enumerate(masks)] + [0]
+        nodes = 0
+        stack = [((1 << n) - 1, 0, 0, 0, self.k, self.budget)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            alive, u, kept, chosen, k_rem, x_rem = pop()
+            nodes += 1
+            live = up[u] & alive & ~kept
+            if not (live and alive >> u & 1):
                 u += 1
-            if u >= n:
-                stats.nodes_visited += nodes
-                nodes = 0
-                yield chosen
-                continue
-            kept = 0
-            live = up[u] & alive
-        if live.bit_count() <= k_rem + x_rem:
-            low = live & -live
-            if x_rem:
-                push((alive, u, kept | low, chosen, k_rem, x_rem - 1))
+                while u < n and not (alive >> u & 1 and up[u] & alive):
+                    u += 1
+                if u >= n:
+                    self.nodes = nodes
+                    yield chosen
+                    continue
+                kept = 0
+                live = up[u] & alive
+            if live.bit_count() <= k_rem + x_rem:
+                low = live & -live
+                if x_rem:
+                    push((alive, u, kept | low, chosen, k_rem, x_rem - 1))
+                if k_rem:
+                    push((alive ^ low, u, kept, chosen | low, k_rem - 1, x_rem))
             if k_rem:
-                push((alive ^ low, u, kept, chosen | low, k_rem - 1, x_rem))
-        if k_rem:
-            bit = 1 << u
-            push((alive ^ bit, u + 1, 0, chosen | bit, k_rem - 1, x_rem))
-    stats.nodes_visited += nodes
+                bit = 1 << u
+                push((alive ^ bit, u + 1, 0, chosen | bit, k_rem - 1, x_rem))
+        self.nodes = nodes
 
 
 def enumerate_minimal_covers(
@@ -128,9 +132,9 @@ def enumerate_minimal_covers(
     then lexicographically.
     """
     check_parameters(k, x)
-    stats = BranchStats()
-    found = {frozenset(bits(c)) for c in _covers(g.adjacency_masks, k, x, stats)}
-    return _inclusion_minimal(found), stats
+    search = _Covers(g.adjacency_masks, k, x)
+    found = {frozenset(bits(c)) for c in search}
+    return _inclusion_minimal(found), BranchStats(search.nodes)
 
 
 def _inclusion_minimal(sets: set[frozenset[int]]) -> list[frozenset[int]]:
@@ -142,22 +146,18 @@ def _inclusion_minimal(sets: set[frozenset[int]]) -> list[frozenset[int]]:
     return kept
 
 
-def extend_minimal_cover(
-    g: Graph,
-    c_prime: frozenset[int],
-    k: int,
-    x: int,
-    stats: BranchStats | None = None,
-) -> Cut | None:
+def extend_minimal_cover(g: Graph, c_prime: frozenset[int], k: int, x: int) -> Cut | None:
     """Grow an edge cover into a full solution, or report that it cannot be.
 
     Only vertices that keep an edge after c_prime are candidates: deleting an
     isolated vertex removes no pair. With at most e edges left there are at
     most 2e of them. Their subsets closed under domination are searched by
     increasing size, lexicographically within a size, so the first hit is a
-    smallest extension (see `oracle`). `stats.extensions_tested` counts the
-    subsets whose pairs were counted.
+    smallest extension (see `oracle`). The scan is refused by the oracle's
+    one cap rule, with DEFAULT_CAP and the budget k - |c_prime| left to it.
     """
+    from .oracle import _Scan
+
     if len(c_prime) > k:
         raise InputError(f"cover of size {len(c_prime)} exceeds budget {k}")
     k2 = k - len(c_prime)
@@ -170,11 +170,8 @@ def extend_minimal_cover(
 
     # With budget to spare, deleting every live vertex leaves 0 pairs: one set to try.
     sizes = (len(live),) if k2 > len(live) else range(k2 + 1)
-    scan = _Scan(g, alive, live, sizes, x)
-    cut = next((Cut(cover.union(extra), pairs) for extra, pairs in scan), None)
-    if stats is not None:
-        stats.extensions_tested += scan.evaluated
-    return cut
+    scan = _Scan(g, alive, live, k2, sizes, DEFAULT_CAP, x)
+    return next((Cut(cover.union(extra), pairs) for extra, pairs in scan), None)
 
 
 def solve_branch_kx(g: Graph, k: int, x: int) -> Decision:
@@ -186,12 +183,14 @@ def solve_branch_kx(g: Graph, k: int, x: int) -> Decision:
     docstring).
     """
     check_parameters(k, x)
-    stats = BranchStats()
     masks, full = g.peel_masks, (1 << g.n) - 1
-    for cover in _covers(masks, k, x // 2, stats):
-        stats.extensions_tested += 1
+    search = _Covers(masks, k, x // 2)
+    leaves = 0
+    for cover in search:
+        leaves += 1
         pairs = pairs_of_alive(masks, full & ~cover, x)
         if pairs <= x:
             cut = Cut(frozenset(g.peel_order[i] for i in bits(cover)), pairs)
-            return Decision(True, certify(g, cut, k, x, "branch-kx"), stats)
-    return Decision(False, None, stats)
+            return Decision(True, certify(g, cut, k, x, "branch-kx"),
+                            BranchStats(search.nodes, leaves))
+    return Decision(False, None, BranchStats(search.nodes, leaves))

@@ -12,13 +12,12 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .graph import (
-    Counters, Cut, Decision, Graph, bits, certify, check_parameters, connected_pairs,
-    pairs_of_alive,
+    Cut, Decision, Graph, bits, certify, check_parameters, connected_pairs, pairs_of_alive,
 )
-from .oracle import DEFAULT_CAP, _capped_scan
+from .oracle import DEFAULT_CAP, _Scan
 
 
-class SolveYStats(Counters):
+class SolveYStats(NamedTuple):
     component_count: int = 0
     subsets_examined: tuple[int, ...] = ()
     shortcut: str | None = None
@@ -96,7 +95,7 @@ def build_removal_table(g: Graph, k: int, cap: int = DEFAULT_CAP) -> RemovalTabl
         sizes = min(k, s) + 1
         cuts: list[tuple[int, ...]] = [()] * sizes
         left = [0] * sizes
-        scan = _capped_scan(g, comp, verts, k, range(sizes), cap, None)
+        scan = _Scan(g, comp, verts, k, range(sizes), cap, None)
         for subset, pairs in scan:
             for j in range(len(subset), sizes):
                 cuts[j], left[j] = subset, pairs

@@ -78,42 +78,18 @@ class FrozenRecord:
         raise AttributeError(f"cannot delete {name!r} of a frozen {type(self).__name__}")
 
 
-class Counters:
-    """An engine's mutable work counters, declared as annotated class defaults.
-
-    `Name(field=value, ...)` overrides the defaults. Every field lands in the
-    instance `__dict__` in declaration order, the order in which `vars()`
-    reports them. Instances compare equal when their classes and fields are.
-    """
-
-    def __init__(self, **values) -> None:
-        cls = type(self)
-        for name in cls.__annotations__:
-            setattr(self, name, values.pop(name, getattr(cls, name)))
-        if values:
-            raise TypeError(f"{cls.__name__} has no field {next(iter(values))!r}")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    __hash__ = None  # mutable
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
-        return f"{type(self).__name__}({fields})"
-
-
 class Graph(FrozenRecord):
     """Immutable simple graph on vertices 0..n-1."""
 
     n: int
     edges: frozenset[tuple[int, int]]
 
-    def __init__(self, n: int, edges: frozenset[tuple[int, int]]) -> None:
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
         if n < 0:
             raise InputError(f"vertex count must be nonnegative, got {n}")
+        # A frozenset is taken as it is; any other iterable is frozen, so
+        # repeats collapse and the caller's container stays its own.
+        edges = frozenset(edges)
         for u, v in edges:
             if u == v:
                 raise InputError(f"self loop at vertex {u}")

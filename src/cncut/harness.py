@@ -123,7 +123,7 @@ BRANCH_KX_MAX = 24
 def _dp_y_work(plan: _Plan, y: int) -> tuple[int, int]:
     """E, the subsets dp-y's scans would count, and the most that one component's scan counts.
 
-    Each component c is scanned over sizes 0..min(k, |c|), and `_capped_scan`
+    Each component c is scanned over sizes 0..min(k, |c|), and `oracle._Scan`
     charges it subset_count(|c|, those sizes) against the cap. With k >= 1
     and a component of more than y vertices, the large-component screen
     answers before any scan, so E is 0.
@@ -274,7 +274,7 @@ def run_instance(
         d = Decision(False, None, {"reason": "the high-degree rule forces more than k vertices"})
     else:
         d = Decision(True, Cut(frozenset(), sub.total), {"reason": "forced vertices meet the bound"})
-    stats = d.stats if isinstance(d.stats, dict) else dict(vars(d.stats))
+    stats = d.stats if isinstance(d.stats, dict) else d.stats._asdict()
     if trace is not None:
         # An infeasible trace stops at the vertex that would take k + 1 and
         # builds no graph; its residual would be g less the vertices forced.

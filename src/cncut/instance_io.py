@@ -8,6 +8,8 @@ Serialization is canonical: header, sorted edges, k, then the target line.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from .graph import FrozenRecord, Graph, InputError, pairs_by_edges
 
 # What each parameter line sets, as its sign errors name it.
@@ -28,12 +30,13 @@ class CncInstance(FrozenRecord):
     comments: tuple[str, ...]
 
     def __init__(self, graph: Graph, k: int, x: int | None = None, y: int | None = None,
-                 comments: tuple[str, ...] = ()) -> None:
+                 comments: Iterable[str] = ()) -> None:
         if (x is None) == (y is None):
             raise InputError("exactly one of x and y must be set")
         for tag, val in (("k", k), ("x", x), ("y", y)):
             if val is not None and val < 0:
                 raise InputError(f"{_PARAMETERS[tag]} must be nonnegative")
+        comments = tuple(comments)
         for text in comments:
             if "\n" in text or "\r" in text:
                 raise InputError("comments must be single lines")

@@ -1,7 +1,7 @@
 """Brute-force subset enumeration, by one scan that prunes by domination.
 
-Every form runs one scan, `_Scan(g, alive, candidates, sizes, bound)`. It
-deletes subsets of `candidates` from the vertex mask `alive`, by increasing
+Every form runs one scan, `_Scan(g, alive, candidates, k, sizes, cap, bound)`.
+It deletes subsets of `candidates` from the vertex mask `alive`, by increasing
 size over `sizes` and lexicographically within a size, and visits only the
 subsets S closed under domination within alive: every v in S has
 dom(v) & alive inside S (`Graph.dominators`). For each size s it drops the
@@ -36,9 +36,11 @@ another component, is ignored: it cannot be swapped in. Answers are those
 of a scan of every subset; only which of equally good witnesses comes first
 can differ.
 
-The oracle forms and `build_removal_table` start their scans through
-`_capped_scan`, which refuses a scan whose sizes hold more than the cap
-subsets of its candidates, closed or not. `extend_minimal_cover` is uncapped.
+One rule caps every scan: `_Scan` refuses, before it forms any subset, a
+scan whose sizes hold more than `cap` subsets of its candidates, closed or
+not, and the refusal names the caller's budget k and the number of
+candidates. `extend_minimal_cover` passes DEFAULT_CAP and the budget left
+after its cover.
 """
 
 from __future__ import annotations
@@ -81,14 +83,17 @@ class MaxRemovedResult(NamedTuple):
 class _Scan:
     """One subset scan; iterating it yields each strict improvement as (subset, pairs).
 
-    See the module docstring for the order, the closed subsets and
+    See the module docstring for the order, the closed subsets, the cap and
     `evaluated`.
     """
 
     def __init__(
-        self, g: Graph, alive: int, candidates: Sequence[int], sizes: Sequence[int],
-        bound: int | None,
+        self, g: Graph, alive: int, candidates: Sequence[int], k: int, sizes: Sequence[int],
+        cap: int, bound: int | None,
     ) -> None:
+        count = subset_count(len(candidates), sizes)
+        if count > cap:
+            raise CapExceeded(count, cap, len(candidates), k)
         self.g, self.alive, self.candidates, self.sizes = g, alive, candidates, sizes
         self.bound = bound
         self.evaluated = 0
@@ -116,25 +121,10 @@ class _Scan:
         self.evaluated = evaluated
 
 
-def _capped_scan(
-    g: Graph, alive: int, candidates: Sequence[int], k: int, sizes: Sequence[int], cap: int,
-    bound: int | None,
-) -> _Scan:
-    """The scan, refused when its sizes hold more than cap subsets of the candidates.
-
-    The refusal reports the caller's budget k and the number of candidates.
-    """
-    n = len(candidates)
-    count = subset_count(n, sizes)
-    if count > cap:
-        raise CapExceeded(count, cap, n, k)
-    return _Scan(g, alive, candidates, sizes, bound)
-
-
 def oracle_min_pairs(g: Graph, k: int, cap: int = DEFAULT_CAP) -> OracleResult:
     """Minimum connected pairs left after deleting at most k vertices."""
     check_parameters(k)
-    scan = _capped_scan(g, (1 << g.n) - 1, range(g.n), k, range(min(k, g.n) + 1), cap, None)
+    scan = _Scan(g, (1 << g.n) - 1, range(g.n), k, range(min(k, g.n) + 1), cap, None)
     # With no bound the empty set always yields, so the loop binds subset and best.
     for subset, best in scan:
         if best == 0:
@@ -147,7 +137,7 @@ def oracle_decides(g: Graph, k: int, x: int, cap: int = DEFAULT_CAP) -> bool:
     check_parameters(k)
     if x < 0:
         return False
-    scan = _capped_scan(g, (1 << g.n) - 1, range(g.n), k, range(min(k, g.n) + 1), cap, x)
+    scan = _Scan(g, (1 << g.n) - 1, range(g.n), k, range(min(k, g.n) + 1), cap, x)
     return next(iter(scan), None) is not None
 
 
@@ -155,7 +145,7 @@ def oracle_max_removed_exact(g: Graph, k: int, cap: int = DEFAULT_CAP) -> MaxRem
     """Maximum pairs removable by deleting exactly k vertices."""
     if not (0 <= k <= g.n):
         raise InputError(f"exact budget {k} out of range for n={g.n}")
-    scan = _capped_scan(g, (1 << g.n) - 1, range(g.n), k, (k,), cap, None)
+    scan = _Scan(g, (1 << g.n) - 1, range(g.n), k, (k,), cap, None)
     # Maximizing the gain is minimizing the residual; ties keep the first witness.
     # With no bound the first closed subset yields, and the k top-ranked
     # vertices are one, so the loop binds subset and best.

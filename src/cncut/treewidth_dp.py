@@ -63,9 +63,9 @@ included.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .graph import Counters, Cut, Decision, Graph, bits, certify, check_parameters, connected_pairs
+from .graph import Cut, Decision, Graph, bits, certify, check_parameters, connected_pairs
 from .decomposition import (
     NiceNode,
     NiceTreeDecomposition,
@@ -188,7 +188,7 @@ def join_table(left: Table, right: Table, k: int, x: int) -> Table:
     return table
 
 
-class WxStats(Counters):
+class WxStats(NamedTuple):
     node_count: int = 0
     tables_built: int = 0  # below node_count when a table came out empty
     width: int = 0

@@ -27,7 +27,6 @@ import heapq
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple
 
-from cncut.branching import BranchStats
 from cncut.decomposition import NiceNode, NiceTreeDecomposition, TreeDecomposition, _walk
 from cncut.graph import Graph, bits, pairs_by_edges, remove_vertices
 from cncut.reductions import HIGH, LOW, MccLayout
@@ -117,37 +116,41 @@ def _without(adj: list[int], w: int) -> list[int]:
     return sub
 
 
-def reference_covers(
-    masks: tuple[int, ...], k: int, budget: int, stats: BranchStats
-) -> Iterator[int]:
-    """The search leaves of `branching._covers` before its high-degree rule,
+class reference_covers:
+    """The search leaves of `branching._Covers` before its high-degree rule,
     each node holding its own adjacency copy.
 
     Depth first, each node trying delete u, delete v, keep {u, v} in that
     order, on the smallest remaining edge {u, v}. Vertices below u stay
     edgeless in every descendant, so the next smallest edge is searched
-    from u on.
+    from u on. `nodes` counts the nodes visited as `_Covers.nodes` does.
     """
-    n = len(masks)
-    stack = [(list(masks), 0, 0, k, budget)]
-    while stack:
-        adj, u, chosen, k_rem, x_rem = stack.pop()
-        stats.nodes_visited += 1
-        while u < n and not adj[u]:
-            u += 1
-        if u == n:
-            yield chosen
-            continue
-        low = adj[u] & -adj[u]
-        v = low.bit_length() - 1
-        if x_rem > 0:
-            kept = adj[:]
-            kept[u] ^= low
-            kept[v] ^= 1 << u
-            stack.append((kept, u, chosen, k_rem, x_rem - 1))
-        if k_rem > 0:
-            stack.append((_without(adj, v), u, chosen | low, k_rem - 1, x_rem))
-            stack.append((_without(adj, u), u, chosen | 1 << u, k_rem - 1, x_rem))
+
+    def __init__(self, masks: tuple[int, ...], k: int, budget: int) -> None:
+        self.masks, self.k, self.budget = masks, k, budget
+        self.nodes = 0
+
+    def __iter__(self) -> Iterator[int]:
+        n = len(self.masks)
+        stack = [(list(self.masks), 0, 0, self.k, self.budget)]
+        while stack:
+            adj, u, chosen, k_rem, x_rem = stack.pop()
+            self.nodes += 1
+            while u < n and not adj[u]:
+                u += 1
+            if u == n:
+                yield chosen
+                continue
+            low = adj[u] & -adj[u]
+            v = low.bit_length() - 1
+            if x_rem > 0:
+                kept = adj[:]
+                kept[u] ^= low
+                kept[v] ^= 1 << u
+                stack.append((kept, u, chosen, k_rem, x_rem - 1))
+            if k_rem > 0:
+                stack.append((_without(adj, v), u, chosen | low, k_rem - 1, x_rem))
+                stack.append((_without(adj, u), u, chosen | 1 << u, k_rem - 1, x_rem))
 
 
 def dominators(g: Graph) -> tuple[int, ...]:

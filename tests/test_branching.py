@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 from random import Random
 
@@ -16,14 +17,13 @@ from cncut.graph import (
     verify_solution,
 )
 from cncut.branching import (
-    BranchStats,
-    _covers,
+    _Covers,
     enumerate_minimal_covers,
     extend_minimal_cover,
     solve_branch_kx,
 )
 from cncut.kernel import kernelize_kx
-from cncut.oracle import oracle_decides, oracle_min_pairs
+from cncut.oracle import DEFAULT_CAP, CapExceeded, _Scan, oracle_decides, oracle_min_pairs
 
 from .reference import empty_graph, full_scan, peeled, reference_covers
 from .strategies import graphs, graphs_with_subset
@@ -35,8 +35,8 @@ def edges_left(g, cut):
 
 def search(covers, g, k, budget):
     """All leaves a search yields, in order, and the nodes it visited."""
-    stats = BranchStats()
-    return list(covers(g.adjacency_masks, k, budget, stats)), stats.nodes_visited
+    leaves = covers(g.adjacency_masks, k, budget)
+    return list(leaves), leaves.nodes
 
 
 def minimal_masks(covers):
@@ -44,9 +44,9 @@ def minimal_masks(covers):
 
 
 def assert_pruned_reference(g, k, budget):
-    """_covers' leaves are a subsequence of reference_covers', with the same
-    minimal covers, in no more nodes; returns _covers' node count."""
-    covers, nodes = search(_covers, g, k, budget)
+    """_Covers' leaves are a subsequence of reference_covers', with the same
+    minimal covers, in no more nodes; returns _Covers' node count."""
+    covers, nodes = search(_Covers, g, k, budget)
     ref_covers, ref_nodes = search(reference_covers, g, k, budget)
     rest = iter(ref_covers)
     assert all(c in rest for c in covers)
@@ -61,15 +61,15 @@ def first_yes(covers, g, k, x, peel=True):
     mapped back to g's ids, by extend_minimal_cover. Returns the first cut
     found (None on NO) and the nodes visited."""
     masks, order = (g.peel_masks, g.peel_order) if peel else (g.adjacency_masks, range(g.n))
-    stats = BranchStats()
+    leaves = covers(masks, k, x // 2)
     extended = set()
-    for cover in covers(masks, k, x // 2, stats):
+    for cover in leaves:
         if cover not in extended:
             extended.add(cover)
             cut = extend_minimal_cover(g, frozenset(order[i] for i in bits(cover)), k, x)
             if cut is not None:
-                return cut, stats.nodes_visited
-    return None, stats.nodes_visited
+                return cut, leaves.nodes
+    return None, leaves.nodes
 
 
 def planted_graph(k, pieces, rng):
@@ -95,7 +95,7 @@ def test_covers_match_reference_search(g, k, budget):
 def test_covers_drop_a_leaf_that_keeps_the_hub():
     # The hub's 3 live edges exceed k + budget = 2, so only "delete 0" is
     # tried; the reference also reaches the non-minimal leaf {0, 1}.
-    assert search(_covers, star_graph(3), 2, 0) == ([0b1], 2)
+    assert search(_Covers, star_graph(3), 2, 0) == ([0b1], 2)
     assert search(reference_covers, star_graph(3), 2, 0) == ([0b1, 0b11], 5)
 
 
@@ -116,7 +116,7 @@ def test_solve_counts_nodes_up_to_first_yes(g, k, x):
     ref_cut, ref_nodes = first_yes(reference_covers, g, k, x)
     assert ref_cut is not None and dec.stats.nodes_visited <= ref_nodes
     # The search stopped before its end, so the count is that of a prefix.
-    assert dec.stats.nodes_visited < search(_covers, peeled(g), k, x // 2)[1]
+    assert dec.stats.nodes_visited < search(_Covers, peeled(g), k, x // 2)[1]
 
 
 def test_covers_single_edge():
@@ -171,26 +171,46 @@ def test_extend_surplus_budget_takes_all_live_vertices():
     assert cut.residual_pairs == 0
 
 
+def first_hit(scan):
+    """Run a scan to its first yield; its count up to there, and the yield."""
+    return next(iter(scan), None), scan.evaluated
+
+
 def test_extend_past_a_dominator_in_the_cover():
     # Vertex 1's one dominator, 0, is in the cover, so 1 may go alone.
-    stats = BranchStats()
-    cut = extend_minimal_cover(complete_graph(3), frozenset({0}), 2, 0, stats)
+    g = complete_graph(3)
+    cut = extend_minimal_cover(g, frozenset({0}), 2, 0)
     assert cut == Cut(frozenset({0, 1}), 0)
-    assert stats.extensions_tested == 2
+    # The extension's scan: vertices 1 and 2, budget 1, bound 0.
+    assert first_hit(_Scan(g, 0b110, [1, 2], 1, range(2), DEFAULT_CAP, 0)) == (((1,), 0), 2)
+
+
+def test_extend_refuses_by_the_shared_cap():
+    # 30 disjoint edges keep all 60 vertices live: sizes 0..6 of them hold
+    # more subsets than the cap, refused before the first one is formed.
+    g = Graph.from_edges(60, [(v, v + 1) for v in range(0, 60, 2)])
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match="56049058 candidate sets for n=60, k=6"):
+            extend_minimal_cover(g, frozenset(), 6, 0)
+        elapsed = time.perf_counter() - start
+    assert elapsed < 1e-3
 
 
 @given(graphs_with_subset(max_n=7), st.integers(0, 4), st.integers(0, 12))
 def test_extend_matches_naive_scan(g_cover, extra, x):
     g, cover = g_cover
     k = len(cover) + extra
-    stats = BranchStats()
-    cut = extend_minimal_cover(g, cover, k, x, stats)
+    cut = extend_minimal_cover(g, cover, k, x)
 
     live = [
         v for v in range(g.n)
         if v not in cover and any(w not in cover for w in g.neighbors(v))
     ]
     sizes = [len(live)] if extra > len(live) else range(extra + 1)
+    alive = (1 << g.n) - 1 - sum(1 << v for v in cover)
+    hit, tested = first_hit(_Scan(g, alive, live, extra, sizes, DEFAULT_CAP, x))
+    assert cut == (None if hit is None else Cut(cover.union(hit[0]), hit[1]))
     rows = full_scan(g, live, sizes, cover)
     hits = [r for r in rows if r.pairs <= x]
     closed = [r for r in rows if r.closed]
@@ -199,12 +219,12 @@ def test_extend_matches_naive_scan(g_cover, extra, x):
     first = next((i for i, r in enumerate(closed) if r.pairs <= x), None)
     if first is None:
         assert cut is None and not hits
-        assert stats.extensions_tested == len(closed)
+        assert tested == len(closed)
     else:
         assert len(closed[first].subset) == len(hits[0].subset)
         assert (cut.vertices, cut.residual_pairs) == (cover | closed[first].subset,
                                                       closed[first].pairs)
-        assert stats.extensions_tested == first + 1
+        assert tested == first + 1
 
 
 def test_solve_star():
@@ -246,7 +266,7 @@ def test_solver_agrees_with_oracle_where_the_degree_rule_fires():
                 assert dec.answer == oracle_decides(g, k, x), (seed, x)
                 # In id order the rule fires before the first YES: the pruned
                 # search beats the unpruned one on every cell.
-                id_cut, id_nodes = first_yes(_covers, g, k, x, peel=False)
+                id_cut, id_nodes = first_yes(_Covers, g, k, x, peel=False)
                 assert (id_cut is not None) == dec.answer
                 assert id_nodes < first_yes(reference_covers, g, k, x, peel=False)[1]
                 # In the peel order solve_branch_kx searches, never more nodes
@@ -321,7 +341,7 @@ def test_leaf_check_matches_two_stage_search():
     answers = []
     for g, k, x in parity_cells():
         dec = solve_branch_kx(g, k, x)
-        cut, nodes = first_yes(_covers, g, k, x)
+        cut, nodes = first_yes(_Covers, g, k, x)
         assert (dec.cut, dec.stats.nodes_visited) == (cut, nodes), (sorted(g.edges), k, x)
         answers.append(dec.answer)
     assert len(answers) == 3_701 and 0 < sum(answers) < len(answers)

@@ -532,7 +532,7 @@ def loaded_after_solve(tmp_path, text, *args):
      ["cncut.component_dp", "cncut.kernel", "cncut.oracle"]),
     (PATH17, "dp-wx", ["cncut.decomposition", "cncut.kernel", "cncut.treewidth_dp"]),
     (CLIQUES3, "branch-kx",
-     ["cncut.branching", "cncut.decomposition", "cncut.kernel", "cncut.oracle"]),
+     ["cncut.branching", "cncut.decomposition", "cncut.kernel"]),
 ], ids=["trivial", "kernel", "oracle", "dp-y", "dp-y-x", "dp-wx", "branch-kx"])
 def test_solve_loads_only_its_engine(tmp_path, text, algorithm, engine_modules):
     # A cold `cnc solve` loads the harness, the kernel rule that auto runs

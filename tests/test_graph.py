@@ -54,6 +54,21 @@ def test_edges_are_normalized():
         Graph(3, [(2, 0)])
 
 
+def test_graph_freezes_the_edges_it_is_given():
+    # Repeats collapse, any iterable is taken, and the graph neither shares
+    # the caller's list nor depends on the container's type.
+    edges = [(0, 1), (0, 1)]
+    g = Graph(3, edges)
+    assert g.m == 1 and g.edges == frozenset({(0, 1)})
+    assert hash(g) == hash(Graph(3, frozenset({(0, 1)})))
+    edges.append((1, 2))
+    assert g.m == 1
+    with pytest.raises(AttributeError):
+        g.edges.add((1, 2))
+    assert Graph(3, iter([(0, 1)])) == g
+    assert Graph(3, ()) == Graph(3, frozenset())
+
+
 @pytest.mark.parametrize(
     "g,sizes",
     [

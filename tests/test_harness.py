@@ -319,6 +319,26 @@ def test_run_report_to_dict_uses_one_based_ids():
     assert d["config"] == {"oracle_cap": DEFAULT_CAP}
 
 
+@pytest.mark.parametrize("engine, field", [
+    ("branch-kx", "nodes_visited"), ("dp-y", "component_count"), ("dp-wx", "width"),
+])
+def test_engine_stats_are_immutable_records(engine, field):
+    # Each engine builds its stats once, where it returns; the report holds
+    # them as a dict with the record's fields in order.
+    from cncut.branching import solve_branch_kx
+    from cncut.component_dp import solve_y
+    from cncut.treewidth_dp import solve_wx
+
+    g = path_graph(5)
+    solve = {"branch-kx": lambda: solve_branch_kx(g, 1, 4), "dp-y": lambda: solve_y(g, 1, 16),
+             "dp-wx": lambda: solve_wx(g, 1, 4)}[engine]
+    stats = solve().stats
+    with pytest.raises(AttributeError):
+        setattr(stats, field, 0)
+    report = run_instance(CncInstance(g, 1, x=4), algo=engine)
+    assert report.stats == stats._asdict() and list(report.stats) == list(stats._fields)
+
+
 def test_wall_ms_covers_verification(monkeypatch):
     import time
 

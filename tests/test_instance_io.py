@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from cncut.graph import InputError, complete_graph, connected_pairs, path_graph
+from cncut.graph import Graph, InputError, complete_graph, connected_pairs, path_graph
 from cncut.instance_io import (
     CncInstance,
     ParseError,
@@ -58,6 +58,15 @@ def test_comments_round_trip():
     inst = parse_instance(text)
     assert inst.comments == ("made by hand", "")
     assert serialize_instance(inst) == text
+
+
+def test_instance_from_lists_round_trips():
+    # A repeated edge is one edge, so the text parses back; a comment list
+    # is stored as a tuple, so the instance hashes.
+    inst = CncInstance(Graph(3, [(0, 1), (0, 1)]), 1, x=0, comments=["a"])
+    assert inst.comments == ("a",) and hash(inst) == hash(parse_instance(serialize_instance(inst)))
+    assert serialize_instance(inst) == "c a\np cnc 3 1\ne 1 2\nk 1\nx 0\n"
+    assert parse_instance(serialize_instance(inst)) == inst
 
 
 def test_line_order_is_normalized():

@@ -9,6 +9,7 @@ from cncut import oracle
 from cncut.component_dp import build_removal_table
 from cncut.families import enumerate_graphs, random_graph
 from cncut.graph import (
+    DEFAULT_CAP,
     Cut,
     InputError,
     bits,
@@ -189,11 +190,11 @@ def test_scan_pools_hold_only_vertices_with_fewer_dominators_than_the_size(monke
 
     monkeypatch.setattr(oracle, "combinations", recorded)
     g = star_graph(3)  # |dom(v)| = 0, 1, 2, 3
-    list(oracle._Scan(g, 0b1111, range(4), range(4), None))
+    list(oracle._Scan(g, 0b1111, range(4), 3, range(4), DEFAULT_CAP, None))
     assert pools == [([], 0), ([0], 1), ([0, 1], 2), ([0, 1, 2], 3)]
     # With the centre deleted, only the leaves' twin order is left.
     pools.clear()
-    list(oracle._Scan(g, 0b1110, [1, 2, 3], range(4), None))
+    list(oracle._Scan(g, 0b1110, [1, 2, 3], 3, range(4), DEFAULT_CAP, None))
     assert pools == [([], 0), ([1], 1), ([1, 2], 2), ([1, 2, 3], 3)]
 
 
