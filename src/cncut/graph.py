@@ -342,22 +342,19 @@ def pairs_by_edges(g: Graph, c: Iterable[int] = ()) -> int:
     cs = g._check_vertex_set(c)
     parent = list(range(g.n))
     size = [1] * g.n
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
     for u, v in g.edges:
         if u in cs or v in cs:
             continue
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            if size[ru] < size[rv]:
-                ru, rv = rv, ru
-            parent[rv] = ru
-            size[ru] += size[rv]
+        # Find both roots, halving each path on the way up.
+        while (p := parent[u]) != u:
+            parent[u] = u = parent[p]
+        while (p := parent[v]) != v:
+            parent[v] = v = parent[p]
+        if u != v:
+            if size[u] < size[v]:
+                u, v = v, u
+            parent[v] = u
+            size[u] += size[v]
     # A deleted vertex stays a singleton root of size 1 and adds no pairs.
     return sum(s * (s - 1) for v, s in enumerate(size) if parent[v] == v)
 

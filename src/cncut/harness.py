@@ -12,11 +12,15 @@ in g - F, so neither adds a pair. For every cut C' of the kernel,
 g - (F | image of C') therefore has exactly the pairs of kernel - C', and
 the kernel instance keeps the input's pair bound x with budget k - |F|.
 Since every solution contains F and deleting an isolated vertex removes no
-pair, the kernel has a solution exactly when the input does. A YES maps
-back as F plus the image of the engine's cut, which `certify` checks
-against the input graph. A named engine and a supplied decomposition skip
-the rule: the former is the engine under test, and the latter describes
-the input graph.
+pair, the kernel has a solution exactly when the input does.
+
+The rule runs on the input's adjacency masks and builds no graph. When it
+forces more than k vertices the answer is NO; when g - F alone meets the
+bound, counted on the input's masks, the answer is YES with the cut F.
+Only otherwise is the kernel graph built, for an engine to solve. A YES maps back as F plus the image of the engine's cut, which
+`certify` checks against the input graph. A named engine and a supplied
+decomposition skip the rule: the former is the engine under test, and the
+latter describes the input graph.
 """
 
 from __future__ import annotations
@@ -25,16 +29,17 @@ import sys
 import time
 from functools import cached_property
 from importlib import import_module
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .graph import (
-    DEFAULT_CAP, Cut, Decision, Graph, InputError, Refusal, certify, connected_pairs, subset_count,
+    DEFAULT_CAP, Cut, Decision, Graph, InputError, Refusal, bits, certify, connected_pairs,
+    pairs_of_alive, remove_vertices, subset_count,
 )
 from .instance_io import CncInstance
 
 if TYPE_CHECKING:
     from .decomposition import NiceTreeDecomposition
-    from .kernel import KernelTrace
+    from .kernel import ForcedSet
 
 
 def _lazy(module: str):
@@ -112,7 +117,7 @@ def _check_engine(algo: str) -> None:
 
 
 # Auto's engine envelopes, tried in this order; --algo overrides them per run.
-# DP_Y_WORK bounds E, the subsets dp-y's scans would count (`_dp_y_work`).
+# DP_Y_WORK bounds E, the subsets dp-y's scans would count (`_dp_y_terms`).
 ORACLE_MAX_N = 14
 DP_Y_MAX = 22
 DP_Y_WORK = 200
@@ -120,19 +125,22 @@ DP_WX_MAX = 18
 BRANCH_KX_MAX = 24
 
 
-def _dp_y_work(plan: _Plan, y: int) -> tuple[int, int]:
-    """E, the subsets dp-y's scans would count, and the most that one component's scan counts.
+def _dp_y_terms(plan: _Plan, y: int) -> Iterator[int]:
+    """The subsets dp-y's scan would count on each component, largest first.
 
-    Each component c is scanned over sizes 0..min(k, |c|), and `oracle._Scan`
-    charges it subset_count(|c|, those sizes) against the cap. With k >= 1
-    and a component of more than y vertices, the large-component screen
-    answers before any scan, so E is 0.
+    E, the subsets dp-y's scans would count, is their sum. Each component c
+    is scanned over sizes 0..min(k, |c|), and `oracle._Scan` charges it
+    subset_count(|c|, those sizes) against the cap; that count grows with
+    |c|, so a sum that stops once it passes a bound stops soonest in this
+    order. With k >= 1 and a component of more than y vertices, the
+    large-component screen answers before any scan, so there are no terms
+    and E is 0.
     """
-    sizes = [c.bit_count() for c in plan.g.components]
-    if plan.k >= 1 and max(sizes) > y:
-        return 0, 0
-    terms = [subset_count(s, range(min(plan.k, s) + 1)) for s in sizes]
-    return sum(terms), max(terms)
+    sizes = sorted((c.bit_count() for c in plan.g.components), reverse=True)
+    if plan.k >= 1 and sizes[0] > y:
+        return
+    for s in sizes:
+        yield subset_count(s, range(min(plan.k, s) + 1))
 
 
 def _auto(plan: _Plan) -> str:
@@ -150,7 +158,13 @@ def _auto(plan: _Plan) -> str:
     # separate oracle estimate is needed. dp-y's cap applies per component,
     # so a component whose scan the run's cap would refuse keeps the
     # instance off this route.
-    work, term = _dp_y_work(plan, y)
+    # The sum stops once it passes DP_Y_WORK; short of that, term is the largest.
+    work = term = 0
+    for t in _dp_y_terms(plan, y):
+        work += t
+        term = max(term, t)
+        if work > DP_Y_WORK:
+            break
     if work <= DP_Y_WORK and term <= plan.cap:
         return "dp-y"
     # A supplied form is the one dp-wx would run on, so its width decides.
@@ -159,7 +173,7 @@ def _auto(plan: _Plan) -> str:
         return "dp-wx"
     if x_eff + plan.k <= BRANCH_KX_MAX:
         return "branch-kx"
-    dp_y = (f"E={work} > {DP_Y_WORK}" if work > DP_Y_WORK
+    dp_y = (f"E={sum(_dp_y_terms(plan, y))} > {DP_Y_WORK}" if work > DP_Y_WORK
             else f"a component's {term} subsets > cap {plan.cap}")
     raise EngineRefusal(
         f"instance outside every engine envelope: n={plan.g.n} > {ORACLE_MAX_N}; "
@@ -168,25 +182,34 @@ def _auto(plan: _Plan) -> str:
     )
 
 
-def _route(plan: _Plan, algo: str) -> tuple[str, _Plan, KernelTrace | None]:
+def _route(plan: _Plan, algo: str) -> tuple[str, _Plan | Decision, ForcedSet | None]:
     """The one place an instance's solve path is decided.
 
     Returns what settles the instance ("trivial", "kernel" or an engine),
-    the plan it runs on, and the kernel trace when the rule forced a vertex.
+    and the forced set when the high-degree rule forced a vertex. The
+    middle value is the plan an engine runs on, or, when the rule settles
+    the instance, the kernel's own Decision, whose YES cut is empty.
     """
     if plan.x_eff < 0 or plan.bound_met():
         return "trivial", plan, None
     if algo != "auto":
         return algo, plan, None
-    if plan.ntd is not None or not _lazy("kernel").rule_fires(plan.g, plan.k, plan.x_eff):
+    if plan.ntd is not None:
         return _auto(plan), plan, None
-    trace = _lazy("kernel").kernelize_kx(plan.g, plan.k, plan.x_eff)
-    if trace.infeasible:
-        return "kernel", plan, trace
-    sub = _Plan(trace.kernel_graph, trace.k_out, plan.x_eff, cap=plan.cap)
-    if sub.bound_met():
-        return "kernel", sub, trace
-    return _auto(sub), sub, trace
+    rule = _lazy("kernel").high_degree_rule(plan.g, plan.k, plan.x_eff)
+    if rule.infeasible:
+        reason = "the high-degree rule forces more than k vertices"
+        return "kernel", Decision(False, None, {"reason": reason}), rule
+    if not rule.forced:
+        return _auto(plan), plan, None
+    # Forced and isolated vertices add no pairs, so the kernel's pairs are alive's.
+    residual = pairs_of_alive(plan.g.adjacency_masks, rule.alive, plan.x_eff)
+    if residual <= plan.x_eff:
+        reason = "forced vertices meet the bound"
+        return "kernel", Decision(True, Cut(frozenset(), residual), {"reason": reason}), rule
+    kernel, _ = remove_vertices(plan.g, bits(((1 << plan.g.n) - 1) & ~rule.alive))
+    sub = _Plan(kernel, rule.k_out, plan.x_eff, cap=plan.cap)
+    return _auto(sub), sub, rule
 
 
 def select_algorithm(
@@ -254,7 +277,7 @@ def run_instance(
     start = time.perf_counter()
     _check_engine(algo)
     plan = _Plan(inst.graph, inst.k, inst.x, inst.y, ntd, config.oracle_cap)
-    engine, sub, trace = _route(plan, algo)
+    engine, sub, rule = _route(plan, algo)
     if ntd is not None and engine != "dp-wx":
         report = _lazy("decomposition").validate_nice(plan.g, ntd)
         if not report.ok:
@@ -268,23 +291,20 @@ def run_instance(
         else:
             cut = certify(plan.g, Cut(frozenset(), plan.total), plan.k, plan.x_eff, engine)
             d = Decision(True, cut, {"reason": "bound already met"})
-    elif engine != "kernel":
-        d = _SOLVERS[engine](sub)
-    elif trace.infeasible:
-        d = Decision(False, None, {"reason": "the high-degree rule forces more than k vertices"})
+    elif engine == "kernel":
+        d = sub
     else:
-        d = Decision(True, Cut(frozenset(), sub.total), {"reason": "forced vertices meet the bound"})
+        d = _SOLVERS[engine](sub)
     stats = d.stats if isinstance(d.stats, dict) else d.stats._asdict()
-    if trace is not None:
-        # An infeasible trace stops at the vertex that would take k + 1 and
-        # builds no graph; its residual would be g less the vertices forced.
-        forced = len(trace.forced_vertices)
-        n_out = plan.g.n - forced if trace.infeasible else trace.kernel_graph.n
-        stats["kernel"] = {"forced": forced + trace.infeasible, "k_out": trace.k_out,
-                           "n_out": n_out}
+    if rule is not None:
+        # An infeasible rule counts the vertex that would take k + 1; its
+        # n_out is g less the k vertices forced before it.
+        stats["kernel"] = {"forced": len(rule.forced) + rule.infeasible, "k_out": rule.k_out,
+                           "n_out": rule.alive.bit_count()}
         if d.answer:
-            lift = trace.kernel_to_original
-            cut = Cut(frozenset(trace.forced_vertices).union(lift[v] for v in d.cut.vertices),
+            # The kernel's vertex i is the i-th of alive, as remove_vertices numbers them.
+            lift = tuple(bits(rule.alive)) if d.cut.vertices else ()
+            cut = Cut(frozenset(rule.forced).union(lift[v] for v in d.cut.vertices),
                       d.cut.residual_pairs)
             d = Decision(True, certify(plan.g, cut, plan.k, plan.x_eff, engine), stats)
 

@@ -2,12 +2,18 @@
 
 A vertex whose degree exceeds k' + sqrt(x) must be in every solution with the
 remaining budget k': keeping it leaves more than x pairs among its neighbors
-alone. The check is done in exact integer arithmetic as
-degree > k'  and  (degree - k')^2 > x.
+alone. In exact integer arithmetic, degree > k' and (degree - k')^2 > x
+reads degree >= k' + isqrt(x) + 1.
+
+`high_degree_rule` applies the rule to exhaustion on the graph's adjacency
+masks and builds no graph. `cnc solve --algo auto` calls it once per solve
+and builds the smaller instance only when an engine runs on it;
+`kernelize_kx` builds that instance from the same call for `cnc kernelize`.
 """
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import NamedTuple
 
 from .graph import Graph, bits, check_parameters, remove_vertices
@@ -30,44 +36,66 @@ class KernelTrace(NamedTuple):
     infeasible: bool = False
 
 
-def _forced_vertex(masks: tuple[int, ...], alive: int, k_cur: int, x: int) -> int | None:
-    # Smallest live id whose live degree d satisfies d > k_cur and (d - k_cur)^2 > x.
-    for v in bits(alive):
-        d = (masks[v] & alive).bit_count()
-        if d > k_cur and (d - k_cur) * (d - k_cur) > x:
-            return v
-    return None
+class ForcedSet(NamedTuple):
+    """The high-degree rule applied to exhaustion, as vertex ids and a mask.
+
+    `alive` holds the kernel's vertices: those neither forced nor left
+    without a neighbour. When infeasible is True the rule stopped at the
+    vertex that would take k + 1 deletions; `forced` then holds the k forced
+    before it, `alive` every other vertex, and k_out is 0.
+    """
+
+    forced: tuple[int, ...]
+    alive: int
+    k_out: int
+    infeasible: bool
 
 
-def rule_fires(g: Graph, k: int, x: int) -> bool:
-    """Whether the high-degree rule forces any vertex of g; no graph is built."""
-    return _forced_vertex(g.adjacency_masks, (1 << g.n) - 1, k, x) is not None
+def high_degree_rule(g: Graph, k: int, x: int) -> ForcedSet:
+    """Force the smallest live vertex whose live degree meets the threshold, until none does.
+
+    Forcing a vertex lowers the budget and the threshold by one and each
+    live degree by at most one, so a vertex that meets the threshold keeps
+    meeting it and the forced set does not depend on the order. Taking the
+    smallest id each time fixes the order of `forced` too; as the threshold
+    falls, a vertex below the one just forced may meet it, so each search
+    starts again at vertex 0. On dense graphs a search stops after a few
+    vertices, which is why it counts degrees afresh rather than keeping them
+    in a list that each forced vertex's neighbours would have to update.
+    """
+    masks = g.adjacency_masks
+    least = k + isqrt(x) + 1
+    alive = (1 << g.n) - 1
+    forced: list[int] = []
+    while True:
+        for v, m in enumerate(masks):
+            if (m & alive).bit_count() >= least and alive >> v & 1:
+                break
+        else:
+            break
+        if len(forced) == k:
+            return ForcedSet(tuple(forced), alive, 0, True)
+        alive ^= 1 << v
+        forced.append(v)
+        least -= 1
+    for v in [v for v, m in enumerate(masks) if not m & alive]:
+        alive &= ~(1 << v)
+    return ForcedSet(tuple(forced), alive, k - len(forced), False)
 
 
 def kernelize_kx(g: Graph, k: int, x: int) -> KernelTrace:
     """Apply the high-degree rule to exhaustion, then drop isolated vertices."""
     check_parameters(k, x)
-
-    masks, alive = g.adjacency_masks, (1 << g.n) - 1
-    forced: list[int] = []
-    k_cur = k
-    while True:
-        v = _forced_vertex(masks, alive, k_cur, x)
-        if v is None:
-            break
-        if k_cur == 0:
-            # Budget exhausted while a vertex still exceeds the threshold.
-            return KernelTrace(tuple(forced), (), 0, None, (), infeasible=True)
-        alive &= ~(1 << v)
-        forced.append(v)
-        k_cur -= 1
-
-    isolated = [v for v in bits(alive) if not masks[v] & alive]
-    kernel, kernel_to_original = remove_vertices(g, forced + isolated)
+    rule = high_degree_rule(g, k, x)
+    if rule.infeasible:
+        return KernelTrace(rule.forced, (), 0, None, (), infeasible=True)
+    dropped = ((1 << g.n) - 1) & ~rule.alive
+    isolated = tuple(v for v in bits(dropped) if v not in rule.forced)
+    kernel, kernel_to_original = remove_vertices(g, bits(dropped))
     return KernelTrace(
-        forced_vertices=tuple(forced),
-        discarded_isolated=tuple(isolated),
-        k_out=k_cur,
+        forced_vertices=rule.forced,
+        discarded_isolated=isolated,
+        k_out=rule.k_out,
         kernel_graph=kernel,
         kernel_to_original=kernel_to_original,
     )

@@ -21,6 +21,13 @@ min-fill and the nice form as they were written before the min-fill ran
 its bit loops inline and the nice form came out in dp-wx's walk order, so
 the new ones can be held to the same decomposition and to a renumbering of
 the same form, and the walk to the former index-order loop table for table.
+`reference_kernelize` is the high-degree rule as it ran before it moved
+onto one integer threshold and returned a mask: each step tests d > k' and
+(d - k')^2 > x over the live vertices, and the kernel graph is built from
+the lists of forced and isolated vertices. `reference_kernel_run` is auto's kernel route as it
+ran before it settled the forced set on the input's masks: the rule once to
+see whether it fires and again to build the kernel graph, whose pairs it
+then counted, and the kernel instance solved by `run_instance` and mapped back.
 """
 
 import heapq
@@ -28,7 +35,10 @@ from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple
 
 from cncut.decomposition import NiceNode, NiceTreeDecomposition, TreeDecomposition, _walk
-from cncut.graph import Graph, bits, pairs_by_edges, remove_vertices
+from cncut.graph import Graph, bits, connected_pairs, pairs_by_edges, remove_vertices
+from cncut.harness import run_instance
+from cncut.instance_io import CncInstance
+from cncut.kernel import KernelTrace
 from cncut.reductions import HIGH, LOW, MccLayout
 from cncut.treewidth_dp import Table, forget_table, introduce_table, join_table, leaf_table
 
@@ -454,3 +464,62 @@ def mcc_direct_decomposition(layout: MccLayout) -> TreeDecomposition:
     if spine_prev is None:
         add_bag(frozenset(), None)
     return TreeDecomposition(tuple(bags), tuple(edges))
+
+
+def _forced_vertex(masks: tuple[int, ...], alive: int, k_cur: int, x: int) -> int | None:
+    # Smallest live id whose live degree d satisfies d > k_cur and (d - k_cur)^2 > x.
+    for v in bits(alive):
+        d = (masks[v] & alive).bit_count()
+        if d > k_cur and (d - k_cur) * (d - k_cur) > x:
+            return v
+    return None
+
+
+def reference_kernelize(g: Graph, k: int, x: int) -> KernelTrace:
+    """The high-degree rule to exhaustion, each step a scan from vertex 0, then
+    the isolated vertices dropped."""
+    masks, alive = g.adjacency_masks, (1 << g.n) - 1
+    forced: list[int] = []
+    k_cur = k
+    while (v := _forced_vertex(masks, alive, k_cur, x)) is not None:
+        if k_cur == 0:
+            return KernelTrace(tuple(forced), (), 0, None, (), infeasible=True)
+        alive &= ~(1 << v)
+        forced.append(v)
+        k_cur -= 1
+    isolated = [v for v in bits(alive) if not masks[v] & alive]
+    kernel, kernel_to_original = remove_vertices(g, forced + isolated)
+    return KernelTrace(tuple(forced), tuple(isolated), k_cur, kernel, kernel_to_original)
+
+
+class KernelRun(NamedTuple):
+    answer: str
+    cut: tuple[int, ...] | None
+    residual_pairs: int | None
+    pairs_removed: int | None
+    algorithm: str
+    kernel: dict
+
+
+def reference_kernel_run(g: Graph, k: int, x: int) -> KernelRun | None:
+    """What auto's kernel route reports on (g, k, x), or None where the rule
+    forces nothing. x must be below g's pairs, so the target is not met."""
+    if _forced_vertex(g.adjacency_masks, (1 << g.n) - 1, k, x) is None:
+        return None
+    trace = reference_kernelize(g, k, x)
+    forced = len(trace.forced_vertices)
+    if trace.infeasible:
+        return KernelRun("NO", None, None, None, "kernel",
+                         {"forced": forced + 1, "k_out": 0, "n_out": g.n - forced})
+    kernel = trace.kernel_graph
+    stats = {"forced": forced, "k_out": trace.k_out, "n_out": kernel.n}
+    residual = connected_pairs(kernel)
+    if residual <= x:
+        cut, algorithm = frozenset(), "kernel"
+    else:
+        report = run_instance(CncInstance(kernel, trace.k_out, x=x))
+        if report.answer == "NO":
+            return KernelRun("NO", None, None, None, report.algorithm, stats)
+        cut, residual, algorithm = report.cut, report.residual_pairs, report.algorithm
+    lifted = tuple(sorted({*trace.forced_vertices, *(trace.kernel_to_original[v] for v in cut)}))
+    return KernelRun("YES", lifted, residual, connected_pairs(g) - residual, algorithm, stats)

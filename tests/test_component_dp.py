@@ -17,7 +17,7 @@ from cncut.component_dp import (
     shortcut_checks,
     solve_y,
 )
-from cncut.harness import _dp_y_work, _Plan
+from cncut.harness import _dp_y_terms, _Plan
 from cncut.oracle import CapExceeded, oracle_max_removed_exact, oracle_min_pairs
 
 from .reference import empty_graph, full_scan
@@ -115,7 +115,7 @@ def test_removal_table_matches_oracle_per_component(g, k):
 
 def _work(g, k, y):
     """E, the subsets auto charges dp-y's scans on (g, k, y)."""
-    return _dp_y_work(_Plan(g, k, None, y), y)[0]
+    return sum(_dp_y_terms(_Plan(g, k, None, y), y))
 
 
 @given(graphs(max_n=8), st.integers(0, 4), st.integers(0, 40))

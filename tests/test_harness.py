@@ -38,9 +38,10 @@ from cncut.harness import (
     select_algorithm,
 )
 from cncut.instance_io import CncInstance, parse_instance
-from cncut.kernel import kernelize_kx, rule_fires
+from cncut.kernel import high_degree_rule, kernelize_kx
 from cncut.oracle import DEFAULT_CAP, CapExceeded, oracle_decides
 
+from .reference import reference_kernel_run
 from .strategies import graphs, seeded_random_graphs
 
 
@@ -190,6 +191,65 @@ def test_select_dense_graph_the_rule_settles_goes_to_kernel():
     assert trace.infeasible and trace.kernel_graph is None and trace.kernel_to_original == ()
 
 
+def test_kernel_settled_yes_builds_no_graph(monkeypatch):
+    # K1,16 beside a triangle with k = 1, x = 6: the rule forces the centre,
+    # whose leaves fall away, and the triangle's 6 pairs meet the bound. The
+    # rule runs once, the YES is counted on the input's masks, and no Graph
+    # is built on the way; `certify` still checks the cut on the input.
+    import cncut.harness as harness_mod
+    import cncut.kernel as kernel_mod
+
+    g, _ = disjoint_union([star_graph(16), complete_graph(3)])
+    inst = CncInstance(g, 1, x=6)
+    passes = []
+
+    def counted(*args):
+        passes.append(args)
+        return high_degree_rule(*args)
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("a kernel-settled YES built a graph")
+
+    monkeypatch.setattr(kernel_mod, "high_degree_rule", counted)
+    monkeypatch.setattr(harness_mod, "remove_vertices", unexpected)
+    monkeypatch.setattr(Graph, "__init__", unexpected)
+    report = run_instance(inst)
+    assert (report.answer, report.algorithm, report.cut) == ("YES", "kernel", (0,))
+    assert (report.residual_pairs, report.pairs_removed) == (6, 16 * 17)
+    assert report.stats["kernel"] == {"forced": 1, "k_out": 0, "n_out": 3}
+    assert len(passes) == 1
+
+
+@st.composite
+def instances_near_the_rule(draw):
+    """(g, k, x) with n <= 9, k <= 3 and x <= 80 below g's pairs. Vertices
+    0..h-1, for some h <= k, gain edges to later vertices, so that the rule
+    fires within the budget as well as beyond it."""
+    g, k = draw(graphs(max_n=9, max_m=10)), draw(st.integers(0, 3))
+    hubs = range(min(draw(st.integers(0, k)), g.n - 1))
+    g = Graph(g.n, g.edges | {(h, v) for h in hubs
+                              for v in draw(st.sets(st.integers(h + 1, g.n - 1), min_size=1))})
+    total = connected_pairs(g)
+    return g, k, draw(st.integers(0, max(0, min(total - 1, 80))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances_near_the_rule())
+def test_kernel_route_matches_the_two_step_path(instance):
+    # Wherever the rule fires, auto reports what the former path did: the
+    # rule run to see that it fires and again to build the kernel graph,
+    # whose pairs settle a forced-set YES and which an engine solves otherwise.
+    g, k, x = instance
+    report = run_instance(CncInstance(g, k, x=x))
+    expected = reference_kernel_run(g, k, x) if report.algorithm != "trivial" else None
+    if expected is None:
+        assert "kernel" not in report.stats
+        return
+    got = (report.answer, report.cut, report.residual_pairs, report.pairs_removed,
+           report.algorithm, report.stats["kernel"])
+    assert got == expected
+
+
 @given(graphs(max_n=9), st.integers(0, 3), st.integers(0, 80))
 def test_pair_total_bounds_the_shortcut(g, k, x):
     # A component with s vertices holds at most s(s - 1)/2 edges, so the
@@ -197,7 +257,8 @@ def test_pair_total_bounds_the_shortcut(g, k, x):
     # (d - k)^2 > x, so its component has at least d(d + 1) > x pairs.
     total = connected_pairs(g)
     assert total >= 2 * g.m
-    if rule_fires(g, k, x):
+    rule = high_degree_rule(g, k, x)
+    if rule.forced or rule.infeasible:
         assert x < total
 
 
@@ -399,19 +460,23 @@ def test_auto_reads_the_supplied_decomposition_width(monkeypatch):
 # A hub joined to six leaves, beside a path on five vertices. With k = 2 and
 # x = 4 the rule forces the hub, and the oracle cuts the path with k = 1.
 HUB_AND_P5 = Graph.from_edges(12, [(0, v) for v in range(1, 7)] + [(v, v + 1) for v in range(7, 11)])
+# K1,16 beside a triangle: with k = 1 and x = 6 the centre alone leaves 6 pairs.
+STAR_AND_TRIANGLE = disjoint_union([star_graph(16), complete_graph(3)])[0]
 
 
 @pytest.mark.parametrize(
     "algo, g, k, x",
     [(e, path_graph(7), 1, 12) for e in ENGINES]
-    + [("auto", path_graph(7), 1, 42), ("auto", HUB_AND_P5, 2, 4), ("auto", star_graph(16), 1, 0)],
-    ids=[*ENGINES, "trivial", "kernel-then-oracle", "kernel"],
+    + [("auto", path_graph(7), 1, 42), ("auto", HUB_AND_P5, 2, 4), ("auto", star_graph(16), 1, 0),
+       ("auto", STAR_AND_TRIANGLE, 1, 6)],
+    ids=[*ENGINES, "trivial", "kernel-then-oracle", "kernel", "kernel-with-residual"],
 )
 def test_each_yes_is_verified_once(monkeypatch, algo, g, k, x):
     # path_graph(7) has 42 pairs; deleting its middle vertex leaves 12. With
     # x = 12 every engine takes its main path (dp-y needs y = 30 > 2k); with
     # x = 42 the bound is already met. The rule forces HUB_AND_P5's hub and
-    # the star's centre; the centre alone settles the star.
+    # the stars' centres; a centre alone settles its star, with no pair left
+    # or with the triangle's 6, and the kernel's YES is certified only on g.
     import cncut.graph as graph_mod
 
     calls = []

@@ -8,9 +8,10 @@ from cncut.graph import (
     disjoint_union,
     star_graph,
 )
-from cncut.kernel import kernel_bound_holds, kernelize_kx
+from cncut.kernel import high_degree_rule, kernel_bound_holds, kernelize_kx
 from cncut.oracle import oracle_decides
 
+from .reference import reference_kernelize
 from .strategies import graphs
 
 
@@ -144,3 +145,19 @@ def test_bound_holds_on_yes_instances(g, k, x):
     if trace.infeasible or not oracle_decides(g, k, x):
         return
     assert kernel_bound_holds(trace.kernel_graph.n, trace.k_out, x)
+
+
+@settings(max_examples=200)
+@given(graphs(max_n=10), st.integers(0, 4), st.integers(0, 12))
+def test_rule_matches_the_two_sided_test(g, k, x):
+    # The threshold k' + isqrt(x) + 1 forces the same vertices, in the same
+    # order, as d > k' and (d - k')^2 > x; `alive` is the kernel's vertex
+    # set, or every vertex not forced when the rule runs out of budget.
+    trace, rule = kernelize_kx(g, k, x), high_degree_rule(g, k, x)
+    assert trace == reference_kernelize(g, k, x)
+    assert rule.forced == trace.forced_vertices and rule.k_out == trace.k_out
+    assert rule.infeasible == trace.infeasible
+    if rule.infeasible:
+        assert rule.alive == (1 << g.n) - 1 - sum(1 << v for v in rule.forced)
+    else:
+        assert rule.alive == sum(1 << v for v in trace.kernel_to_original)
